@@ -243,9 +243,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
 
     def vjp(g):
         gr = g.reshape(n, o, -1)  # (N, O, H*W)
-        dw = np.einsum("nop,nkp->ok", gr, cols).reshape(w.data.shape)
+        # Batched GEMM against the patch matrix, then a sum over the batch.
+        dw = np.matmul(gr, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
         db = gr.sum(axis=(0, 2))
-        dcols = np.einsum("ok,nop->nkp", wm, gr)
+        if not x.requires_grad:  # backward drops gradients for such parents
+            return (None, dw, db)
+        dcols = np.matmul(wm.T, gr)  # (C*kh*kw, O) @ (N, O, H*W)
         dxp = _col2im(dcols, xp.shape, kh, kw)
         dx = dxp[:, :, p : p + hh, p : p + ww] if p else dxp
         return (dx, dw, db)

@@ -122,8 +122,7 @@ def load_dataset(cfg: dict, split: str) -> Dataset:
     name, root = cfg["dataset"], cfg["data_dir"]
     if name == "synth":
         n = 512 if split == "train" else 256
-        return synth_dataset(n, (1, 8, 8), seed=cfg["seed"] + (0 if split == "train" else 1),
-                             name="synth")
+        return synth_dataset(n, (1, 8, 8), seed=cfg["seed"], name="synth", split=split)
     if name in ("mnist", "fmnist"):
         sub = os.path.join(root, "mnist" if name == "mnist" else "fashion")
         prefix = "train" if split == "train" else "t10k"

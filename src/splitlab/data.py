@@ -121,19 +121,24 @@ def sample_class_balanced(ds: Dataset, per_class: int, seed: int = 0) -> Dataset
 
 
 def synth_dataset(n: int, shape: tuple[int, int, int] = (1, 8, 8),
-                  seed: int = 0, name: str = "synth") -> Dataset:
+                  seed: int = 0, name: str = "synth",
+                  split: str = "train") -> Dataset:
     """Deterministic noise images with class-dependent structure.
 
     Each class gets a fixed random template; an example is its template
     plus noise, so small nets can actually learn the labels. Used as the
-    offline stand-in for the real datasets in tests and CI.
+    offline stand-in for the real datasets in tests and CI. Both splits
+    of one seed share the templates; the test split (any ``split`` but
+    ``train``) draws its labels and noise from a stream of its own.
     """
     rng = np.random.default_rng(seed)
     templates = rng.uniform(0.0, 1.0, size=(10, *shape)).astype(np.float32)
+    if split != "train":
+        rng = np.random.default_rng([seed, 1])
     labels = rng.integers(0, 10, size=n).astype(np.uint8)
     noise = rng.normal(0.0, 0.15, size=(n, *shape)).astype(np.float32)
     images = np.clip(templates[labels] + noise, 0.0, 1.0)
-    return Dataset(images, labels, name, "train")
+    return Dataset(images, labels, name, split)
 
 
 def batches(ds: Dataset, batch_size: int, seed: int | None = None,

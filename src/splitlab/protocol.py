@@ -22,6 +22,7 @@ Recording never alters any message.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -36,6 +37,7 @@ from .transport import Transport
 from .wire import MsgType
 
 TOPOLOGIES = ("label_sharing", "server_data", "client_labels")
+SESSION_TIMEOUT = 300.0  # seconds run_session waits for both roles to finish
 
 
 @dataclass
@@ -515,13 +517,24 @@ def run_session(cfg: SessionConfig, images: np.ndarray, labels: np.ndarray,
         except BaseException as exc:
             errors["server"] = exc
 
-    threads = [threading.Thread(target=client_main, daemon=True),
-               threading.Thread(target=server_main, daemon=True)]
-    for t in threads:
+    threads = {"client": threading.Thread(target=client_main, daemon=True),
+               "server": threading.Thread(target=server_main, daemon=True)}
+    for t in threads.values():
         t.start()
-    for t in threads:
-        t.join(timeout=300)
-    if errors:
-        role, exc = next(iter(errors.items()))
-        raise ProtocolError(f"{role} role failed: {exc!r}") from exc
+    deadline = time.monotonic() + SESSION_TIMEOUT
+    for t in threads.values():
+        t.join(timeout=max(0.0, deadline - time.monotonic()))
+    hung = [role for role, t in threads.items() if t.is_alive()]
+    if hung or errors:
+        reasons, cause = [], None
+        if hung:
+            reasons.append(f"{' and '.join(hung)} role still running after "
+                           f"{SESSION_TIMEOUT:g} s")
+        if errors:
+            role, cause = next(iter(errors.items()))
+            reasons.append(f"{role} role failed: {cause!r}")
+        raise ProtocolError("; ".join(reasons)) from cause
+    for role in threads:
+        if role not in results:
+            raise ProtocolError(f"{role} role returned no result")
     return results["client"], results["server"]

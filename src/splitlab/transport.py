@@ -13,7 +13,7 @@ import socket
 import time
 
 from .errors import ProtocolError
-from .wire import HEADER, MsgType, decode_frame, encode_frame
+from .wire import HEADER, MsgType, decode_header, encode_frame
 
 
 class Transport:
@@ -32,11 +32,11 @@ class Transport:
 
     def recv(self) -> tuple[MsgType, bytes]:
         head = self._recv_bytes(HEADER.size)
-        _, _, length = HEADER.unpack(head)
-        frame = head + (self._recv_bytes(length) if length else b"")
+        mtype, length = decode_header(head)  # reject a bad header before the body
+        payload = self._recv_bytes(length) if length else b""
         if self.transcript is not None:
-            self.transcript.append(("recv", frame))
-        return decode_frame(frame)
+            self.transcript.append(("recv", head + payload))
+        return mtype, payload
 
     def _send_bytes(self, data: bytes) -> None:
         raise NotImplementedError
@@ -81,6 +81,8 @@ def inproc_pair(record_transcript: bool = False,
 
 
 class TcpTransport(Transport):
+    RECV_CHUNK = 1 << 20  # largest single recv: memory grows with bytes received
+
     def __init__(self, sock: socket.socket, record_transcript: bool = False):
         super().__init__(record_transcript)
         self._sock = sock
@@ -97,7 +99,7 @@ class TcpTransport(Transport):
         remaining = n
         while remaining:
             try:
-                chunk = self._sock.recv(remaining)
+                chunk = self._sock.recv(min(remaining, self.RECV_CHUNK))
             except OSError as exc:
                 raise ProtocolError(f"recv failed: {exc}") from None
             if not chunk:

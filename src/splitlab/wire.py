@@ -45,8 +45,12 @@ def encode_frame(msg_type: MsgType, payload: bytes = b"") -> bytes:
     return HEADER.pack(MAGIC, int(msg_type), len(payload)) + payload
 
 
-def decode_frame(buf: bytes) -> tuple[MsgType, bytes]:
-    """Decode one complete frame from ``buf``; rejects trailing bytes."""
+def decode_header(buf: bytes) -> tuple[MsgType, int]:
+    """Check the header at the start of ``buf``; returns (type, payload length).
+
+    Needs only the header's bytes, so a reader can reject a bad frame
+    before it waits for, or allocates, the body.
+    """
     if len(buf) < HEADER.size:
         raise ProtocolError(f"frame too short: {len(buf)} bytes")
     magic, mtype, length = HEADER.unpack_from(buf)
@@ -56,6 +60,12 @@ def decode_frame(buf: bytes) -> tuple[MsgType, bytes]:
         mtype = MsgType(mtype)
     except ValueError:
         raise ProtocolError(f"unknown message type {mtype}") from None
+    return mtype, length
+
+
+def decode_frame(buf: bytes) -> tuple[MsgType, bytes]:
+    """Decode one complete frame from ``buf``; rejects trailing bytes."""
+    mtype, length = decode_header(buf)
     if len(buf) != HEADER.size + length:
         raise ProtocolError(
             f"frame length field {length} does not match payload "

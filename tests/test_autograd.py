@@ -181,6 +181,60 @@ class TestBackward:
             np.testing.assert_array_equal(a, b)
 
 
+def _conv_grads_reference(x, w, g, p):
+    """(dx, dw, db) of a stride-1 convolution in float64, one kernel tap
+    at a time, with no patch matrix."""
+    x, w, g = (a.astype(np.float64) for a in (x, w, g))
+    _, _, kh, kw = w.shape
+    _, _, ho, wo = g.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for i in range(kh):
+        for j in range(kw):
+            dw[:, :, i, j] = np.einsum("noyx,ncyx->oc", g, xp[:, :, i : i + ho, j : j + wo])
+            dxp[:, :, i : i + ho, j : j + wo] += np.einsum("noyx,oc->ncyx", g, w[:, :, i, j])
+    dx = dxp[:, :, p : xp.shape[2] - p, p : xp.shape[3] - p]
+    return dx, dw, g.sum(axis=(0, 2, 3))
+
+
+class TestConvBackward:
+    """conv2d's VJP against an independent float64 reference, at shapes
+    large enough for BLAS to block the products."""
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_matches_float64_reference(self, padding):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(4, 16, 13, 10)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(8, 16, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.normal(size=8).astype(np.float32), requires_grad=True)
+        out = ag.conv2d(x, w, b, padding)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        ag.backward(out, seed_grad=g)
+        for got, want in zip((x.grad, w.grad, b.grad),
+                             _conv_grads_reference(x.data, w.data, g, padding)):
+            assert got.dtype == np.float32 and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-5,
+                                       atol=1e-5 * np.abs(want).max())
+
+    def test_input_without_grad(self):
+        rng = np.random.default_rng(12)
+        xd = rng.normal(size=(4, 16, 9, 7)).astype(np.float32)
+        wd = rng.normal(size=(8, 16, 3, 3)).astype(np.float32)
+        bd = rng.normal(size=8).astype(np.float32)
+        r = Tensor(rng.normal(size=(4, 8, 9, 7)).astype(np.float32))
+        grads = []
+        for x_needs_grad in (True, False):
+            x = Tensor(xd, requires_grad=x_needs_grad)
+            w, b = Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
+            ag.backward(ag.mse_loss(ag.conv2d(x, w, b, 1), r))
+            grads.append((x.grad, w.grad, b.grad))
+        (dx, dw, db), (dx_none, dw_only, db_only) = grads
+        assert dx is not None and dx_none is None
+        np.testing.assert_array_equal(dw_only, dw)
+        np.testing.assert_array_equal(db_only, db)
+
+
 class TestFiniteDiff:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
@@ -244,6 +298,17 @@ class TestOpGradients:
                  w, h=1e-2)
         fd_check(lambda t: ag.mse_loss(ag.conv2d(Tensor(x), Tensor(w), t, 1), r),
                  b, h=1e-2)
+
+    def test_conv_unpadded(self):
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-1, 1, size=(2, 2, 5, 4)).astype(np.float32)
+        w = rng.uniform(-0.3, 0.3, size=(3, 2, 3, 3)).astype(np.float32)
+        b = rng.uniform(-0.3, 0.3, size=3).astype(np.float32)
+        r = Tensor(rng.uniform(size=(2, 3, 3, 2)).astype(np.float32))
+        fd_check(lambda t: ag.mse_loss(ag.conv2d(t, Tensor(w), Tensor(b), 0), r),
+                 x, h=1e-2)
+        fd_check(lambda t: ag.mse_loss(ag.conv2d(Tensor(x), t, Tensor(b), 0), r),
+                 w, h=1e-2)
 
     def test_maxpool(self):
         rng = np.random.default_rng(5)

@@ -1,10 +1,12 @@
 """Dataset loaders against synthetic IDX / CIFAR files written on the fly."""
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
+from splitlab.cli import load_dataset
 from splitlab.data import (
     Dataset,
     batches,
@@ -164,6 +166,24 @@ class TestSynth:
         assert ds.images.shape == (20, 1, 8, 8)
         assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
         assert ds.labels.max() < 10
+
+    def test_train_split_unchanged(self):
+        # Pins the train split's bits: the benchmark's inputs come from it.
+        ds = synth_dataset(64, (3, 32, 32), seed=5)
+        digest = hashlib.sha256(ds.images.tobytes() + ds.labels.tobytes()).hexdigest()
+        assert digest == "493bec072ca94e540bce62135988a6b5f0752ca0f03d47dc1deaa64658f1b8c4"
+
+    def test_test_split_is_learnable(self):
+        cfg = {"dataset": "synth", "data_dir": "", "seed": 3}
+        train, test = load_dataset(cfg, "train"), load_dataset(cfg, "test")
+        assert test.split == "test"
+        assert not np.array_equal(train.labels[: len(test)], test.labels)
+        # Both splits share the class templates: every test image lies
+        # nearest the mean train image of its own class.
+        means = np.stack([train.images[train.labels == c].mean(axis=0)
+                          for c in range(10)])
+        dist = ((test.images[:, None] - means[None]) ** 2).sum(axis=(2, 3, 4))
+        np.testing.assert_array_equal(dist.argmin(axis=1), test.labels)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(DataError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from splitlab import autograd as ag
+from splitlab import protocol
 from splitlab.autograd import Tensor
 from splitlab.data import load_idx, synth_dataset
 from splitlab.errors import ConfigError, ProtocolError
@@ -304,6 +305,25 @@ class TestWireSessions:
         bad_images = synth.images[:, :, :4, :4]  # wrong input shape
         with pytest.raises(ProtocolError):
             run_session(cfg, bad_images, synth.labels, inproc_pair(timeout=5))
+
+    def test_session_names_a_stalled_role(self, synth, monkeypatch):
+        monkeypatch.setattr(protocol, "SESSION_TIMEOUT", 0.5)
+        ct, st = inproc_pair(timeout=5)
+        release = threading.Event()
+        server_recv = st.recv
+
+        def stall_on_end():  # the server hangs once the client has finished
+            mtype, payload = server_recv()
+            if mtype == MsgType.END:
+                release.wait(timeout=30)
+            return mtype, payload
+
+        st.recv = stall_on_end
+        try:
+            with pytest.raises(ProtocolError, match="^server role still running"):
+                run_session(small_cfg(), synth.images, synth.labels, (ct, st))
+        finally:
+            release.set()
 
 
 class TestEpochOrder:

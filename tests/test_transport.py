@@ -1,19 +1,20 @@
 """Frame transports: in-process queue pair and TCP loopback."""
 
+import socket
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from splitlab import wire
 from splitlab.errors import ProtocolError
-from splitlab.transport import inproc_pair, tcp_connect, tcp_listen
+from splitlab.transport import TcpTransport, inproc_pair, tcp_connect, tcp_listen
 from splitlab.wire import MsgType
 
 
 def _free_port():
-    import socket
-
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         return s.getsockname()[1]
@@ -53,6 +54,19 @@ class TestInProc:
         mtype, payload = wire.decode_frame(frame_a)
         assert mtype is MsgType.LOSS
         assert wire.decode_scalar(payload) == 1.5
+
+    @pytest.mark.parametrize("magic, mtype, match", [
+        (b"EVIL", int(MsgType.GRAD), "magic b'EVIL'"),
+        (wire.MAGIC, 99, "message type 99"),
+    ])
+    def test_bad_header_rejected_before_body(self, magic, mtype, match):
+        a, b = inproc_pair(timeout=5)
+        # A header declaring a 100-byte body that never comes.
+        a._send_bytes(wire.HEADER.pack(magic, mtype, 100))
+        t0 = time.monotonic()
+        with pytest.raises(ProtocolError, match=match):
+            b.recv()
+        assert time.monotonic() - t0 < 1.0
 
     def test_no_transcript_by_default(self):
         a, _ = inproc_pair()
@@ -102,3 +116,21 @@ class TestTcp:
             client.recv()
         client.close()
         th.join(timeout=5)
+
+    def test_huge_declared_length_reads_in_chunks(self):
+        with socket.create_server(("127.0.0.1", 0)) as srv:
+            peer = socket.create_connection(srv.getsockname())
+            conn, _ = srv.accept()
+        receiver = TcpTransport(conn)
+        # A valid header declaring a 4 GiB body, then a few bytes and EOF.
+        peer.sendall(wire.HEADER.pack(wire.MAGIC, int(MsgType.GRAD), 0xFFFFFFFF) + b"x" * 64)
+        peer.close()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolError, match="closed mid-frame"):
+                receiver.recv()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            receiver.close()
+        assert peak < 8 * TcpTransport.RECV_CHUNK
