@@ -258,6 +258,34 @@ class TestWireSessions:
         ]
         assert seq == want
 
+    # sha256 of the server end's frames from the first SMASHED through END:
+    # tiny8, 64 synth examples, seed 0, batch 8, 2 epochs, split depth 1.
+    # CONFIG and the rest of the handshake are left out on purpose.
+    WIRE_DIGESTS = {
+        "label_sharing": (65, "94d070316ddf388777e784953cf0b6a4"
+                              "8585d9810fa3683f2687c902041c7a42"),
+        "server_data": (49, "1c0e9fa27189e64de431c29f6cd68caf"
+                            "1ce4f8c753e08a86ea91e27849396f9f"),
+        "client_labels": (81, "1bee1ff0a0ef984350909c4abd8a72a7"
+                              "99e91b90d9f4769c366212ca43ebbe43"),
+    }
+
+    @pytest.mark.parametrize("topology", list(WIRE_DIGESTS))
+    def test_wire_bytes_pinned(self, synth, topology):
+        import hashlib
+
+        from splitlab.wire import decode_frame
+
+        cfg = SessionConfig(arch="tiny8", topology=topology, seed=0,
+                            batch_size=8, epochs=2).validate()
+        ct, st = inproc_pair(record_transcript=True)
+        run_session(cfg, synth.images, synth.labels, (ct, st))
+        types = [decode_frame(f)[0] for _, f in st.transcript]
+        frames = [f for _, f in st.transcript[types.index(MsgType.SMASHED):]]
+        count, digest = self.WIRE_DIGESTS[topology]
+        assert len(frames) == count
+        assert hashlib.sha256(b"".join(frames)).hexdigest() == digest
+
     def test_out_of_order_message_aborts(self):
         cfg = small_cfg()
         ct, st = inproc_pair()
