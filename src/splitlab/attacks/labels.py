@@ -18,7 +18,7 @@ from ..autograd import Tensor, backward, cross_entropy
 from ..errors import ConfigError, TieError
 from ..layers import LayerStack
 from ..models import build_net, tail_start_index
-from ..optim import make_optimizer
+from ..optim import fit_epoch, make_optimizer
 
 
 @dataclass
@@ -119,18 +119,9 @@ def train_tail(
     """
     opt = make_optimizer(optimizer, tail.params(), lr)
     accs = []
-    n = smashed.shape[0]
     labels = np.asarray(labels, dtype=np.int64)
     for epoch in range(epochs):
-        order = np.arange(n)
-        np.random.default_rng([seed, epoch]).shuffle(order)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            opt.zero_grad()
-            probs = tail.forward(Tensor(smashed[idx]))
-            loss = cross_entropy(probs, labels[idx])
-            backward(loss)
-            opt.step()
+        fit_epoch(tail, opt, smashed, labels, batch_size, seed, epoch)
         ex, ey = eval_data if eval_data is not None else (smashed, labels)
         accs.append(tail_accuracy(tail, ex, ey))
     return accs

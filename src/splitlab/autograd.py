@@ -14,7 +14,7 @@ once in reverse topological order and then marks it consumed.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -22,8 +22,6 @@ from .errors import GraphError, NumericError, ShapeError
 
 __all__ = [
     "Tensor",
-    "tensor",
-    "zeros",
     "relu",
     "sigmoid",
     "conv2d",
@@ -65,26 +63,8 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def is_leaf(self) -> bool:
-        return self._vjp is None
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=requires_grad)
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:

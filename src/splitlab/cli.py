@@ -16,12 +16,10 @@ import csv
 import json
 import os
 import sys
-import threading
 
 import numpy as np
 
 from .attacks.inversion import InversionConfig, default_tv_lambda, unsplit_invert
-from .attacks.labels import infer_label, make_tail_clone, tail_param_gradients
 from .data import Dataset, load_cifar_bin, load_idx, sample_class_balanced, synth_dataset
 from .errors import (
     CheckpointError,
@@ -33,7 +31,6 @@ from .errors import (
 )
 from .harness import (
     SweepConfig,
-    eval_accuracy,
     label_inference_accuracy,
     merged_model,
     mse_images,
@@ -41,9 +38,9 @@ from .harness import (
     snapshot_tap,
     _dump_pair,
 )
-from .layers import LayerStack
-from .models import build_net, load_checkpoint, save_checkpoint, split_at, tail_start_index
-from .protocol import SessionConfig, ServerTap, run_client, run_server, run_session
+from .models import build_net, load_checkpoint, save_checkpoint, split_at
+from .protocol import (SessionConfig, ServerTap, held_examples, run_client, run_server,
+                       run_session)
 from .transport import inproc_pair, tcp_connect, tcp_listen
 
 DATASET_ARCH = {"synth": "tiny8", "mnist": "mnist", "fmnist": "mnist", "cifar": "cifar"}
@@ -193,19 +190,16 @@ def cmd_train(cfg: dict) -> int:
         return 0
 
     host, port = _parse_tcp(cfg["transport"])
+    client_images, server_images = held_examples(scfg.topology, subset.images)
     if cfg["role"] == "server":
         transport = tcp_listen(host, port)
-        res = run_server(transport, scfg,
-                         images=subset.images if scfg.topology == "server_data" else None)
+        res = run_server(transport, scfg, images=server_images)
         transport.close()
         save_checkpoint(res.model, os.path.join(out, "server.ckpt"))
         _write_curve(os.path.join(out, "train_curve.csv"), res.losses)
     elif cfg["role"] == "client":
         transport = tcp_connect(host, port)
-        if scfg.topology == "server_data":
-            res = run_client(transport, scfg, None, subset.labels)
-        else:
-            res = run_client(transport, scfg, subset.images, subset.labels)
+        res = run_client(transport, scfg, client_images, subset.labels)
         transport.close()
         save_checkpoint(res.model, os.path.join(out, "client.ckpt"))
         _write_curve(os.path.join(out, "train_curve.csv"), res.losses)

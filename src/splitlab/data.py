@@ -141,14 +141,15 @@ def synth_dataset(n: int, shape: tuple[int, int, int] = (1, 8, 8),
     return Dataset(images, labels, name, split)
 
 
-def batches(ds: Dataset, batch_size: int, seed: int | None = None,
-            drop_last: bool = False):
-    """Yield (images, labels) batches, shuffled when a seed is given."""
-    order = np.arange(len(ds))
-    if seed is not None:
-        np.random.default_rng(seed).shuffle(order)
-    for start in range(0, len(ds), batch_size):
-        idx = order[start : start + batch_size]
-        if drop_last and idx.size < batch_size:
-            return
-        yield ds.images[idx], ds.labels[idx]
+def epoch_order(n: int, seed: int, epoch: int) -> np.ndarray:
+    """Shuffle shared by both parties so examples and labels stay aligned."""
+    order = np.arange(n)
+    np.random.default_rng([seed, epoch]).shuffle(order)
+    return order
+
+
+def epoch_batches(n: int, batch_size: int, seed: int, epoch: int):
+    """Yield one epoch's index batches in ``epoch_order``; the last may be short."""
+    order = epoch_order(n, seed, epoch)
+    for start in range(0, n, batch_size):
+        yield order[start : start + batch_size]

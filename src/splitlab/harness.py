@@ -19,18 +19,16 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .attacks.inversion import InversionConfig, unsplit_invert
-from .attacks.labels import (
-    infer_label,
-    make_tail_clone,
-    tail_param_gradients,
-)
+from .attacks.labels import (infer_label, make_tail_clone, tail_accuracy,
+                             tail_param_gradients)
 from .autograd import Tensor
-from .data import Dataset, sample_class_balanced
+from .data import Dataset, epoch_batches, sample_class_balanced
 from .errors import ShapeError
 from .layers import LayerStack
 from .models import SplitModel, build_net, split_at, tail_start_index
-from .optim import make_optimizer
-from .protocol import RoleResult, SessionConfig, TapEntry, run_session
+from .optim import fit_epoch, make_optimizer
+from .protocol import (RoleResult, SessionConfig, TapEntry, build_parts, run_session,
+                       train_step)
 from .transport import inproc_pair
 
 CSV_FIELDS = [
@@ -46,11 +44,7 @@ def mse_images(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def eval_accuracy(model: LayerStack, ds: Dataset, batch_size: int = 256) -> float:
-    hits = 0
-    for start in range(0, len(ds), batch_size):
-        probs = model.forward(Tensor(ds.images[start : start + batch_size]))
-        hits += int((probs.data.argmax(axis=1) == ds.labels[start : start + batch_size]).sum())
-    return hits / max(1, len(ds))
+    return tail_accuracy(model, ds.images, ds.labels, batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -124,20 +118,10 @@ def stitch_and_train_head(
         p.requires_grad = False
     head_params = [p for layer in head_donor.layers[depth:] for p in layer.params()]
     opt = make_optimizer(optimizer, head_params, lr)
-    n = len(train_ds)
     try:
         for epoch in range(epochs):
-            order = np.arange(n)
-            np.random.default_rng([seed, epoch]).shuffle(order)
-            for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
-                opt.zero_grad()
-                probs = stitched.forward(Tensor(train_ds.images[idx]))
-                from .autograd import backward, cross_entropy
-
-                loss = cross_entropy(probs, train_ds.labels[idx].astype(np.int64))
-                backward(loss)
-                opt.step()
+            fit_epoch(stitched, opt, train_ds.images, train_ds.labels,
+                      batch_size, seed, epoch)
     finally:
         for p in clone_f1.params():
             p.requires_grad = True
@@ -184,15 +168,10 @@ def epoch_attack_curve(
 ) -> list[float]:
     """Mean reconstruction MSE against a fixed sample set after each
     training epoch of the client."""
-    from .protocol import build_parts, epoch_order, train_step
-
     model, client, server = build_parts(cfg)
     curve = []
-    n = len(train_ds)
     for epoch in range(cfg.epochs):
-        order = epoch_order(n, cfg.seed, epoch)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+        for idx in epoch_batches(len(train_ds), cfg.batch_size, cfg.seed, epoch):
             train_step(cfg.topology, client, server,
                        (train_ds.images[idx], train_ds.labels[idx]))
         entries = snapshot_tap(client.head, sample_images)

@@ -141,18 +141,6 @@ def build_net(arch: str, seed: int = 0, split_depth: int = 1) -> SplitModel:
     return model
 
 
-def build_mnist_net(seed: int = 0) -> SplitModel:
-    return build_net("mnist", seed)
-
-
-def build_cifar_net(seed: int = 0) -> SplitModel:
-    return build_net("cifar", seed)
-
-
-def num_split_points(model: SplitModel) -> int:
-    return len(model.layers) - 1
-
-
 def split_at(model: SplitModel, depth: int) -> tuple[LayerStack, LayerStack]:
     """Partition into client part [0, depth) and server part [depth, end).
 

@@ -1,10 +1,11 @@
-"""SGD and Adam parameter updates."""
+"""SGD and Adam parameter updates, and the supervised epoch loop on them."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor
+from .autograd import Tensor, backward, cross_entropy
+from .data import epoch_batches
 from .errors import ShapeError
 
 
@@ -79,3 +80,18 @@ def make_optimizer(kind: str, params: list[Tensor], lr: float) -> Optimizer:
     if kind == "adam":
         return Adam(params, lr)
     raise ValueError(f"unknown optimizer kind: {kind!r}")
+
+
+def fit_epoch(stack, opt: Optimizer, inputs: np.ndarray, labels: np.ndarray,
+              batch_size: int, seed: int, epoch: int) -> list[float]:
+    """One epoch of cross-entropy training of ``stack`` in ``epoch_order``;
+    returns the loss of every step."""
+    losses = []
+    for idx in epoch_batches(len(labels), batch_size, seed, epoch):
+        opt.zero_grad()
+        loss = cross_entropy(stack.forward(Tensor(inputs[idx])),
+                             labels[idx].astype(np.int64))
+        backward(loss)
+        opt.step()
+        losses.append(float(loss.data))
+    return losses

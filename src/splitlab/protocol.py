@@ -9,10 +9,14 @@ Three topologies are supported:
   * ``client_labels``  — model in three parts; client runs the head and
     the tail (loss included), server runs the middle.
 
-The same step arithmetic backs two execution modes: a local in-memory
-``train_step`` and wire-driven roles exchanging framed messages over any
-transport. The tensor codec is bit-exact, so both modes produce identical
-parameter trajectories for identical seeds.
+Each topology's step is written once, in ``ROLES``, as a client and a
+server program: generators that own their part's arithmetic (and the
+server's tap record) and do no I/O. A program yields ``(MsgType,
+value)`` to send and a bare ``MsgType`` to receive, and gets the
+received value back. ``train_step`` runs both programs in one thread
+and hands values across as they are; ``run_client`` and ``run_server``
+each run one program over a ``Transport``, through the ``CODECS``
+table. The codec is bit-exact, so both ways walk the same trajectory.
 
 The server's honest-but-curious vantage point is a ``ServerTap``: an
 append-only record of everything the server legitimately observes.
@@ -29,14 +33,14 @@ import numpy as np
 
 from . import wire
 from .autograd import Tensor, backward, cross_entropy
+from .data import epoch_batches, epoch_order  # noqa: F401  (re-exported)
 from .errors import ConfigError, ProtocolError
 from .layers import LayerStack
-from .models import ARCHS, SplitModel, build_net, split_at, split_three
-from .optim import Optimizer, make_optimizer
+from .models import ARCHS, SplitModel, build_net, split_at, split_three, tail_start_index
+from .optim import Optimizer, fit_epoch, make_optimizer
 from .transport import Transport
 from .wire import MsgType
 
-TOPOLOGIES = ("label_sharing", "server_data", "client_labels")
 SESSION_TIMEOUT = 300.0  # seconds run_session waits for both roles to finish
 
 
@@ -120,27 +124,23 @@ def loss_forward_backward(
 ) -> tuple[float, np.ndarray, list[np.ndarray]]:
     """Run the loss-owning part: forward from the cut, cross-entropy,
     backward, optimizer update. Returns (loss, grad at cut, param grads)."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if np.shape(smashed)[:1] != labels.shape:
+        raise ProtocolError(f"activations {np.shape(smashed)} for {labels.size} labels")
     sm = Tensor(smashed, requires_grad=True)
-    probs = part.forward(sm)
-    loss = cross_entropy(probs, np.asarray(labels, dtype=np.int64))
+    loss = cross_entropy(part.forward(sm), labels)
     for p in part.params():
         p.grad = None
     backward(loss)
-    param_grads = (
-        [p.grad.copy() for p in part.params()] if collect_param_grads else []
-    )
+    param_grads = [p.grad.copy() for p in part.params()] if collect_param_grads else []
     if opt is not None:
         opt.step()
     return float(loss.data), sm.grad.copy(), param_grads
 
 
 def backprop_part(part: LayerStack, out: Tensor, grad_out: np.ndarray,
-                  opt: Optimizer | None) -> np.ndarray | None:
-    """Backprop a received cut gradient through a part and update it.
-
-    Returns the gradient at the part's own input if the forward started
-    from a requires_grad leaf, else None.
-    """
+                  opt: Optimizer | None) -> None:
+    """Backprop a received cut gradient through a part and update it."""
     if grad_out.shape != out.data.shape:
         raise ProtocolError(
             f"cut gradient shape {grad_out.shape} != activation {out.data.shape}"
@@ -150,17 +150,7 @@ def backprop_part(part: LayerStack, out: Tensor, grad_out: np.ndarray,
     backward(out, seed_grad=grad_out)
     if opt is not None:
         opt.step()
-    return None
 
-
-def middle_forward(part: LayerStack, smashed: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Forward a middle part from a leaf input; returns (input leaf, output)."""
-    sm = Tensor(smashed, requires_grad=True)
-    return sm, part.forward(sm)
-
-
-# ---------------------------------------------------------------------------
-# local (in-memory) execution
 
 @dataclass
 class ClientState:
@@ -176,6 +166,13 @@ class ServerState:
     opt: Optimizer | None = None
     tap: ServerTap | None = None
     step: int = 0
+
+    def observe(self, smashed: np.ndarray, labels: np.ndarray | None,
+                grad: list[np.ndarray]) -> None:
+        """Count a step and log what the server saw in it."""
+        self.step += 1
+        if self.tap is not None:
+            self.tap.record(self.step, smashed, labels, grad)
 
 
 def build_parts(cfg: SessionConfig, model: SplitModel | None = None
@@ -195,8 +192,6 @@ def build_parts(cfg: SessionConfig, model: SplitModel | None = None
         client.head, client.head_opt = f1, opt(f1)
         server.part, server.opt = f2, opt(f2)
     elif cfg.topology == "server_data":
-        from .models import tail_start_index
-
         k = tail_start_index(model, cfg.tail_depth)
         head, tail = LayerStack(model.layers[:k]), LayerStack(model.layers[k:])
         server.part, server.opt = head, opt(head)
@@ -209,50 +204,140 @@ def build_parts(cfg: SessionConfig, model: SplitModel | None = None
     return model, client, server
 
 
+# ---------------------------------------------------------------------------
+# role programs: each topology's step, written once
+#
+# A client program takes (state, examples or None, labels), a server
+# program (state, examples or None); both return the step's loss.
+
+def _label_sharing_client(client: ClientState, x, y):
+    smashed = part_forward(client.head, x)
+    yield MsgType.SMASHED, smashed.data
+    yield MsgType.LABELS, y
+    (gcut,) = yield MsgType.GRAD
+    loss = yield MsgType.LOSS
+    backprop_part(client.head, smashed, gcut, client.head_opt)
+    return loss
+
+
+def _label_sharing_server(server: ServerState, x):
+    smashed = yield MsgType.SMASHED
+    y = yield MsgType.LABELS
+    loss, gcut, _ = loss_forward_backward(server.part, smashed, y, server.opt)
+    server.observe(smashed, y, [gcut])
+    yield MsgType.GRAD, [gcut]
+    yield MsgType.LOSS, loss
+    return loss
+
+
+def _server_data_client(client: ClientState, x, y):
+    smashed = yield MsgType.SMASHED
+    loss, gcut, pgrads = loss_forward_backward(
+        client.tail, smashed, y, client.tail_opt, collect_param_grads=True
+    )
+    yield MsgType.GRAD, [gcut, *pgrads]
+    yield MsgType.LOSS, loss
+    return loss
+
+
+def _server_data_server(server: ServerState, x):
+    smashed = part_forward(server.part, x)
+    yield MsgType.SMASHED, smashed.data
+    grads = yield MsgType.GRAD
+    loss = yield MsgType.LOSS
+    server.observe(smashed.data, None, grads)
+    backprop_part(server.part, smashed, grads[0], server.opt)
+    return loss
+
+
+def _client_labels_client(client: ClientState, x, y):
+    a1 = part_forward(client.head, x)
+    yield MsgType.SMASHED, a1.data
+    a2 = yield MsgType.SMASHED
+    loss, g2, pgrads = loss_forward_backward(
+        client.tail, a2, y, client.tail_opt, collect_param_grads=True
+    )
+    yield MsgType.GRAD, [g2, *pgrads]
+    yield MsgType.LOSS, loss
+    (g1,) = yield MsgType.GRAD
+    backprop_part(client.head, a1, g1, client.head_opt)
+    return loss
+
+
+def _client_labels_server(server: ServerState, x):
+    a1 = yield MsgType.SMASHED
+    sm1 = Tensor(a1, requires_grad=True)
+    a2 = server.part.forward(sm1)
+    yield MsgType.SMASHED, a2.data
+    grads = yield MsgType.GRAD
+    loss = yield MsgType.LOSS
+    server.observe(a1, None, grads)
+    backprop_part(server.part, a2, grads[0], server.opt)
+    yield MsgType.GRAD, [sm1.grad]
+    return loss
+
+
+ROLES = {  # topology -> (client program, server program)
+    "label_sharing": (_label_sharing_client, _label_sharing_server),
+    "server_data": (_server_data_client, _server_data_server),
+    "client_labels": (_client_labels_client, _client_labels_server),
+}
+TOPOLOGIES = tuple(ROLES)
+
+
+def held_examples(topology: str, images):
+    """(client's, server's) share of the examples; the client holds the labels."""
+    return (None, images) if topology == "server_data" else (images, None)
+
+
+def session_batches(cfg: SessionConfig, n: int):
+    """Every index batch of a session over ``n`` examples, epoch by epoch."""
+    for epoch in range(cfg.epochs):
+        yield from epoch_batches(n, cfg.batch_size, cfg.seed, epoch)
+
+
+# ---------------------------------------------------------------------------
+# local (in-memory) execution
+
+def _lockstep(*programs) -> list:
+    """Run a client and a server program to completion in this thread. A
+    sent value goes straight into the peer's inbox; a program waiting on
+    an empty inbox lets the other one run."""
+    inbox, results = ([], []), [None, None]
+    events = [next(p) for p in programs]
+    i = idle = 0
+    while events != [None, None]:
+        event, value = events[i], None
+        if event is None or isinstance(event, MsgType) and not inbox[i]:
+            i, idle = 1 - i, idle + 1
+            if idle > 2:
+                raise ProtocolError("role programs wait on each other")
+            continue
+        if isinstance(event, MsgType):
+            mtype, value = inbox[i].pop(0)
+            if mtype != event:
+                raise ProtocolError(f"unexpected {mtype.name}, expected {event.name}")
+        else:
+            inbox[1 - i].append(event)
+        idle = 0
+        try:
+            events[i] = programs[i].send(value)
+        except StopIteration as stop:
+            events[i], results[i] = None, stop.value
+    return results
+
+
 def train_step(topology: str, client: ClientState, server: ServerState,
                batch: tuple[np.ndarray, np.ndarray]) -> float:
-    """One synchronous forward-backward-update pass, no wire in between.
-
-    Numerically identical to the wire-driven path: the codec is bit-exact,
-    so skipping it changes nothing.
-    """
+    """One forward-backward-update pass of both role programs, no wire in
+    between. Numerically identical to the wire-driven path: the codec is
+    bit-exact, so skipping it changes nothing."""
     x, y = batch
-    server.step += 1
-    if topology == "label_sharing":
-        smashed = part_forward(client.head, x)
-        loss, gcut, _ = loss_forward_backward(server.part, smashed.data, y, server.opt)
-        if server.tap is not None:
-            server.tap.record(server.step, smashed.data, y, [gcut])
-        backprop_part(client.head, smashed, gcut, client.head_opt)
-        return loss
-    if topology == "server_data":
-        smashed = part_forward(server.part, x)
-        loss, gcut, pgrads = loss_forward_backward(
-            client.tail, smashed.data, y, client.tail_opt, collect_param_grads=True
-        )
-        if server.tap is not None:
-            server.tap.record(server.step, smashed.data, None, [gcut, *pgrads])
-        backprop_part(server.part, smashed, gcut, server.opt)
-        return loss
-    if topology == "client_labels":
-        a1 = part_forward(client.head, x)
-        sm1, a2 = middle_forward(server.part, a1.data)
-        loss, g2, pgrads = loss_forward_backward(
-            client.tail, a2.data, y, client.tail_opt, collect_param_grads=True
-        )
-        if server.tap is not None:
-            server.tap.record(server.step, a1.data, None, [g2, *pgrads])
-        backprop_part(server.part, a2, g2, server.opt)
-        backprop_part(client.head, a1, sm1.grad, client.head_opt)
-        return loss
-    raise ConfigError(f"unknown topology {topology!r}")
-
-
-def epoch_order(n: int, seed: int, epoch: int) -> np.ndarray:
-    """Shuffle shared by both parties so examples and labels stay aligned."""
-    order = np.arange(n)
-    np.random.default_rng([seed, epoch]).shuffle(order)
-    return order
+    client_x, server_x = held_examples(topology, x)
+    client_program, server_program = ROLES[topology]
+    loss, _ = _lockstep(client_program(client, client_x, y),
+                        server_program(server, server_x))
+    return loss
 
 
 def train_local(cfg: SessionConfig, images: np.ndarray, labels: np.ndarray,
@@ -262,14 +347,10 @@ def train_local(cfg: SessionConfig, images: np.ndarray, labels: np.ndarray,
     model, client, server = build_parts(cfg, model)
     server.tap = tap
     losses = []
-    n = images.shape[0]
-    for epoch in range(cfg.epochs):
-        order = epoch_order(n, cfg.seed, epoch)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            losses.append(train_step(cfg.topology, client, server,
-                                     (images[idx], labels[idx])))
-            model.step_count += 1
+    for idx in session_batches(cfg, len(labels)):
+        losses.append(train_step(cfg.topology, client, server,
+                                 (images[idx], labels[idx])))
+        model.step_count += 1
     return model, losses, client, server
 
 
@@ -283,23 +364,22 @@ def train_monolithic(cfg: SessionConfig, images: np.ndarray, labels: np.ndarray,
         model = build_net(cfg.arch, seed=cfg.seed, split_depth=cfg.split_depth)
     opt = make_optimizer(cfg.optimizer, model.params(), cfg.lr)
     losses = []
-    n = images.shape[0]
     for epoch in range(cfg.epochs):
-        order = epoch_order(n, cfg.seed, epoch)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            opt.zero_grad()
-            probs = model.forward(Tensor(images[idx]))
-            loss = cross_entropy(probs, labels[idx].astype(np.int64))
-            backward(loss)
-            opt.step()
-            losses.append(float(loss.data))
-            model.step_count += 1
+        losses += fit_epoch(model, opt, images, labels, cfg.batch_size, cfg.seed, epoch)
+    model.step_count += len(losses)
     return model, losses
 
 
 # ---------------------------------------------------------------------------
 # wire-driven roles
+
+CODECS = {  # message type -> (encode, decode), each looked up in wire per call
+    MsgType.SMASHED: (lambda a: wire.encode_tensor(a), lambda b: wire.decode_tensor(b)[0]),
+    MsgType.LABELS: (lambda y: wire.encode_labels(y), lambda b: wire.decode_labels(b)),
+    MsgType.GRAD: (lambda g: wire.encode_tensor_list(g), lambda b: wire.decode_tensor_list(b)),
+    MsgType.LOSS: (lambda v: wire.encode_scalar(v), lambda b: wire.decode_scalar(b)),
+}
+
 
 def _expect(transport: Transport, *allowed: MsgType) -> tuple[MsgType, bytes]:
     mtype, payload = transport.recv()
@@ -309,31 +389,61 @@ def _expect(transport: Transport, *allowed: MsgType) -> tuple[MsgType, bytes]:
     return mtype, payload
 
 
-def _client_handshake(transport: Transport, cfg: SessionConfig) -> None:
+def _play(transport: Transport, program):
+    """Run one role program over ``transport``; returns its result."""
+    value = None
+    while True:
+        try:
+            event = program.send(value)
+        except StopIteration as stop:
+            return stop.value
+        if isinstance(event, MsgType):
+            value = CODECS[event][1](_expect(transport, event)[1])
+        else:
+            transport.send(event[0], CODECS[event[0]][0](event[1]))
+            value = None
+
+
+def _client_handshake(transport: Transport, cfg: SessionConfig, examples: int) -> None:
     transport.send(MsgType.HELLO, wire.encode_hello()[wire.HEADER.size :])
     _, payload = _expect(transport, MsgType.HELLO)
     wire.check_hello(payload)
-    transport.send(MsgType.CONFIG, wire.encode_json(cfg.to_dict()))
+    transport.send(MsgType.CONFIG, wire.encode_json({**cfg.to_dict(), "examples": examples}))
     mtype, payload = _expect(transport, MsgType.ACK, MsgType.END)
     if mtype == MsgType.END:
         raise ProtocolError(f"server rejected config: {payload.decode('utf-8', 'replace')}")
 
 
-def _server_handshake(transport: Transport, cfg: SessionConfig) -> None:
+def _server_handshake(transport: Transport, cfg: SessionConfig,
+                      examples: int | None) -> int:
+    """Check the client's config, and its example count against
+    ``examples`` when this side holds them; returns that count."""
     _, payload = _expect(transport, MsgType.HELLO)
     wire.check_hello(payload)
     transport.send(MsgType.HELLO, wire.encode_hello()[wire.HEADER.size :])
     _, payload = _expect(transport, MsgType.CONFIG)
     peer = wire.decode_json(payload)
-    if peer != cfg.to_dict():
-        diff = {
-            k: (peer.get(k), cfg.to_dict().get(k))
-            for k in set(peer) | set(cfg.to_dict())
-            if peer.get(k) != cfg.to_dict().get(k)
-        }
-        transport.send(MsgType.END, wire.encode_json({"config_mismatch": repr(diff)}))
-        raise ProtocolError(f"config mismatch with peer: {diff}")
-    transport.send(MsgType.ACK)
+    peer = dict(peer) if isinstance(peer, dict) else {}
+    n, mine = peer.pop("examples", None), cfg.to_dict()
+    if peer != mine:
+        error = "config mismatch with peer: " + repr({
+            k: (peer.get(k), mine.get(k)) for k in set(peer) | set(mine)
+            if peer.get(k) != mine.get(k)})
+    elif type(n) is not int or n < 0 or examples not in (None, n):
+        error = f"example count mismatch: client holds {n!r}, server {examples}"
+    else:
+        transport.send(MsgType.ACK)
+        return n
+    transport.send(MsgType.END, wire.encode_json({"error": error}))
+    raise ProtocolError(error)
+
+
+def _finish(transport: Transport, holds_examples: bool) -> None:
+    """The role that holds the examples ends the session."""
+    if holds_examples:
+        transport.send(MsgType.END)
+    else:
+        _expect(transport, MsgType.END)
 
 
 @dataclass
@@ -346,77 +456,19 @@ class RoleResult:
 
 
 def run_client(transport: Transport, cfg: SessionConfig,
-               images: np.ndarray | None, labels: np.ndarray | None) -> RoleResult:
-    """Client role. Needs images+labels except in ``server_data``, where it
-    only holds the labels."""
+               images: np.ndarray | None, labels: np.ndarray) -> RoleResult:
+    """Client role. Holds the labels, and the examples (``images``) in
+    every topology but ``server_data``."""
     cfg.validate()
-    _client_handshake(transport, cfg)
+    _client_handshake(transport, cfg, len(labels))
     model, client, _ = build_parts(cfg)
+    program = ROLES[cfg.topology][0]
     losses: list[float] = []
-
-    if cfg.topology == "label_sharing":
-        for epoch in range(cfg.epochs):
-            order = epoch_order(images.shape[0], cfg.seed, epoch)
-            for start in range(0, images.shape[0], cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                smashed = part_forward(client.head, images[idx])
-                transport.send(MsgType.SMASHED, wire.encode_tensor(smashed.data))
-                transport.send(MsgType.LABELS, wire.encode_labels(labels[idx]))
-                _, payload = _expect(transport, MsgType.GRAD)
-                (gcut,) = wire.decode_tensor_list(payload)
-                _, payload = _expect(transport, MsgType.LOSS)
-                losses.append(wire.decode_scalar(payload))
-                backprop_part(client.head, smashed, gcut, client.head_opt)
-                model.step_count += 1
-        transport.send(MsgType.END)
-
-    elif cfg.topology == "server_data":
-        n = labels.shape[0]
-        epoch = step_in_epoch = 0
-        order = epoch_order(n, cfg.seed, 0) if cfg.epochs else None
-        while True:
-            mtype, payload = _expect(transport, MsgType.SMASHED, MsgType.END)
-            if mtype == MsgType.END:
-                break
-            smashed, _ = wire.decode_tensor(payload)
-            idx = order[step_in_epoch : step_in_epoch + cfg.batch_size]
-            loss, gcut, pgrads = loss_forward_backward(
-                client.tail, smashed, labels[idx], client.tail_opt,
-                collect_param_grads=True,
-            )
-            transport.send(MsgType.GRAD, wire.encode_tensor_list([gcut, *pgrads]))
-            transport.send(MsgType.LOSS, wire.encode_scalar(loss))
-            losses.append(loss)
-            model.step_count += 1
-            step_in_epoch += cfg.batch_size
-            if step_in_epoch >= n:
-                epoch += 1
-                step_in_epoch = 0
-                if epoch < cfg.epochs:
-                    order = epoch_order(n, cfg.seed, epoch)
-
-    else:  # client_labels
-        for epoch in range(cfg.epochs):
-            order = epoch_order(images.shape[0], cfg.seed, epoch)
-            for start in range(0, images.shape[0], cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                a1 = part_forward(client.head, images[idx])
-                transport.send(MsgType.SMASHED, wire.encode_tensor(a1.data))
-                _, payload = _expect(transport, MsgType.SMASHED)
-                a2, _ = wire.decode_tensor(payload)
-                loss, g2, pgrads = loss_forward_backward(
-                    client.tail, a2, labels[idx], client.tail_opt,
-                    collect_param_grads=True,
-                )
-                transport.send(MsgType.GRAD, wire.encode_tensor_list([g2, *pgrads]))
-                transport.send(MsgType.LOSS, wire.encode_scalar(loss))
-                _, payload = _expect(transport, MsgType.GRAD)
-                (g1,) = wire.decode_tensor_list(payload)
-                backprop_part(client.head, a1, g1, client.head_opt)
-                losses.append(loss)
-                model.step_count += 1
-        transport.send(MsgType.END)
-
+    for idx in session_batches(cfg, len(labels)):
+        x = None if images is None else images[idx]
+        losses.append(_play(transport, program(client, x, labels[idx])))
+        model.step_count += 1
+    _finish(transport, images is not None)
     return RoleResult(losses=losses, model=model, client=client)
 
 
@@ -424,70 +476,21 @@ def run_server(transport: Transport, cfg: SessionConfig,
                images: np.ndarray | None = None,
                labels: np.ndarray | None = None,
                tap: ServerTap | None = None) -> RoleResult:
-    """Server role. Needs images only in the ``server_data`` topology."""
+    """Server role. Holds the examples (``images``) only in ``server_data``;
+    otherwise it runs as many steps as the client's example count makes."""
     cfg.validate()
-    _server_handshake(transport, cfg)
+    n = _server_handshake(transport, cfg, None if images is None else len(images))
     model, _, server = build_parts(cfg)
     server.tap = tap
+    program = ROLES[cfg.topology][1]
     losses: list[float] = []
-
-    if cfg.topology == "label_sharing":
-        while True:
-            mtype, payload = _expect(transport, MsgType.SMASHED, MsgType.END)
-            if mtype == MsgType.END:
-                break
-            smashed, _ = wire.decode_tensor(payload)
-            _, payload = _expect(transport, MsgType.LABELS)
-            y = wire.decode_labels(payload)
-            server.step += 1
-            loss, gcut, _ = loss_forward_backward(server.part, smashed, y, server.opt)
-            if tap is not None:
-                tap.record(server.step, smashed, y, [gcut])
-            transport.send(MsgType.GRAD, wire.encode_tensor_list([gcut]))
-            transport.send(MsgType.LOSS, wire.encode_scalar(loss))
-            losses.append(loss)
-            model.step_count += 1
-
-    elif cfg.topology == "server_data":
-        n = images.shape[0]
-        for epoch in range(cfg.epochs):
-            order = epoch_order(n, cfg.seed, epoch)
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                smashed = part_forward(server.part, images[idx])
-                transport.send(MsgType.SMASHED, wire.encode_tensor(smashed.data))
-                _, payload = _expect(transport, MsgType.GRAD)
-                grads = wire.decode_tensor_list(payload)
-                _, payload = _expect(transport, MsgType.LOSS)
-                loss = wire.decode_scalar(payload)
-                server.step += 1
-                if tap is not None:
-                    tap.record(server.step, smashed.data, None, grads)
-                backprop_part(server.part, smashed, grads[0], server.opt)
-                losses.append(loss)
-                model.step_count += 1
-        transport.send(MsgType.END)
-
-    else:  # client_labels
-        while True:
-            mtype, payload = _expect(transport, MsgType.SMASHED, MsgType.END)
-            if mtype == MsgType.END:
-                break
-            a1, _ = wire.decode_tensor(payload)
-            sm1, a2 = middle_forward(server.part, a1)
-            transport.send(MsgType.SMASHED, wire.encode_tensor(a2.data))
-            _, payload = _expect(transport, MsgType.GRAD)
-            grads = wire.decode_tensor_list(payload)
-            _, payload = _expect(transport, MsgType.LOSS)
-            loss = wire.decode_scalar(payload)
-            server.step += 1
-            if tap is not None:
-                tap.record(server.step, a1, None, grads)
-            backprop_part(server.part, a2, grads[0], server.opt)
-            transport.send(MsgType.GRAD, wire.encode_tensor_list([sm1.grad]))
-            losses.append(loss)
-            model.step_count += 1
-
+    # Without examples only the step count matters: allocate nothing by the peer's word.
+    for idx in (range(cfg.epochs * -(-n // cfg.batch_size)) if images is None
+                else session_batches(cfg, n)):
+        x = None if images is None else images[idx]
+        losses.append(_play(transport, program(server, x)))
+        model.step_count += 1
+    _finish(transport, images is not None)
     return RoleResult(losses=losses, model=model, server=server, tap=tap)
 
 
@@ -495,46 +498,35 @@ def run_session(cfg: SessionConfig, images: np.ndarray, labels: np.ndarray,
                 transport_pair, tap: ServerTap | None = None
                 ) -> tuple[RoleResult, RoleResult]:
     """Run both roles on two threads over an already-connected transport
-    pair; returns (client result, server result)."""
+    pair; returns (client result, server result). A role that fails closes
+    its end, so the peer's next recv fails at once; the first failure is
+    reported as the cause."""
     ct, st = transport_pair
-    if cfg.topology == "server_data":
-        client_args, server_kwargs = (None, labels), {"images": images}
-    else:
-        client_args, server_kwargs = (images, labels), {}
-
+    client_images, server_images = held_examples(cfg.topology, images)
     results: dict[str, RoleResult] = {}
     errors: dict[str, BaseException] = {}
 
-    def client_main():
+    def play(role, run, transport, *args):
         try:
-            results["client"] = run_client(ct, cfg, *client_args)
+            results[role] = run(transport, cfg, *args)
         except BaseException as exc:  # surface in the caller's thread
-            errors["client"] = exc
+            errors[role] = exc  # recorded before the close wakes the peer
+            transport.close()
 
-    def server_main():
-        try:
-            results["server"] = run_server(st, cfg, tap=tap, **server_kwargs)
-        except BaseException as exc:
-            errors["server"] = exc
-
-    threads = {"client": threading.Thread(target=client_main, daemon=True),
-               "server": threading.Thread(target=server_main, daemon=True)}
+    threads = {role: threading.Thread(target=play, args=(role, *args), daemon=True)
+               for role, args in (("client", (run_client, ct, client_images, labels)),
+                                  ("server", (run_server, st, server_images, None, tap)))}
     for t in threads.values():
         t.start()
     deadline = time.monotonic() + SESSION_TIMEOUT
     for t in threads.values():
         t.join(timeout=max(0.0, deadline - time.monotonic()))
     hung = [role for role, t in threads.items() if t.is_alive()]
-    if hung or errors:
-        reasons, cause = [], None
-        if hung:
-            reasons.append(f"{' and '.join(hung)} role still running after "
-                           f"{SESSION_TIMEOUT:g} s")
-        if errors:
-            role, cause = next(iter(errors.items()))
-            reasons.append(f"{role} role failed: {cause!r}")
+    reasons = [f"{' and '.join(hung)} role still running after {SESSION_TIMEOUT:g} s"
+               ] if hung else []
+    role, cause = next(iter(errors.items()), (None, None))
+    if cause is not None:
+        reasons.append(f"{role} role failed: {cause!r}")
+    if reasons:
         raise ProtocolError("; ".join(reasons)) from cause
-    for role in threads:
-        if role not in results:
-            raise ProtocolError(f"{role} role returned no result")
     return results["client"], results["server"]

@@ -49,7 +49,7 @@ class Transport:
 
 
 class InProcTransport(Transport):
-    def __init__(self, inbox: "queue.Queue[bytes]", outbox: "queue.Queue[bytes]",
+    def __init__(self, inbox: "queue.Queue[bytes | None]", outbox: "queue.Queue[bytes | None]",
                  record_transcript: bool = False, timeout: float = 60.0):
         super().__init__(record_transcript)
         self._inbox = inbox
@@ -64,17 +64,24 @@ class InProcTransport(Transport):
         buf = self._residual
         while len(buf) < n:
             try:
-                buf += self._inbox.get(timeout=self._timeout)
+                chunk = self._inbox.get(timeout=self._timeout)
             except queue.Empty:
                 raise ProtocolError("in-process peer timed out") from None
+            if chunk is None:
+                self._inbox.put(None)  # every later recv fails too
+                raise ProtocolError("in-process peer closed the connection")
+            buf += chunk
         self._residual = buf[n:]
         return buf[:n]
+
+    def close(self) -> None:
+        self._outbox.put(None)  # wakes a peer blocked in recv
 
 
 def inproc_pair(record_transcript: bool = False,
                 timeout: float = 60.0) -> tuple[InProcTransport, InProcTransport]:
-    a_to_b: "queue.Queue[bytes]" = queue.Queue()
-    b_to_a: "queue.Queue[bytes]" = queue.Queue()
+    a_to_b: "queue.Queue[bytes | None]" = queue.Queue()
+    b_to_a: "queue.Queue[bytes | None]" = queue.Queue()
     a = InProcTransport(b_to_a, a_to_b, record_transcript, timeout)
     b = InProcTransport(a_to_b, b_to_a, record_transcript, timeout)
     return a, b

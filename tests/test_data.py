@@ -9,7 +9,8 @@ import pytest
 from splitlab.cli import load_dataset
 from splitlab.data import (
     Dataset,
-    batches,
+    epoch_batches,
+    epoch_order,
     load_cifar_bin,
     load_idx,
     sample_class_balanced,
@@ -192,17 +193,12 @@ class TestSynth:
 
 class TestBatches:
     def test_covers_all_examples(self):
-        ds = synth_dataset(10, seed=0)
-        seen = sum(x.shape[0] for x, _ in batches(ds, 3))
-        assert seen == 10
-
-    def test_drop_last(self):
-        ds = synth_dataset(10, seed=0)
-        sizes = [x.shape[0] for x, _ in batches(ds, 3, drop_last=True)]
-        assert sizes == [3, 3, 3]
+        batches = list(epoch_batches(10, 3, seed=0, epoch=0))
+        assert [len(idx) for idx in batches] == [3, 3, 3, 1]
+        assert sorted(np.concatenate(batches).tolist()) == list(range(10))
 
     def test_shuffle_deterministic(self):
-        ds = synth_dataset(16, seed=0)
-        a = [y.tolist() for _, y in batches(ds, 4, seed=9)]
-        b = [y.tolist() for _, y in batches(ds, 4, seed=9)]
+        a = [idx.tolist() for idx in epoch_batches(16, 4, seed=9, epoch=1)]
+        b = [idx.tolist() for idx in epoch_batches(16, 4, seed=9, epoch=1)]
         assert a == b
+        assert sum(a, []) == epoch_order(16, seed=9, epoch=1).tolist()

@@ -8,10 +8,7 @@ from splitlab.errors import ConfigError
 from splitlab.layers import Conv2d, FullyConnected, LayerStack, MaxPool2x2
 from splitlab.models import (
     ARCHS,
-    build_cifar_net,
-    build_mnist_net,
     build_net,
-    num_split_points,
     split_at,
     split_three,
     tail_start_index,
@@ -22,31 +19,30 @@ MNIST_PARAM_COUNT = 236_394
 
 class TestMnistNet:
     def test_forward_shape(self):
-        net = build_mnist_net(seed=0)
+        net = build_net("mnist", seed=0)
         out = net.forward(Tensor(np.zeros((1, 1, 28, 28), dtype=np.float32)))
         assert out.data.shape == (1, 10)
 
     def test_output_sums_to_one(self):
-        net = build_mnist_net(seed=1)
+        net = build_net("mnist", seed=1)
         rng = np.random.default_rng(0)
         out = net.forward(Tensor(rng.uniform(size=(4, 1, 28, 28)).astype(np.float32)))
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
 
     def test_split_point_count(self):
-        net = build_mnist_net(seed=0)
-        assert num_split_points(net) >= 6
-        assert num_split_points(net) == len(net.layers) - 1
+        net = build_net("mnist", seed=0)
+        assert len(net.layers) - 1 >= 6
 
     def test_param_count_documented(self):
-        assert build_mnist_net(seed=0).param_count() == MNIST_PARAM_COUNT
+        assert build_net("mnist", seed=0).param_count() == MNIST_PARAM_COUNT
 
     def test_depth1_is_first_conv(self):
-        f1, _ = split_at(build_mnist_net(seed=0), 1)
+        f1, _ = split_at(build_net("mnist", seed=0), 1)
         assert len(f1.layers) == 1
         assert isinstance(f1.layers[0], Conv2d)
 
     def test_depth3_cuts_after_first_pool_stage(self):
-        net = build_mnist_net(seed=0)
+        net = build_net("mnist", seed=0)
         f1, _ = split_at(net, 3)
         assert any(isinstance(l, MaxPool2x2) for l in f1.layers)
         out = f1.forward(Tensor(np.zeros((2, 1, 28, 28), dtype=np.float32)))
@@ -66,15 +62,15 @@ class TestMnistNet:
 
 class TestCifarNet:
     def test_forward_shape(self):
-        net = build_cifar_net(seed=0)
+        net = build_net("cifar", seed=0)
         out = net.forward(Tensor(np.zeros((1, 3, 32, 32), dtype=np.float32)))
         assert out.data.shape == (1, 10)
 
     def test_split_point_count(self):
-        assert num_split_points(build_cifar_net(seed=0)) >= 8
+        assert len(build_net("cifar", seed=0).layers) - 1 >= 8
 
     def test_pooled_dims(self):
-        net = build_cifar_net(seed=0)
+        net = build_net("cifar", seed=0)
         flat_at = next(
             i for i, l in enumerate(net.layers) if l.kind == "flatten"
         )
@@ -108,7 +104,7 @@ class TestSplitting:
                 split_at(net, depth)
 
     def test_tail_start_counts_fc_from_end(self):
-        net = build_mnist_net(seed=0)
+        net = build_net("mnist", seed=0)
         k1 = tail_start_index(net, 1)
         assert isinstance(net.layers[k1], FullyConnected)
         assert [l.kind for l in net.layers[k1:]] == ["fc", "softmax"]
@@ -120,7 +116,7 @@ class TestSplitting:
             tail_start_index(build_net("tiny8", seed=0), 5)
 
     def test_split_three_partition(self):
-        net = build_mnist_net(seed=0)
+        net = build_net("mnist", seed=0)
         f1, f2, f3 = split_three(net, 2, tail_depth=1)
         assert len(f1.layers) + len(f2.layers) + len(f3.layers) == len(net.layers)
         rng = np.random.default_rng(5)
@@ -153,7 +149,7 @@ class TestBuild:
         )
 
     def test_fanin_bound(self):
-        net = build_mnist_net(seed=0)
+        net = build_net("mnist", seed=0)
         conv = net.layers[0]
         bound = 1.0 / np.sqrt(conv.in_ch * conv.kernel ** 2)
         assert np.all(np.abs(conv.weight.data) <= bound)

@@ -1,6 +1,7 @@
 """Split-training protocol: topologies, equivalence oracles, wire roles."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from splitlab import protocol
 from splitlab.autograd import Tensor
 from splitlab.data import load_idx, synth_dataset
 from splitlab.errors import ConfigError, ProtocolError
-from splitlab.models import build_mnist_net, build_net, split_at
+from splitlab.models import build_net, split_at
 from splitlab.optim import SGD
 from splitlab.protocol import (
     ServerTap,
@@ -239,22 +240,31 @@ class TestWireSessions:
         merged_tcp = _merge(tcp_client, result["server"], cfg)
         assert params_equal(merged_inproc, merged_tcp)
 
-    def test_message_sequence_label_sharing(self):
+    # The server end's frames per step, after the handshake.
+    STEP_FRAMES = {
+        "label_sharing": [("recv", MsgType.SMASHED), ("recv", MsgType.LABELS),
+                          ("send", MsgType.GRAD), ("send", MsgType.LOSS)],
+        "server_data": [("send", MsgType.SMASHED), ("recv", MsgType.GRAD),
+                        ("recv", MsgType.LOSS)],
+        "client_labels": [("recv", MsgType.SMASHED), ("send", MsgType.SMASHED),
+                          ("recv", MsgType.GRAD), ("recv", MsgType.LOSS),
+                          ("send", MsgType.GRAD)],
+    }
+
+    @pytest.mark.parametrize("topology", list(STEP_FRAMES))
+    def test_message_sequence(self, topology):
         ds = synth_dataset(2, (1, 8, 8), seed=0)
-        cfg = small_cfg(batch_size=1, epochs=1)
+        cfg = small_cfg(topology=topology, batch_size=1, epochs=1)
         ct, st = inproc_pair(record_transcript=True)
         run_session(cfg, ds.images, ds.labels, (ct, st))
         from splitlab.wire import decode_frame
 
         seq = [(d, decode_frame(f)[0]) for d, f in st.transcript]
+        end = ("send" if topology == "server_data" else "recv", MsgType.END)
         want = [
             ("recv", MsgType.HELLO), ("send", MsgType.HELLO),
             ("recv", MsgType.CONFIG), ("send", MsgType.ACK),
-            ("recv", MsgType.SMASHED), ("recv", MsgType.LABELS),
-            ("send", MsgType.GRAD), ("send", MsgType.LOSS),
-            ("recv", MsgType.SMASHED), ("recv", MsgType.LABELS),
-            ("send", MsgType.GRAD), ("send", MsgType.LOSS),
-            ("recv", MsgType.END),
+            *self.STEP_FRAMES[topology], *self.STEP_FRAMES[topology], end,
         ]
         assert seq == want
 
@@ -329,10 +339,40 @@ class TestWireSessions:
         assert "client" in errs
 
     def test_session_surfaces_role_failure(self, synth):
+        # Split depth 2 leaves the fc layers on the server, so 4x4 inputs
+        # fail there; the client, waiting on GRAD, must not wait out 5 s.
         cfg = small_cfg()
         bad_images = synth.images[:, :, :4, :4]  # wrong input shape
-        with pytest.raises(ProtocolError):
+        t0 = time.monotonic()
+        with pytest.raises(ProtocolError, match=r"^server role failed: ShapeError"):
             run_session(cfg, bad_images, synth.labels, inproc_pair(timeout=5))
+        assert time.monotonic() - t0 < 1.0
+
+    @pytest.mark.parametrize("n_labels", [70, 60])
+    def test_server_data_example_count_mismatch(self, synth, n_labels):
+        ds = synth_dataset(n_labels, (1, 8, 8), seed=0)
+        cfg = small_cfg(topology="server_data")
+        with pytest.raises(ProtocolError, match=f"client holds {n_labels}, server 64"):
+            run_session(cfg, synth.images, ds.labels, inproc_pair(timeout=5))
+
+    def test_smashed_rows_must_match_labels(self, synth):
+        cfg = small_cfg(topology="server_data")
+        ct, st = inproc_pair(timeout=5)
+
+        def rogue_server():  # honest handshake, then 7 rows for a batch of 8
+            from splitlab import wire
+
+            st.recv()  # HELLO
+            st.send(MsgType.HELLO, wire.encode_hello()[wire.HEADER.size:])
+            st.recv()  # CONFIG
+            st.send(MsgType.ACK)
+            st.send(MsgType.SMASHED, wire.encode_tensor(np.zeros((7, 32))))
+
+        th = threading.Thread(target=rogue_server, daemon=True)
+        th.start()
+        with pytest.raises(ProtocolError, match="for 8 labels"):
+            run_client(ct, cfg, None, synth.labels)
+        th.join(timeout=5)
 
     def test_session_names_a_stalled_role(self, synth, monkeypatch):
         monkeypatch.setattr(protocol, "SESSION_TIMEOUT", 0.5)
