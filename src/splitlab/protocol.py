@@ -128,11 +128,14 @@ def loss_forward_backward(
     if np.shape(smashed)[:1] != labels.shape:
         raise ProtocolError(f"activations {np.shape(smashed)} for {labels.size} labels")
     sm = Tensor(smashed, requires_grad=True)
-    loss = cross_entropy(part.forward(sm), labels)
+    probs = part.forward(sm)
+    loss = cross_entropy(probs, labels)
     for p in part.params():
         p.grad = None
     backward(loss)
-    param_grads = [p.grad.copy() for p in part.params()] if collect_param_grads else []
+    param_grads = (
+        [p.grad.copy() for p in part.params()] if collect_param_grads else []
+    )
     if opt is not None:
         opt.step()
     return float(loss.data), sm.grad.copy(), param_grads
@@ -308,17 +311,17 @@ def _lockstep(*programs) -> list:
     i = idle = 0
     while events != [None, None]:
         event, value = events[i], None
-        if event is None or isinstance(event, MsgType) and not inbox[i]:
+        if isinstance(event, tuple):
+            inbox[1 - i].append(event)
+        elif event is not None and inbox[i]:
+            mtype, value = inbox[i].pop(0)
+            if mtype != event:
+                raise ProtocolError(f"unexpected {mtype.name}, expected {event.name}")
+        else:  # finished, or waiting on an empty inbox: the other one runs
             i, idle = 1 - i, idle + 1
             if idle > 2:
                 raise ProtocolError("role programs wait on each other")
             continue
-        if isinstance(event, MsgType):
-            mtype, value = inbox[i].pop(0)
-            if mtype != event:
-                raise ProtocolError(f"unexpected {mtype.name}, expected {event.name}")
-        else:
-            inbox[1 - i].append(event)
         idle = 0
         try:
             events[i] = programs[i].send(value)
@@ -400,7 +403,8 @@ def _play(transport: Transport, program):
         if isinstance(event, MsgType):
             value = CODECS[event][1](_expect(transport, event)[1])
         else:
-            transport.send(event[0], CODECS[event[0]][0](event[1]))
+            mtype, value = event
+            transport.send(mtype, CODECS[mtype][0](value))
             value = None
 
 
@@ -423,7 +427,7 @@ def _server_handshake(transport: Transport, cfg: SessionConfig,
     transport.send(MsgType.HELLO, wire.encode_hello()[wire.HEADER.size :])
     _, payload = _expect(transport, MsgType.CONFIG)
     peer = wire.decode_json(payload)
-    peer = dict(peer) if isinstance(peer, dict) else {}
+    peer = peer if isinstance(peer, dict) else {}
     n, mine = peer.pop("examples", None), cfg.to_dict()
     if peer != mine:
         error = "config mismatch with peer: " + repr({
@@ -452,7 +456,6 @@ class RoleResult:
     model: SplitModel | None = None
     client: ClientState | None = None
     server: ServerState | None = None
-    tap: ServerTap | None = None
 
 
 def run_client(transport: Transport, cfg: SessionConfig,
@@ -473,9 +476,8 @@ def run_client(transport: Transport, cfg: SessionConfig,
 
 
 def run_server(transport: Transport, cfg: SessionConfig,
-               images: np.ndarray | None = None,
-               labels: np.ndarray | None = None,
-               tap: ServerTap | None = None) -> RoleResult:
+               images: np.ndarray | None = None, tap: ServerTap | None = None
+               ) -> RoleResult:
     """Server role. Holds the examples (``images``) only in ``server_data``;
     otherwise it runs as many steps as the client's example count makes."""
     cfg.validate()
@@ -491,7 +493,7 @@ def run_server(transport: Transport, cfg: SessionConfig,
         losses.append(_play(transport, program(server, x)))
         model.step_count += 1
     _finish(transport, images is not None)
-    return RoleResult(losses=losses, model=model, server=server, tap=tap)
+    return RoleResult(losses=losses, model=model, server=server)
 
 
 def run_session(cfg: SessionConfig, images: np.ndarray, labels: np.ndarray,
@@ -515,7 +517,7 @@ def run_session(cfg: SessionConfig, images: np.ndarray, labels: np.ndarray,
 
     threads = {role: threading.Thread(target=play, args=(role, *args), daemon=True)
                for role, args in (("client", (run_client, ct, client_images, labels)),
-                                  ("server", (run_server, st, server_images, None, tap)))}
+                                  ("server", (run_server, st, server_images, tap)))}
     for t in threads.values():
         t.start()
     deadline = time.monotonic() + SESSION_TIMEOUT

@@ -373,6 +373,7 @@ class TestWireSessions:
         with pytest.raises(ProtocolError, match="for 8 labels"):
             run_client(ct, cfg, None, synth.labels)
         th.join(timeout=5)
+        assert not th.is_alive()
 
     def test_session_names_a_stalled_role(self, synth, monkeypatch):
         monkeypatch.setattr(protocol, "SESSION_TIMEOUT", 0.5)
