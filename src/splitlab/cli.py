@@ -32,14 +32,13 @@ from .errors import (
 from .harness import (
     SweepConfig,
     label_inference_accuracy,
-    merged_model,
     mse_images,
     run_depth_sweep,
     snapshot_tap,
     _dump_pair,
 )
-from .models import build_net, load_checkpoint, save_checkpoint, split_at
-from .protocol import (SessionConfig, ServerTap, held_examples, run_client, run_server,
+from .models import SplitModel, build_net, load_checkpoint, save_checkpoint, split_at
+from .protocol import (RoleResult, SessionConfig, held_examples, run_client, run_server,
                        run_session)
 from .transport import inproc_pair, tcp_connect, tcp_listen
 
@@ -164,6 +163,15 @@ def _write_curve(path: str, losses: list[float]) -> None:
             writer.writerow([i, loss])
 
 
+def merged_model(client_res: RoleResult, server_res: RoleResult,
+                 depth: int) -> SplitModel:
+    """Recombine the trained halves of a label-sharing session."""
+    cm, sm = client_res.model, server_res.model
+    model = SplitModel(cm.layers[:depth] + sm.layers[depth:], cm.arch, cm.seed, depth)
+    model.step_count = cm.step_count
+    return model
+
+
 def cmd_train(cfg: dict) -> int:
     scfg = session_config(cfg)
     out = cfg["out_dir"]
@@ -174,10 +182,10 @@ def cmd_train(cfg: dict) -> int:
     if cfg["transport"] == "inproc":
         if cfg["role"] != "both":
             raise ConfigError("inproc transport requires role=both")
-        tap = ServerTap()
-        client_res, server_res = run_session(
-            scfg, subset.images, subset.labels, inproc_pair(), tap=tap
-        )
+        ct, st = inproc_pair()
+        with ct, st:
+            client_res, server_res = run_session(
+                scfg, subset.images, subset.labels, (ct, st))
         save_checkpoint(client_res.model, os.path.join(out, "client.ckpt"))
         save_checkpoint(server_res.model, os.path.join(out, "server.ckpt"))
         if scfg.topology == "label_sharing":
@@ -192,19 +200,15 @@ def cmd_train(cfg: dict) -> int:
     host, port = _parse_tcp(cfg["transport"])
     client_images, server_images = held_examples(scfg.topology, subset.images)
     if cfg["role"] == "server":
-        transport = tcp_listen(host, port)
-        res = run_server(transport, scfg, images=server_images)
-        transport.close()
-        save_checkpoint(res.model, os.path.join(out, "server.ckpt"))
-        _write_curve(os.path.join(out, "train_curve.csv"), res.losses)
+        with tcp_listen(host, port) as transport:
+            res = run_server(transport, scfg, images=server_images)
     elif cfg["role"] == "client":
-        transport = tcp_connect(host, port)
-        res = run_client(transport, scfg, client_images, subset.labels)
-        transport.close()
-        save_checkpoint(res.model, os.path.join(out, "client.ckpt"))
-        _write_curve(os.path.join(out, "train_curve.csv"), res.losses)
+        with tcp_connect(host, port) as transport:
+            res = run_client(transport, scfg, client_images, subset.labels)
     else:
         raise ConfigError("tcp transport requires role=client or role=server")
+    save_checkpoint(res.model, os.path.join(out, f"{cfg['role']}.ckpt"))
+    _write_curve(os.path.join(out, "train_curve.csv"), res.losses)
     print(f"trained {res.model.step_count} steps over {cfg['transport']}")
     return 0
 

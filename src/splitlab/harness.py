@@ -1,7 +1,7 @@
 """Experiment orchestration: metrics, artifact emission, depth sweeps.
 
 A sweep walks (depth, trained-state) cells for one dataset: attack the
-untrained client, train via the in-process split protocol, attack again,
+untrained client, train the split model in memory, attack again,
 retrain a head on the stolen clone, and run label inference. Results go
 to an append-only CSV (one flush per row) plus PGM/PPM reconstruction
 grids, keyed by the seed and a hash of the effective configuration.
@@ -23,13 +23,11 @@ from .attacks.labels import (infer_label, make_tail_clone, tail_accuracy,
                              tail_param_gradients)
 from .autograd import Tensor
 from .data import Dataset, epoch_batches, sample_class_balanced
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .layers import LayerStack
 from .models import SplitModel, build_net, split_at, tail_start_index
 from .optim import fit_epoch, make_optimizer
-from .protocol import (RoleResult, SessionConfig, TapEntry, build_parts, run_session,
-                       train_step)
-from .transport import inproc_pair
+from .protocol import SessionConfig, TapEntry, build_parts, train_local, train_step
 
 CSV_FIELDS = [
     "dataset", "depth", "trained", "mse_before", "mse_after", "clone_acc",
@@ -41,10 +39,6 @@ def mse_images(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ShapeError(f"mse_images: shape mismatch {a.shape} vs {b.shape}")
     return float(np.mean((a.astype(np.float64) - b.astype(np.float64)) ** 2))
-
-
-def eval_accuracy(model: LayerStack, ds: Dataset, batch_size: int = 256) -> float:
-    return tail_accuracy(model, ds.images, ds.labels, batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +119,7 @@ def stitch_and_train_head(
     finally:
         for p in clone_f1.params():
             p.requires_grad = True
-    return eval_accuracy(stitched, test_ds)
+    return tail_accuracy(stitched, test_ds.images, test_ds.labels)
 
 
 def label_inference_accuracy(
@@ -151,15 +145,6 @@ def label_inference_accuracy(
         result = infer_label(sent, smashed, clone, model.num_classes)
         hits += int(result.label == int(ds.labels[int(i)]))
     return hits / n_samples
-
-
-def merged_model(client_res: RoleResult, server_res: RoleResult,
-                 depth: int) -> SplitModel:
-    """Recombine the trained halves of a label-sharing session."""
-    cm, sm = client_res.model, server_res.model
-    model = SplitModel(cm.layers[:depth] + sm.layers[depth:], cm.arch, cm.seed, depth)
-    model.step_count = cm.step_count
-    return model
 
 
 def epoch_attack_curve(
@@ -254,6 +239,9 @@ class ReportWriter:
 def run_depth_sweep(sweep: SweepConfig, train_ds: Dataset,
                     test_ds: Dataset) -> list[SweepRow]:
     """Run the full before/after attack grid over the configured depths."""
+    if sweep.topology == "server_data":
+        raise ConfigError("the depth sweep inverts the client's first layers; "
+                          "in server_data the server holds them")
     chash = sweep.config_hash()
     writer = ReportWriter(os.path.join(sweep.out_dir, "report.csv"))
     sample = sample_class_balanced(test_ds, sweep.sample_per_class, sweep.seed)
@@ -289,13 +277,10 @@ def run_depth_sweep(sweep: SweepConfig, train_ds: Dataset,
             seed=sweep.seed, optimizer=sweep.optimizer, lr=sweep.lr,
             batch_size=sweep.batch_size, epochs=sweep.epochs,
         )
-        client_res, server_res = run_session(
-            cfg, subset.images, subset.labels, inproc_pair()
-        )
-        model = merged_model(client_res, server_res, depth)
-        orig_acc = eval_accuracy(model, test_ds)
-        f1 = client_res.client.head
-        entries = snapshot_tap(f1, sample.images)
+        # The model holds every trained layer, whichever role trained it.
+        model, _, client, _ = train_local(cfg, subset.images, subset.labels)
+        orig_acc = tail_accuracy(model, test_ds.images, test_ds.labels)
+        entries = snapshot_tap(client.head, sample.images)
         res = unsplit_invert(entries, sweep.arch, depth, sweep.inversion,
                              ground_truth=sample.images)
         _dump_pair(sample.images, res.x_est, os.path.join(img_dir, "after"))

@@ -72,14 +72,6 @@ class SessionConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SessionConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        return cls(**d).validate()
-
 
 @dataclass
 class TapEntry:
@@ -409,7 +401,7 @@ def _play(transport: Transport, program):
 
 
 def _client_handshake(transport: Transport, cfg: SessionConfig, examples: int) -> None:
-    transport.send(MsgType.HELLO, wire.encode_hello()[wire.HEADER.size :])
+    transport.send(MsgType.HELLO, wire.encode_hello())
     _, payload = _expect(transport, MsgType.HELLO)
     wire.check_hello(payload)
     transport.send(MsgType.CONFIG, wire.encode_json({**cfg.to_dict(), "examples": examples}))
@@ -424,7 +416,7 @@ def _server_handshake(transport: Transport, cfg: SessionConfig,
     ``examples`` when this side holds them; returns that count."""
     _, payload = _expect(transport, MsgType.HELLO)
     wire.check_hello(payload)
-    transport.send(MsgType.HELLO, wire.encode_hello()[wire.HEADER.size :])
+    transport.send(MsgType.HELLO, wire.encode_hello())
     _, payload = _expect(transport, MsgType.CONFIG)
     peer = wire.decode_json(payload)
     peer = peer if isinstance(peer, dict) else {}
@@ -500,9 +492,9 @@ def run_session(cfg: SessionConfig, images: np.ndarray, labels: np.ndarray,
                 transport_pair, tap: ServerTap | None = None
                 ) -> tuple[RoleResult, RoleResult]:
     """Run both roles on two threads over an already-connected transport
-    pair; returns (client result, server result). A role that fails closes
-    its end, so the peer's next recv fails at once; the first failure is
-    reported as the cause."""
+    pair; returns (client result, server result). The caller owns the pair
+    and closes it. A role that fails closes its own end, so the peer's next
+    recv fails at once; the first failure is reported as the cause."""
     ct, st = transport_pair
     client_images, server_images = held_examples(cfg.topology, images)
     results: dict[str, RoleResult] = {}

@@ -1,14 +1,18 @@
-"""Byte-stream transports carrying wire frames.
+"""Framed byte streams over sockets.
 
-Both transports move the exact same encoded frames: the in-process pair
-pushes them through queues, the TCP transport through a socket. Either
-side may enable transcript recording, which captures the raw bytes in
-order for the honest-but-curious neutrality checks.
+Every session runs on one class, ``SocketTransport``. ``inproc_pair``
+returns the two ends of a ``socket.socketpair()`` for roles in one
+process; ``tcp_listen`` and ``tcp_connect`` return one end of a TCP
+connection. In-process and TCP runs therefore share the framing, the
+chunked reads, the timeouts and the close: closing an end gives its
+peer EOF, so a peer blocked in ``recv`` fails at once. Whoever opens a
+pair or a connection closes it; a transport is a context manager for
+that. Either end may record a transcript of the raw frames in order,
+for the honest-but-curious neutrality checks.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
 import time
 
@@ -47,53 +51,19 @@ class Transport:
     def close(self) -> None:
         pass
 
+    def __enter__(self):
+        return self
 
-class InProcTransport(Transport):
-    def __init__(self, inbox: "queue.Queue[bytes | None]", outbox: "queue.Queue[bytes | None]",
-                 record_transcript: bool = False, timeout: float = 60.0):
-        super().__init__(record_transcript)
-        self._inbox = inbox
-        self._outbox = outbox
-        self._timeout = timeout
-        self._residual = b""
-
-    def _send_bytes(self, data: bytes) -> None:
-        self._outbox.put(data)
-
-    def _recv_bytes(self, n: int) -> bytes:
-        buf = self._residual
-        while len(buf) < n:
-            try:
-                chunk = self._inbox.get(timeout=self._timeout)
-            except queue.Empty:
-                raise ProtocolError("in-process peer timed out") from None
-            if chunk is None:
-                self._inbox.put(None)  # every later recv fails too
-                raise ProtocolError("in-process peer closed the connection")
-            buf += chunk
-        self._residual = buf[n:]
-        return buf[:n]
-
-    def close(self) -> None:
-        self._outbox.put(None)  # wakes a peer blocked in recv
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
-def inproc_pair(record_transcript: bool = False,
-                timeout: float = 60.0) -> tuple[InProcTransport, InProcTransport]:
-    a_to_b: "queue.Queue[bytes | None]" = queue.Queue()
-    b_to_a: "queue.Queue[bytes | None]" = queue.Queue()
-    a = InProcTransport(b_to_a, a_to_b, record_transcript, timeout)
-    b = InProcTransport(a_to_b, b_to_a, record_transcript, timeout)
-    return a, b
-
-
-class TcpTransport(Transport):
+class SocketTransport(Transport):
     RECV_CHUNK = 1 << 20  # largest single recv: memory grows with bytes received
 
     def __init__(self, sock: socket.socket, record_transcript: bool = False):
         super().__init__(record_transcript)
         self._sock = sock
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def _send_bytes(self, data: bytes) -> None:
         try:
@@ -122,8 +92,21 @@ class TcpTransport(Transport):
             pass
 
 
+def inproc_pair(record_transcript: bool = False,
+                timeout: float = 60.0) -> tuple[SocketTransport, SocketTransport]:
+    """Both ends of a connected local socket pair; the caller closes both.
+
+    A frame larger than the socket buffer blocks its sender until the
+    peer reads, so the two ends belong on different threads.
+    """
+    ends = socket.socketpair()
+    for sock in ends:
+        sock.settimeout(timeout)
+    return tuple(SocketTransport(sock, record_transcript) for sock in ends)
+
+
 def tcp_listen(host: str, port: int, record_transcript: bool = False,
-               timeout: float = 60.0) -> TcpTransport:
+               timeout: float = 60.0) -> SocketTransport:
     """Accept exactly one peer connection."""
     srv = socket.create_server((host, port))
     srv.settimeout(timeout)
@@ -134,17 +117,20 @@ def tcp_listen(host: str, port: int, record_transcript: bool = False,
     finally:
         srv.close()
     conn.settimeout(timeout)
-    return TcpTransport(conn, record_transcript)
+    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return SocketTransport(conn, record_transcript)
 
 
 def tcp_connect(host: str, port: int, record_transcript: bool = False,
-                timeout: float = 60.0, retry_for: float = 10.0) -> TcpTransport:
+                timeout: float = 60.0, retry_for: float = 10.0) -> SocketTransport:
     deadline = time.monotonic() + retry_for
     while True:
         try:
             sock = socket.create_connection((host, port), timeout=timeout)
-            return TcpTransport(sock, record_transcript)
+            break
         except OSError:
             if time.monotonic() >= deadline:
                 raise ProtocolError(f"could not connect to {host}:{port}") from None
             time.sleep(0.05)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return SocketTransport(sock, record_transcript)

@@ -156,7 +156,8 @@ def decode_json(buf: bytes):
 
 
 def encode_hello() -> bytes:
-    return encode_frame(MsgType.HELLO, struct.pack("<I", PROTOCOL_VERSION))
+    """The HELLO payload: this side's protocol version."""
+    return struct.pack("<I", PROTOCOL_VERSION)
 
 
 def check_hello(payload: bytes) -> None:

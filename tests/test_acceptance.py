@@ -20,11 +20,10 @@ import numpy as np
 import pytest
 
 from splitlab.attacks.inversion import InversionConfig, unsplit_invert
-from splitlab.attacks.labels import infer_from_tap_entry, make_tail_clone
+from splitlab.attacks.labels import infer_from_tap_entry, make_tail_clone, tail_accuracy
 from splitlab.data import load_idx, sample_class_balanced, synth_dataset
 from splitlab.harness import (
     epoch_attack_curve,
-    eval_accuracy,
     label_inference_accuracy,
     mse_images,
     snapshot_tap,
@@ -182,7 +181,7 @@ class TestAcceptance:
             pytest.skip("needs local MNIST data")
         model, sample = mnist_setup["model"], mnist_setup["sample"]
         test = mnist_setup["test"]
-        orig_acc = eval_accuracy(model, test)
+        orig_acc = tail_accuracy(model, test.images, test.labels)
         f1, _ = split_at(model, 1)
         inv = InversionConfig(max_rounds=20, plateau_rounds=5, seed=0)
         res = unsplit_invert(snapshot_tap(f1, sample.images), "mnist", 1, inv)
@@ -206,9 +205,11 @@ class TestAcceptance:
         diff = max_param_diff(mono, local)
         np.testing.assert_allclose(mono_losses, local_losses, atol=1e-6)
 
-        inproc_client, inproc_server = run_session(
-            cfg, ds.images, ds.labels, inproc_pair()
-        )
+        ct, st = inproc_pair()
+        with ct, st:
+            inproc_client, inproc_server = run_session(
+                cfg, ds.images, ds.labels, (ct, st)
+            )
         import socket
         import threading
 
@@ -218,15 +219,13 @@ class TestAcceptance:
         result = {}
 
         def serve():
-            t = tcp_listen("127.0.0.1", port)
-            result["server"] = run_server(t, cfg)
-            t.close()
+            with tcp_listen("127.0.0.1", port) as t:
+                result["server"] = run_server(t, cfg)
 
         th = threading.Thread(target=serve, daemon=True)
         th.start()
-        t = tcp_connect("127.0.0.1", port)
-        tcp_client = run_client(t, cfg, ds.images, ds.labels)
-        t.close()
+        with tcp_connect("127.0.0.1", port) as t:
+            tcp_client = run_client(t, cfg, ds.images, ds.labels)
         th.join(timeout=30)
         transports_equal = (
             params_equal(inproc_client.model, tcp_client.model)
@@ -256,9 +255,10 @@ class TestAcceptance:
 
     def test_criterion8_attack_neutrality(self, capsys):
         def transcripts(cfg, ds, attack):
-            pair = inproc_pair(record_transcript=True)
+            ct, st = inproc_pair(record_transcript=True)
             tap = ServerTap() if attack else None
-            run_session(cfg, ds.images, ds.labels, pair, tap=tap)
+            with ct, st:
+                run_session(cfg, ds.images, ds.labels, (ct, st), tap=tap)
             if attack:
                 if cfg.topology == "label_sharing":
                     inv = InversionConfig(input_steps=3, model_steps=3,
@@ -268,7 +268,7 @@ class TestAcceptance:
                     for j, e in enumerate(tap.entries):
                         infer_from_tap_entry(
                             e, make_tail_clone(cfg.arch, cfg.tail_depth, j))
-            return [t.transcript for t in pair]
+            return [ct.transcript, st.transcript]
 
         ds = synth_dataset(8, (1, 8, 8), seed=5)
         neutral = True

@@ -1,6 +1,7 @@
 """Checkpoint serialization round trips and corruption handling."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def test_untrained_checkpoint_reproduces_seeded_init(ckpt):
 def test_size_formula(ckpt):
     model = build_net("tiny8", seed=0)
     save_checkpoint(model, ckpt)
-    raw = open(ckpt, "rb").read()
+    raw = Path(ckpt).read_bytes()
     header = 4 + 4 + 1 + len(model.arch) + 4 + 8 + 8 + 4
     per_tensor_meta = sum(
         2 + len(name) + 1 + 4 * p.data.ndim for name, p in model.named_params()
@@ -66,18 +67,18 @@ def test_size_formula(ckpt):
 
 def test_bad_magic_rejected(ckpt):
     save_checkpoint(build_net("tiny8", seed=0), ckpt)
-    raw = bytearray(open(ckpt, "rb").read())
+    raw = bytearray(Path(ckpt).read_bytes())
     raw[:4] = b"NOPE"
-    open(ckpt, "wb").write(bytes(raw))
+    Path(ckpt).write_bytes(bytes(raw))
     with pytest.raises(CheckpointError):
         load_checkpoint(ckpt)
 
 
 def test_bad_version_rejected(ckpt):
     save_checkpoint(build_net("tiny8", seed=0), ckpt)
-    raw = bytearray(open(ckpt, "rb").read())
+    raw = bytearray(Path(ckpt).read_bytes())
     raw[4:8] = struct.pack("<I", 99)
-    open(ckpt, "wb").write(bytes(raw))
+    Path(ckpt).write_bytes(bytes(raw))
     with pytest.raises(CheckpointError):
         load_checkpoint(ckpt)
 
@@ -85,8 +86,8 @@ def test_bad_version_rejected(ckpt):
 @pytest.mark.parametrize("keep", [3, 10, 60])
 def test_truncation_rejected(ckpt, keep):
     save_checkpoint(build_net("tiny8", seed=0), ckpt)
-    raw = open(ckpt, "rb").read()
-    open(ckpt, "wb").write(raw[: len(raw) * keep // 100])
+    raw = Path(ckpt).read_bytes()
+    Path(ckpt).write_bytes(raw[: len(raw) * keep // 100])
     with pytest.raises(CheckpointError):
         load_checkpoint(ckpt)
 
@@ -102,10 +103,10 @@ def test_trailing_bytes_rejected(ckpt):
 def test_unknown_arch_rejected(ckpt):
     model = build_net("tiny8", seed=0)
     save_checkpoint(model, ckpt)
-    raw = bytearray(open(ckpt, "rb").read())
+    raw = bytearray(Path(ckpt).read_bytes())
     assert raw[9:14] == b"tiny8"
     raw[9:14] = b"tiny9"
-    open(ckpt, "wb").write(bytes(raw))
+    Path(ckpt).write_bytes(bytes(raw))
     with pytest.raises(CheckpointError):
         load_checkpoint(ckpt)
 

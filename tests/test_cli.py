@@ -202,3 +202,9 @@ class TestReport:
         assert "wrote 0 new rows" in capsys.readouterr().out
         with open(os.path.join(out, "report.csv"), newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 2
+
+    def test_server_data_report_rejected_before_any_row(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["report", "--dataset", "synth", "--topology", "server_data",
+                    "--depths", "1", "--out-dir", str(out)]) == 2
+        assert not (out / "report.csv").exists()

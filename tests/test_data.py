@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,9 +56,9 @@ class TestIdx:
         ip, lp = write_idx_pair(
             tmp_path, np.zeros((1, 2, 2), np.uint8), np.zeros(1, np.uint8)
         )
-        raw = bytearray(open(ip, "rb").read())
+        raw = bytearray(Path(ip).read_bytes())
         raw[3] = 0x01
-        open(ip, "wb").write(bytes(raw))
+        Path(ip).write_bytes(bytes(raw))
         with pytest.raises(DataError):
             load_idx(ip, lp)
 
@@ -65,8 +66,8 @@ class TestIdx:
         ip, lp = write_idx_pair(
             tmp_path, np.zeros((3, 4, 4), np.uint8), np.zeros(3, np.uint8)
         )
-        raw = open(ip, "rb").read()
-        open(ip, "wb").write(raw[:-5])
+        raw = Path(ip).read_bytes()
+        Path(ip).write_bytes(raw[:-5])
         with pytest.raises(DataError):
             load_idx(ip, lp)
 
@@ -99,7 +100,7 @@ class TestCifar:
         pixels = rng.integers(0, 256, size=(n, 3072)).astype(np.uint8)
         raw = np.concatenate([labels, pixels], axis=1).tobytes()
         path = str(tmp_path / name)
-        open(path, "wb").write(raw)
+        Path(path).write_bytes(raw)
         return path, labels[:, 0], pixels
 
     def test_round_trip(self, tmp_path):
@@ -119,8 +120,8 @@ class TestCifar:
 
     def test_truncated_rejected(self, tmp_path):
         path, _, _ = self.write_batch(tmp_path, 2)
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-1])
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw[:-1])
         with pytest.raises(DataError):
             load_cifar_bin([path])
 
@@ -128,7 +129,7 @@ class TestCifar:
         path = str(tmp_path / "bad")
         rec = bytearray(3073)
         rec[0] = 12
-        open(path, "wb").write(bytes(rec))
+        Path(path).write_bytes(bytes(rec))
         with pytest.raises(DataError):
             load_cifar_bin([path])
 

@@ -3,11 +3,13 @@ end-to-end depth sweep."""
 
 import csv
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from splitlab.attacks.inversion import InversionConfig
+from splitlab.attacks.labels import tail_accuracy
 from splitlab.autograd import Tensor
 from splitlab.data import synth_dataset
 from splitlab.errors import ShapeError
@@ -18,7 +20,6 @@ from splitlab.harness import (
     SweepRow,
     dump_image,
     epoch_attack_curve,
-    eval_accuracy,
     image_grid,
     mse_images,
     run_depth_sweep,
@@ -26,7 +27,7 @@ from splitlab.harness import (
     stitch_and_train_head,
 )
 from splitlab.models import build_net, split_at
-from splitlab.protocol import SessionConfig
+from splitlab.protocol import SessionConfig, train_local
 
 from helpers import parse_pnm
 
@@ -46,12 +47,12 @@ class TestMetrics:
         ds = synth_dataset(64, (1, 8, 8), seed=0)
         preds = model.forward(Tensor(ds.images)).data.argmax(axis=1)
         relabeled = type(ds)(ds.images, preds.astype(np.uint8), name="t")
-        assert eval_accuracy(model, relabeled) == 1.0
+        assert tail_accuracy(model, relabeled.images, relabeled.labels) == 1.0
 
     def test_eval_accuracy_chance_for_random_labels(self):
         model = build_net("tiny8", seed=1)
         ds = synth_dataset(400, (1, 8, 8), seed=1)
-        acc = eval_accuracy(model, ds)
+        acc = tail_accuracy(model, ds.images, ds.labels)
         assert 0.0 <= acc <= 0.35
 
 
@@ -67,7 +68,7 @@ class TestImages:
     def test_half_gray_is_128(self, tmp_path):
         path = str(tmp_path / "g.pgm")
         dump_image(np.full((1, 1, 1), 0.5, np.float32), path)
-        assert open(path, "rb").read()[-1] == 128
+        assert Path(path).read_bytes()[-1] == 128
 
     def test_ppm_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -203,3 +204,14 @@ class TestSweep:
         assert again == []
         with open(report, newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 2
+
+    def test_client_labels_rows_measure_the_trained_model(self, tmp_path):
+        sweep = self.small_sweep(tmp_path)
+        sweep.topology, sweep.batch_size, sweep.train_subset = "client_labels", 8, 128
+        train = synth_dataset(128, (1, 8, 8), seed=0)
+        test = synth_dataset(64, (1, 8, 8), seed=0, split="test")
+        rows = run_depth_sweep(sweep, train, test)
+        cfg = SessionConfig(arch="tiny8", split_depth=1, topology="client_labels",
+                            seed=0, batch_size=8, epochs=1).validate()
+        model, _, _, _ = train_local(cfg, train.images, train.labels)
+        assert rows[1].orig_acc == tail_accuracy(model, test.images, test.labels)

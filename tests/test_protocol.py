@@ -47,14 +47,6 @@ def synth():
 
 
 class TestSessionConfig:
-    def test_round_trip_dict(self):
-        cfg = small_cfg(topology="client_labels", tail_depth=1)
-        assert SessionConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            SessionConfig.from_dict({"arch": "tiny8", "momentum": 0.9})
-
     @pytest.mark.parametrize("bad", [
         dict(arch="vgg"), dict(topology="ring"), dict(optimizer="rmsprop"),
         dict(batch_size=0), dict(lr=0.0), dict(tail_depth=0),
@@ -207,8 +199,10 @@ class TestWireSessions:
                                           "client_labels"])
     def test_inproc_session_matches_local(self, synth, topology):
         cfg = small_cfg(topology=topology)
-        client_res, server_res = run_session(cfg, synth.images, synth.labels,
-                                             inproc_pair())
+        ct, st = inproc_pair()
+        with ct, st:
+            client_res, server_res = run_session(cfg, synth.images, synth.labels,
+                                                 (ct, st))
         local_model, local_losses, _, _ = train_local(cfg, synth.images,
                                                       synth.labels)
         # The two roles hold disjoint authoritative parts of one logical
@@ -219,22 +213,22 @@ class TestWireSessions:
 
     def test_inproc_vs_tcp_bit_identical(self, synth):
         cfg = small_cfg()
-        inproc_client, inproc_server = run_session(
-            cfg, synth.images, synth.labels, inproc_pair()
-        )
+        ct, st = inproc_pair()
+        with ct, st:
+            inproc_client, inproc_server = run_session(
+                cfg, synth.images, synth.labels, (ct, st)
+            )
         port = _free_port()
         result = {}
 
         def serve():
-            t = tcp_listen("127.0.0.1", port)
-            result["server"] = run_server(t, cfg)
-            t.close()
+            with tcp_listen("127.0.0.1", port) as t:
+                result["server"] = run_server(t, cfg)
 
         th = threading.Thread(target=serve, daemon=True)
         th.start()
-        t = tcp_connect("127.0.0.1", port)
-        tcp_client = run_client(t, cfg, synth.images, synth.labels)
-        t.close()
+        with tcp_connect("127.0.0.1", port) as t:
+            tcp_client = run_client(t, cfg, synth.images, synth.labels)
         th.join(timeout=30)
         merged_inproc = _merge(inproc_client, inproc_server, cfg)
         merged_tcp = _merge(tcp_client, result["server"], cfg)
@@ -256,7 +250,8 @@ class TestWireSessions:
         ds = synth_dataset(2, (1, 8, 8), seed=0)
         cfg = small_cfg(topology=topology, batch_size=1, epochs=1)
         ct, st = inproc_pair(record_transcript=True)
-        run_session(cfg, ds.images, ds.labels, (ct, st))
+        with ct, st:
+            run_session(cfg, ds.images, ds.labels, (ct, st))
         from splitlab.wire import decode_frame
 
         seq = [(d, decode_frame(f)[0]) for d, f in st.transcript]
@@ -289,7 +284,8 @@ class TestWireSessions:
         cfg = SessionConfig(arch="tiny8", topology=topology, seed=0,
                             batch_size=8, epochs=2).validate()
         ct, st = inproc_pair(record_transcript=True)
-        run_session(cfg, synth.images, synth.labels, (ct, st))
+        with ct, st:
+            run_session(cfg, synth.images, synth.labels, (ct, st))
         types = [decode_frame(f)[0] for _, f in st.transcript]
         frames = [f for _, f in st.transcript[types.index(MsgType.SMASHED):]]
         count, digest = self.WIRE_DIGESTS[topology]
@@ -305,7 +301,7 @@ class TestWireSessions:
             from splitlab import wire
 
             try:
-                ct.send(MsgType.HELLO, wire.encode_hello()[wire.HEADER.size:])
+                ct.send(MsgType.HELLO, wire.encode_hello())
                 ct.recv()  # HELLO back
                 ct.send(MsgType.CONFIG, wire.encode_json(cfg.to_dict()))
                 ct.recv()  # ACK
@@ -315,10 +311,11 @@ class TestWireSessions:
                 errors["client"] = exc
 
         th = threading.Thread(target=rogue_client, daemon=True)
-        th.start()
-        with pytest.raises(ProtocolError):
-            run_server(st, cfg)
-        th.join(timeout=5)
+        with ct, st:
+            th.start()
+            with pytest.raises(ProtocolError):
+                run_server(st, cfg)
+            th.join(timeout=5)
 
     def test_config_mismatch_handshake(self, synth):
         ct, st = inproc_pair()
@@ -332,10 +329,11 @@ class TestWireSessions:
                 errs["client"] = exc
 
         th = threading.Thread(target=client_main, daemon=True)
-        th.start()
-        with pytest.raises(ProtocolError, match="mismatch"):
-            run_server(st, cfg_b)
-        th.join(timeout=5)
+        with ct, st:
+            th.start()
+            with pytest.raises(ProtocolError, match="mismatch"):
+                run_server(st, cfg_b)
+            th.join(timeout=5)
         assert "client" in errs
 
     def test_session_surfaces_role_failure(self, synth):
@@ -343,17 +341,21 @@ class TestWireSessions:
         # fail there; the client, waiting on GRAD, must not wait out 5 s.
         cfg = small_cfg()
         bad_images = synth.images[:, :, :4, :4]  # wrong input shape
+        ct, st = inproc_pair(timeout=5)
         t0 = time.monotonic()
-        with pytest.raises(ProtocolError, match=r"^server role failed: ShapeError"):
-            run_session(cfg, bad_images, synth.labels, inproc_pair(timeout=5))
+        with ct, st, pytest.raises(ProtocolError,
+                                   match=r"^server role failed: ShapeError"):
+            run_session(cfg, bad_images, synth.labels, (ct, st))
         assert time.monotonic() - t0 < 1.0
 
     @pytest.mark.parametrize("n_labels", [70, 60])
     def test_server_data_example_count_mismatch(self, synth, n_labels):
         ds = synth_dataset(n_labels, (1, 8, 8), seed=0)
         cfg = small_cfg(topology="server_data")
-        with pytest.raises(ProtocolError, match=f"client holds {n_labels}, server 64"):
-            run_session(cfg, synth.images, ds.labels, inproc_pair(timeout=5))
+        ct, st = inproc_pair(timeout=5)
+        with ct, st, pytest.raises(ProtocolError,
+                                   match=f"client holds {n_labels}, server 64"):
+            run_session(cfg, synth.images, ds.labels, (ct, st))
 
     def test_smashed_rows_must_match_labels(self, synth):
         cfg = small_cfg(topology="server_data")
@@ -363,16 +365,17 @@ class TestWireSessions:
             from splitlab import wire
 
             st.recv()  # HELLO
-            st.send(MsgType.HELLO, wire.encode_hello()[wire.HEADER.size:])
+            st.send(MsgType.HELLO, wire.encode_hello())
             st.recv()  # CONFIG
             st.send(MsgType.ACK)
             st.send(MsgType.SMASHED, wire.encode_tensor(np.zeros((7, 32))))
 
         th = threading.Thread(target=rogue_server, daemon=True)
-        th.start()
-        with pytest.raises(ProtocolError, match="for 8 labels"):
-            run_client(ct, cfg, None, synth.labels)
-        th.join(timeout=5)
+        with ct, st:
+            th.start()
+            with pytest.raises(ProtocolError, match="for 8 labels"):
+                run_client(ct, cfg, None, synth.labels)
+            th.join(timeout=5)
         assert not th.is_alive()
 
     def test_session_names_a_stalled_role(self, synth, monkeypatch):
@@ -388,11 +391,12 @@ class TestWireSessions:
             return mtype, payload
 
         st.recv = stall_on_end
-        try:
-            with pytest.raises(ProtocolError, match="^server role still running"):
-                run_session(small_cfg(), synth.images, synth.labels, (ct, st))
-        finally:
-            release.set()
+        with ct, st:
+            try:
+                with pytest.raises(ProtocolError, match="^server role still running"):
+                    run_session(small_cfg(), synth.images, synth.labels, (ct, st))
+            finally:
+                release.set()
 
 
 class TestEpochOrder:

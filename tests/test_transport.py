@@ -1,4 +1,4 @@
-"""Frame transports: in-process queue pair and TCP loopback."""
+"""Frame transports: in-process socket pair and TCP loopback."""
 
 import socket
 import threading
@@ -10,7 +10,7 @@ import pytest
 
 from splitlab import wire
 from splitlab.errors import ProtocolError
-from splitlab.transport import TcpTransport, inproc_pair, tcp_connect, tcp_listen
+from splitlab.transport import SocketTransport, inproc_pair, tcp_connect, tcp_listen
 from splitlab.wire import MsgType
 
 
@@ -23,30 +23,33 @@ def _free_port():
 class TestInProc:
     def test_send_recv(self):
         a, b = inproc_pair()
-        a.send(MsgType.SMASHED, wire.encode_tensor(np.arange(4, dtype=np.float32)))
-        mtype, payload = b.recv()
+        with a, b:
+            a.send(MsgType.SMASHED, wire.encode_tensor(np.arange(4, dtype=np.float32)))
+            mtype, payload = b.recv()
         assert mtype is MsgType.SMASHED
         out, _ = wire.decode_tensor(payload)
         np.testing.assert_array_equal(out, [0, 1, 2, 3])
 
     def test_bidirectional_ordering(self):
         a, b = inproc_pair()
-        a.send(MsgType.HELLO)
-        a.send(MsgType.CONFIG, b"{}")
-        assert b.recv()[0] is MsgType.HELLO
-        assert b.recv()[0] is MsgType.CONFIG
-        b.send(MsgType.ACK)
-        assert a.recv()[0] is MsgType.ACK
+        with a, b:
+            a.send(MsgType.HELLO)
+            a.send(MsgType.CONFIG, b"{}")
+            assert b.recv()[0] is MsgType.HELLO
+            assert b.recv()[0] is MsgType.CONFIG
+            b.send(MsgType.ACK)
+            assert a.recv()[0] is MsgType.ACK
 
     def test_timeout(self):
-        a, _ = inproc_pair(timeout=0.05)
-        with pytest.raises(ProtocolError):
+        a, b = inproc_pair(timeout=0.05)
+        with a, b, pytest.raises(ProtocolError, match="timed out"):
             a.recv()
 
     def test_transcript_records_raw_frames(self):
         a, b = inproc_pair(record_transcript=True)
-        a.send(MsgType.LOSS, wire.encode_scalar(1.5))
-        b.recv()
+        with a, b:
+            a.send(MsgType.LOSS, wire.encode_scalar(1.5))
+            b.recv()
         assert len(a.transcript) == 1 and len(b.transcript) == 1
         (dira, frame_a), (dirb, frame_b) = a.transcript[0], b.transcript[0]
         assert (dira, dirb) == ("send", "recv")
@@ -61,16 +64,32 @@ class TestInProc:
     ])
     def test_bad_header_rejected_before_body(self, magic, mtype, match):
         a, b = inproc_pair(timeout=5)
-        # A header declaring a 100-byte body that never comes.
-        a._send_bytes(wire.HEADER.pack(magic, mtype, 100))
-        t0 = time.monotonic()
-        with pytest.raises(ProtocolError, match=match):
-            b.recv()
-        assert time.monotonic() - t0 < 1.0
+        with a, b:
+            # A header declaring a 100-byte body that never comes.
+            a._send_bytes(wire.HEADER.pack(magic, mtype, 100))
+            t0 = time.monotonic()
+            with pytest.raises(ProtocolError, match=match):
+                b.recv()
+            assert time.monotonic() - t0 < 1.0
+
+    def test_frame_larger_than_socket_buffer(self):
+        # The sender blocks until the peer reads, so it runs on its own thread.
+        blob = np.arange(1 << 20, dtype=np.float32)  # a 4 MiB frame
+        a, b = inproc_pair(timeout=5)
+        with a, b:
+            th = threading.Thread(
+                target=a.send, args=(MsgType.GRAD, wire.encode_tensor(blob)))
+            th.start()
+            mtype, payload = b.recv()
+            th.join(timeout=5)
+        assert not th.is_alive()
+        assert mtype is MsgType.GRAD
+        np.testing.assert_array_equal(wire.decode_tensor(payload)[0], blob)
 
     def test_no_transcript_by_default(self):
-        a, _ = inproc_pair()
-        assert a.transcript is None
+        a, b = inproc_pair()
+        with a, b:
+            assert a.transcript is None
 
 
 class TestTcp:
@@ -79,19 +98,17 @@ class TestTcp:
         server_side = {}
 
         def serve():
-            t = tcp_listen("127.0.0.1", port)
-            mtype, payload = t.recv()
-            server_side["got"] = (mtype, payload)
-            t.send(MsgType.ACK)
-            t.close()
+            with tcp_listen("127.0.0.1", port) as t:
+                mtype, payload = t.recv()
+                server_side["got"] = (mtype, payload)
+                t.send(MsgType.ACK)
 
         th = threading.Thread(target=serve, daemon=True)
         th.start()
-        client = tcp_connect("127.0.0.1", port)
         blob = wire.encode_tensor(np.ones((2, 3), dtype=np.float32))
-        client.send(MsgType.GRAD, blob)
-        assert client.recv()[0] is MsgType.ACK
-        client.close()
+        with tcp_connect("127.0.0.1", port) as client:
+            client.send(MsgType.GRAD, blob)
+            assert client.recv()[0] is MsgType.ACK
         th.join(timeout=5)
         assert server_side["got"][0] is MsgType.GRAD
         assert server_side["got"][1] == blob
@@ -104,33 +121,28 @@ class TestTcp:
         port = _free_port()
 
         def serve():
-            t = tcp_listen("127.0.0.1", port)
-            # Send only part of a frame header, then drop the connection.
-            t._sock.sendall(b"SP")
-            t.close()
+            with tcp_listen("127.0.0.1", port) as t:
+                # Send only part of a frame header, then drop the connection.
+                t._sock.sendall(b"SP")
 
         th = threading.Thread(target=serve, daemon=True)
         th.start()
-        client = tcp_connect("127.0.0.1", port)
-        with pytest.raises(ProtocolError):
+        with tcp_connect("127.0.0.1", port) as client, pytest.raises(ProtocolError):
             client.recv()
-        client.close()
         th.join(timeout=5)
 
     def test_huge_declared_length_reads_in_chunks(self):
-        with socket.create_server(("127.0.0.1", 0)) as srv:
-            peer = socket.create_connection(srv.getsockname())
-            conn, _ = srv.accept()
-        receiver = TcpTransport(conn)
+        peer, conn = socket.socketpair()
         # A valid header declaring a 4 GiB body, then a few bytes and EOF.
-        peer.sendall(wire.HEADER.pack(wire.MAGIC, int(MsgType.GRAD), 0xFFFFFFFF) + b"x" * 64)
-        peer.close()
+        with peer:
+            peer.sendall(wire.HEADER.pack(wire.MAGIC, int(MsgType.GRAD), 0xFFFFFFFF)
+                         + b"x" * 64)
         tracemalloc.start()
         try:
-            with pytest.raises(ProtocolError, match="closed mid-frame"):
+            with SocketTransport(conn) as receiver, \
+                    pytest.raises(ProtocolError, match="closed mid-frame"):
                 receiver.recv()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-            receiver.close()
-        assert peak < 8 * TcpTransport.RECV_CHUNK
+        assert peak < 8 * SocketTransport.RECV_CHUNK

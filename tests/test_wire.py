@@ -125,8 +125,7 @@ class TestScalarAndLabels:
             wire.decode_json(b"\xff\xfe")
 
     def test_hello_version_check(self):
-        _, payload = wire.decode_frame(wire.encode_hello())
-        wire.check_hello(payload)
+        wire.check_hello(wire.encode_hello())
         with pytest.raises(ProtocolError):
             wire.check_hello(b"\x63\x00\x00\x00")
         with pytest.raises(ProtocolError):
