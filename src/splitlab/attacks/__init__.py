@@ -13,7 +13,6 @@ from .labels import (
     make_tail_clone,
     tail_accuracy,
     tail_param_gradients,
-    train_tail,
 )
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "make_tail_clone",
     "tail_accuracy",
     "tail_param_gradients",
-    "train_tail",
 ]

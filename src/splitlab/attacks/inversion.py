@@ -12,7 +12,7 @@ the true client parameters are never touched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,12 +28,20 @@ from ..autograd import (
 from ..errors import ConfigError, NumericError
 from ..layers import LayerStack
 from ..models import ARCHS, build_net, split_at
-from ..optim import make_optimizer
+from ..optim import Adam
 
 
 def default_tv_lambda(depth: int) -> float:
     """Smoothness weight: 0.1 for the first three split depths, 1 beyond."""
     return 0.1 if depth <= 3 else 1.0
+
+
+# Fixed settings of the attack: Adam on both blocks, estimates kept in
+# the image range, and the epsilon inside the TV term's square root.
+OPTIMIZER = Adam
+INPUT_LR = MODEL_LR = 0.001
+CLAMP = (0.0, 1.0)
+TV_EPS = 1e-8
 
 
 @dataclass
@@ -42,11 +50,6 @@ class InversionConfig:
     input_steps: int = 100
     model_steps: int = 100
     max_rounds: int = 1000
-    input_lr: float = 0.001
-    model_lr: float = 0.001
-    optimizer: str = "adam"
-    clamp: tuple[float, float] = (0.0, 1.0)
-    tv_eps: float = 1e-8
     plateau_rel: float = 1e-4
     plateau_rounds: int = 5
     seed: int = 0
@@ -56,8 +59,6 @@ class InversionConfig:
             raise ConfigError("tv_lambda must be >= 0")
         if min(self.input_steps, self.model_steps, self.max_rounds) < 1:
             raise ConfigError("step counts and rounds must be >= 1")
-        if self.input_lr <= 0 or self.model_lr <= 0:
-            raise ConfigError("learning rates must be > 0")
         return self
 
 
@@ -81,11 +82,10 @@ def _set_requires_grad(params, flag: bool) -> None:
         p.requires_grad = flag
 
 
-def _objective(clone: LayerStack, x: Tensor, target: Tensor,
-               lam: float, tv_eps: float) -> Tensor:
+def _objective(clone: LayerStack, x: Tensor, target: Tensor, lam: float) -> Tensor:
     loss = mse_loss(clone.forward(x), target)
     if lam > 0:
-        loss = add(loss, scale(tv_penalty(x, tv_eps), lam))
+        loss = add(loss, scale(tv_penalty(x, TV_EPS), lam))
     return loss
 
 
@@ -95,28 +95,26 @@ def invert(
     input_shape: tuple[int, ...],
     cfg: InversionConfig,
     ground_truth: np.ndarray | None = None,
-    tv_lambda: float | None = None,
 ) -> InversionResult:
     """Recover input estimates for a batch of captured cut activations.
 
     ``targets`` is (B, ...) of activations, ``clone`` a randomly
     initialized copy of the client part, ``input_shape`` the per-example
-    (C, H, W). ``tv_lambda`` overrides the config when given.
+    (C, H, W).
     """
-    cfg.validate()
-    lam = cfg.tv_lambda if tv_lambda is None else tv_lambda
+    lam = cfg.validate().tv_lambda
     if lam is None:
-        raise ConfigError("tv_lambda unset; pass one or use unsplit_invert")
+        raise ConfigError("tv_lambda unset; set one or use unsplit_invert")
     rng = np.random.default_rng(cfg.seed)
     b = targets.shape[0]
-    lo, hi = cfg.clamp
+    lo, hi = CLAMP
     x = Tensor(
         rng.uniform(lo, hi, size=(b, *input_shape)).astype(np.float32),
         requires_grad=True,
     )
     target_t = Tensor(targets)
-    opt_x = make_optimizer(cfg.optimizer, [x], cfg.input_lr)
-    opt_m = make_optimizer(cfg.optimizer, clone.params(), cfg.model_lr)
+    opt_x = OPTIMIZER([x], INPUT_LR)
+    opt_m = OPTIMIZER(clone.params(), MODEL_LR)
 
     history: list[RoundMetrics] = []
     best = np.inf
@@ -127,7 +125,7 @@ def invert(
         _set_requires_grad(clone.params(), False)
         for _ in range(cfg.input_steps):
             opt_x.zero_grad()
-            obj = _objective(clone, x, target_t, lam, cfg.tv_eps)
+            obj = _objective(clone, x, target_t, lam)
             if not np.isfinite(obj.data):
                 raise NumericError(
                     f"inversion round {rnd}: non-finite objective in input phase"
@@ -150,7 +148,7 @@ def invert(
             opt_m.step()
         x.requires_grad = True
 
-        tv_now = float(tv_penalty(Tensor(x.data), cfg.tv_eps).data)
+        tv_now = float(tv_penalty(Tensor(x.data), TV_EPS).data)
         obj_now = float(mse_loss(clone.forward(Tensor(x.data)), target_t).data)
         obj_now += lam * tv_now
         assert_finite(np.float32(obj_now), "inversion objective")
@@ -201,13 +199,7 @@ def unsplit_invert(
             )
         rows.append(e.smashed[0])
     targets = np.stack(rows)
+    if cfg.tv_lambda is None:
+        cfg = replace(cfg, tv_lambda=default_tv_lambda(depth))
     clone = make_client_clone(arch, depth, cfg.seed)
-    lam = cfg.tv_lambda if cfg.tv_lambda is not None else default_tv_lambda(depth)
-    return invert(
-        targets,
-        clone,
-        ARCHS[arch].input_shape,
-        cfg,
-        ground_truth=ground_truth,
-        tv_lambda=lam,
-    )
+    return invert(targets, clone, ARCHS[arch].input_shape, cfg, ground_truth=ground_truth)

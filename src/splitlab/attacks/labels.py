@@ -18,7 +18,6 @@ from ..autograd import Tensor, backward, cross_entropy
 from ..errors import ConfigError, TieError
 from ..layers import LayerStack
 from ..models import build_net, tail_start_index
-from ..optim import fit_epoch, make_optimizer
 
 
 @dataclass
@@ -98,33 +97,6 @@ def infer_from_tap_entry(entry, clone_tail: LayerStack,
             "needs a topology where the client owns the loss"
         )
     return infer_label(entry.grad[1:], entry.smashed, clone_tail, num_classes)
-
-
-def train_tail(
-    tail: LayerStack,
-    smashed: np.ndarray,
-    labels: np.ndarray,
-    epochs: int,
-    lr: float = 0.001,
-    optimizer: str = "adam",
-    batch_size: int = 32,
-    seed: int = 0,
-    eval_data: tuple[np.ndarray, np.ndarray] | None = None,
-) -> list[float]:
-    """Train a tail on (smashed, label) pairs; returns per-epoch accuracy
-    on ``eval_data`` (or on the training pairs when none is given).
-
-    Used both to train the attacker's clone on inferred labels and to
-    produce the original model's reference curve for comparison.
-    """
-    opt = make_optimizer(optimizer, tail.params(), lr)
-    accs = []
-    labels = np.asarray(labels, dtype=np.int64)
-    for epoch in range(epochs):
-        fit_epoch(tail, opt, smashed, labels, batch_size, seed, epoch)
-        ex, ey = eval_data if eval_data is not None else (smashed, labels)
-        accs.append(tail_accuracy(tail, ex, ey))
-    return accs
 
 
 def tail_accuracy(tail: LayerStack, smashed: np.ndarray, labels: np.ndarray,

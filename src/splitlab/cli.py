@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -38,12 +40,15 @@ from .harness import (
     _dump_pair,
 )
 from .models import SplitModel, build_net, load_checkpoint, save_checkpoint, split_at
-from .protocol import (RoleResult, SessionConfig, held_examples, run_client, run_server,
-                       run_session)
+from .optim import OPTIMIZERS
+from .protocol import (TOPOLOGIES, RoleResult, SessionConfig, held_examples, run_client,
+                       run_server, run_session)
 from .transport import inproc_pair, tcp_connect, tcp_listen
 
 DATASET_ARCH = {"synth": "tiny8", "mnist": "mnist", "fmnist": "mnist", "cifar": "cifar"}
 
+# Every run knob: its config-file key, its --flag (underscores become
+# dashes) and its type, which is the type of its default.
 DEFAULTS = {
     "dataset": "synth",
     "data_dir": "data",
@@ -70,10 +75,27 @@ DEFAULTS = {
     "checkpoint": "",
 }
 
-_INT_KEYS = {"split_depth", "seed", "epochs", "batch_size", "tail_depth",
-             "input_steps", "model_steps", "rounds", "samples",
-             "train_subset", "sample_per_class"}
-_FLOAT_KEYS = {"lr", "lambda"}
+CHOICES = {
+    "dataset": sorted(DATASET_ARCH),
+    "topology": list(TOPOLOGIES),
+    "role": ["client", "server", "both"],
+    "optimizer": list(OPTIMIZERS),
+}
+
+
+def _typed(key: str, value):
+    """``value`` as the type of ``key``'s default, checked for range and choice.
+    Every int knob is a count, depth or seed, so none is negative."""
+    kind = type(DEFAULTS[key])
+    try:
+        typed = kind(value)
+    except ValueError:
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from None
+    if (kind is int and typed < 0) or (kind is float and not math.isfinite(typed)):
+        raise ConfigError(f"{key} out of range: {value!r}")
+    if key in CHOICES and typed not in CHOICES[key]:
+        raise ConfigError(f"{key} must be one of {CHOICES[key]}, got {value!r}")
+    return typed
 
 
 def read_config_file(path: str) -> dict:
@@ -96,21 +118,13 @@ def effective_config(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
     if args.config:
         cfg.update(read_config_file(args.config))
-    for key in DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
+    cfg.update((key, flag) for key, flag in vars(args).items()
+               if key in DEFAULTS and flag is not None)
     env_dir = os.environ.get("SPLITLAB_DATA_DIR")
-    if env_dir and getattr(args, "data_dir", None) is None:
+    if env_dir and args.data_dir is None:
         cfg["data_dir"] = env_dir
-    for key in _INT_KEYS:
-        cfg[key] = int(cfg[key])
-    for key in _FLOAT_KEYS:
-        cfg[key] = float(cfg[key])
-    if cfg["dataset"] not in DATASET_ARCH:
-        raise ConfigError(f"unknown dataset {cfg['dataset']!r}")
-    if not cfg["arch"]:
-        cfg["arch"] = DATASET_ARCH[cfg["dataset"]]
+    cfg = {key: _typed(key, value) for key, value in cfg.items()}
+    cfg["arch"] = cfg["arch"] or DATASET_ARCH[cfg["dataset"]]
     return cfg
 
 
@@ -136,11 +150,15 @@ def load_dataset(cfg: dict, split: str) -> Dataset:
 
 
 def session_config(cfg: dict) -> SessionConfig:
-    return SessionConfig(
-        arch=cfg["arch"], split_depth=cfg["split_depth"], topology=cfg["topology"],
-        seed=cfg["seed"], optimizer=cfg["optimizer"], lr=cfg["lr"],
-        batch_size=cfg["batch_size"], epochs=cfg["epochs"],
-        tail_depth=cfg["tail_depth"],
+    return SessionConfig(**{f.name: cfg[f.name] for f in fields(SessionConfig)}).validate()
+
+
+def inversion_config(cfg: dict) -> InversionConfig:
+    """The attack's settings; a negative ``lambda`` leaves the per-depth default."""
+    return InversionConfig(
+        tv_lambda=cfg["lambda"] if cfg["lambda"] >= 0 else None,
+        input_steps=cfg["input_steps"], model_steps=cfg["model_steps"],
+        max_rounds=cfg["rounds"], seed=cfg["seed"],
     ).validate()
 
 
@@ -222,12 +240,7 @@ def cmd_attack_invert(cfg: dict) -> int:
     test = load_dataset(cfg, "test")
     sample = sample_class_balanced(test, cfg["sample_per_class"], cfg["seed"])
     entries = snapshot_tap(f1, sample.images)
-    lam = cfg["lambda"] if cfg["lambda"] >= 0 else default_tv_lambda(depth)
-    inv = InversionConfig(
-        tv_lambda=lam, input_steps=cfg["input_steps"],
-        model_steps=cfg["model_steps"], max_rounds=cfg["rounds"],
-        seed=cfg["seed"],
-    )
+    inv = inversion_config(cfg)
     res = unsplit_invert(entries, model.arch, depth, inv, ground_truth=sample.images)
     out = cfg["out_dir"]
     _dump_pair(sample.images, res.x_est, os.path.join(out, "inversion"))
@@ -241,6 +254,7 @@ def cmd_attack_invert(cfg: dict) -> int:
     clone_full.layers[:depth] = res.clone.layers
     save_checkpoint(clone_full, os.path.join(out, "inversion", "clone.ckpt"))
     final_mse = mse_images(res.x_est, sample.images)
+    lam = default_tv_lambda(depth) if inv.tv_lambda is None else inv.tv_lambda
     print(f"inversion: depth={depth} lambda={lam} rounds={len(res.history)} "
           f"mse={final_mse:.4f}")
     return 0
@@ -277,24 +291,19 @@ def cmd_attack_labels(cfg: dict) -> int:
 
 
 def cmd_report(cfg: dict) -> int:
-    depths = [int(d) for d in str(cfg["depths"]).split(",") if d]
-    train = load_dataset(cfg, "train")
-    test = load_dataset(cfg, "test")
-    lam = None if cfg["lambda"] < 0 else cfg["lambda"]
+    try:
+        depths = [int(d) for d in cfg["depths"].split(",") if d]
+    except ValueError:
+        raise ConfigError(f"depths must be comma-separated integers, "
+                          f"got {cfg['depths']!r}") from None
     sweep = SweepConfig(
-        arch=cfg["arch"], depths=depths, topology=cfg["topology"],
-        seed=cfg["seed"], optimizer=cfg["optimizer"], lr=cfg["lr"],
-        batch_size=cfg["batch_size"], epochs=cfg["epochs"],
-        train_subset=cfg["train_subset"],
-        sample_per_class=cfg["sample_per_class"],
-        label_tail_depth=cfg["tail_depth"], label_samples=cfg["samples"],
-        inversion=InversionConfig(
-            tv_lambda=lam, input_steps=cfg["input_steps"],
-            model_steps=cfg["model_steps"], max_rounds=cfg["rounds"],
-            seed=cfg["seed"],
-        ),
+        session=session_config(cfg), depths=depths,
+        train_subset=cfg["train_subset"], sample_per_class=cfg["sample_per_class"],
+        label_samples=cfg["samples"], inversion=inversion_config(cfg),
         out_dir=cfg["out_dir"],
     )
+    train = load_dataset(cfg, "train")
+    test = load_dataset(cfg, "test")
     rows = run_depth_sweep(sweep, train, test)
     print(f"report: wrote {len(rows)} new rows to "
           f"{os.path.join(cfg['out_dir'], 'report.csv')}")
@@ -304,33 +313,12 @@ def cmd_report(cfg: dict) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="splitlab")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("train", "attack-invert", "attack-labels", "report"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--dataset", choices=sorted(DATASET_ARCH))
-        p.add_argument("--data-dir", dest="data_dir")
-        p.add_argument("--arch")
-        p.add_argument("--split-depth", dest="split_depth", type=int)
-        p.add_argument("--topology", choices=["label_sharing", "server_data",
-                                              "client_labels"])
-        p.add_argument("--transport")
-        p.add_argument("--role", choices=["client", "server", "both"])
-        p.add_argument("--seed", type=int)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--optimizer", choices=["sgd", "adam"])
-        p.add_argument("--tail-depth", dest="tail_depth", type=int)
-        p.add_argument("--lambda", dest="lambda", type=float)
-        p.add_argument("--input-steps", dest="input_steps", type=int)
-        p.add_argument("--model-steps", dest="model_steps", type=int)
-        p.add_argument("--rounds", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--train-subset", dest="train_subset", type=int)
-        p.add_argument("--sample-per-class", dest="sample_per_class", type=int)
-        p.add_argument("--depths")
-        p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--checkpoint")
+        p.add_argument("--config", help="key=value config file")
+        for key, default in DEFAULTS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                           choices=CHOICES.get(key))
     return parser
 
 

@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -132,6 +132,8 @@ def label_inference_accuracy(
     inference probes the candidates with its own freshly initialized
     clone, matching the attack's per-step random restart.
     """
+    if n_samples < 1:
+        raise ConfigError(f"label inference needs at least one sample, got {n_samples}")
     k = tail_start_index(model, tail_depth)
     prefix = LayerStack(model.layers[:k])
     true_tail = LayerStack(model.layers[k:])
@@ -171,17 +173,10 @@ def epoch_attack_curve(
 
 @dataclass
 class SweepConfig:
-    arch: str = "tiny8"
+    session: SessionConfig = field(default_factory=SessionConfig)  # split at each depth
     depths: list[int] = field(default_factory=lambda: [1, 2, 3])
-    topology: str = "label_sharing"
-    seed: int = 0
-    optimizer: str = "adam"
-    lr: float = 0.001
-    batch_size: int = 64
-    epochs: int = 2
     train_subset: int = 1000
     sample_per_class: int = 1
-    label_tail_depth: int = 1
     label_samples: int = 50
     head_epochs: int = 2
     inversion: InversionConfig = field(default_factory=InversionConfig)
@@ -238,13 +233,15 @@ class ReportWriter:
 
 def run_depth_sweep(sweep: SweepConfig, train_ds: Dataset,
                     test_ds: Dataset) -> list[SweepRow]:
-    """Run the full before/after attack grid over the configured depths."""
-    if sweep.topology == "server_data":
+    """Run the full before/after attack grid over the configured depths.
+    Each depth trains ``sweep.session`` split at that depth."""
+    session = sweep.session
+    if session.topology == "server_data":
         raise ConfigError("the depth sweep inverts the client's first layers; "
                           "in server_data the server holds them")
     chash = sweep.config_hash()
     writer = ReportWriter(os.path.join(sweep.out_dir, "report.csv"))
-    sample = sample_class_balanced(test_ds, sweep.sample_per_class, sweep.seed)
+    sample = sample_class_balanced(test_ds, sweep.sample_per_class, session.seed)
     subset = train_ds.subset(
         np.arange(min(sweep.train_subset, len(train_ds)))
     )
@@ -255,15 +252,15 @@ def run_depth_sweep(sweep: SweepConfig, train_ds: Dataset,
         # --- untrained client ---------------------------------------------
         if not writer.has(train_ds.name, depth, 0, chash):
             t0 = time.monotonic()
-            model0 = build_net(sweep.arch, seed=sweep.seed, split_depth=depth)
+            model0 = build_net(session.arch, seed=session.seed, split_depth=depth)
             f1_0, _ = split_at(model0, depth)
             entries = snapshot_tap(f1_0, sample.images)
-            res = unsplit_invert(entries, sweep.arch, depth, sweep.inversion,
+            res = unsplit_invert(entries, session.arch, depth, sweep.inversion,
                                  ground_truth=sample.images)
             _dump_pair(sample.images, res.x_est, os.path.join(img_dir, "before"))
             row = SweepRow(train_ds.name, depth, 0,
                            mse_before=mse_images(res.x_est, sample.images),
-                           seconds=time.monotonic() - t0, seed=sweep.seed,
+                           seconds=time.monotonic() - t0, seed=session.seed,
                            config_hash=chash)
             writer.append(row)
             rows.append(row)
@@ -272,31 +269,26 @@ def run_depth_sweep(sweep: SweepConfig, train_ds: Dataset,
         if writer.has(train_ds.name, depth, 1, chash):
             continue
         t0 = time.monotonic()
-        cfg = SessionConfig(
-            arch=sweep.arch, split_depth=depth, topology=sweep.topology,
-            seed=sweep.seed, optimizer=sweep.optimizer, lr=sweep.lr,
-            batch_size=sweep.batch_size, epochs=sweep.epochs,
-        )
         # The model holds every trained layer, whichever role trained it.
-        model, _, client, _ = train_local(cfg, subset.images, subset.labels)
+        model, _, client, _ = train_local(replace(session, split_depth=depth),
+                                          subset.images, subset.labels)
         orig_acc = tail_accuracy(model, test_ds.images, test_ds.labels)
         entries = snapshot_tap(client.head, sample.images)
-        res = unsplit_invert(entries, sweep.arch, depth, sweep.inversion,
+        res = unsplit_invert(entries, session.arch, depth, sweep.inversion,
                              ground_truth=sample.images)
         _dump_pair(sample.images, res.x_est, os.path.join(img_dir, "after"))
         clone_acc = stitch_and_train_head(
-            res.clone, sweep.arch, depth, subset, test_ds,
-            epochs=sweep.head_epochs, lr=sweep.lr, optimizer=sweep.optimizer,
-            batch_size=sweep.batch_size, seed=sweep.seed,
+            res.clone, session.arch, depth, subset, test_ds, epochs=sweep.head_epochs,
+            lr=session.lr, optimizer=session.optimizer, batch_size=session.batch_size,
+            seed=session.seed,
         )
-        label_acc = label_inference_accuracy(
-            model, subset, sweep.label_tail_depth, sweep.label_samples, sweep.seed
-        )
+        label_acc = label_inference_accuracy(model, subset, session.tail_depth,
+                                             sweep.label_samples, session.seed)
         row = SweepRow(train_ds.name, depth, 1,
                        mse_after=mse_images(res.x_est, sample.images),
                        clone_acc=clone_acc, orig_acc=orig_acc,
                        label_inf_acc=label_acc,
-                       seconds=time.monotonic() - t0, seed=sweep.seed,
+                       seconds=time.monotonic() - t0, seed=session.seed,
                        config_hash=chash)
         writer.append(row)
         rows.append(row)

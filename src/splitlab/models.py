@@ -42,10 +42,6 @@ class SplitModel(LayerStack):
         self.step_count = 0
 
     @property
-    def input_shape(self) -> tuple[int, int, int]:
-        return ARCHS[self.arch].input_shape
-
-    @property
     def num_classes(self) -> int:
         return ARCHS[self.arch].num_classes
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from .autograd import Tensor, backward, cross_entropy
 from .data import epoch_batches
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 
 class Optimizer:
@@ -73,13 +73,13 @@ class Adam(Optimizer):
             p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
+OPTIMIZERS = {"sgd": SGD, "adam": Adam}
+
+
 def make_optimizer(kind: str, params: list[Tensor], lr: float) -> Optimizer:
-    kind = kind.lower()
-    if kind == "sgd":
-        return SGD(params, lr)
-    if kind == "adam":
-        return Adam(params, lr)
-    raise ValueError(f"unknown optimizer kind: {kind!r}")
+    if kind not in OPTIMIZERS:
+        raise ConfigError(f"unknown optimizer {kind!r}")
+    return OPTIMIZERS[kind](params, lr)
 
 
 def fit_epoch(stack, opt: Optimizer, inputs: np.ndarray, labels: np.ndarray,

@@ -37,7 +37,7 @@ from .data import epoch_batches, epoch_order  # noqa: F401  (re-exported)
 from .errors import ConfigError, ProtocolError
 from .layers import LayerStack
 from .models import ARCHS, SplitModel, build_net, split_at, split_three, tail_start_index
-from .optim import Optimizer, fit_epoch, make_optimizer
+from .optim import OPTIMIZERS, Optimizer, fit_epoch, make_optimizer
 from .transport import Transport
 from .wire import MsgType
 
@@ -61,7 +61,7 @@ class SessionConfig:
             raise ConfigError(f"unknown architecture {self.arch!r}")
         if self.topology not in TOPOLOGIES:
             raise ConfigError(f"unknown topology {self.topology!r}")
-        if self.optimizer not in ("sgd", "adam"):
+        if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.batch_size < 1 or self.epochs < 0 or self.lr <= 0:
             raise ConfigError("batch_size >= 1, epochs >= 0, lr > 0 required")
@@ -121,6 +121,8 @@ def loss_forward_backward(
         raise ProtocolError(f"activations {np.shape(smashed)} for {labels.size} labels")
     sm = Tensor(smashed, requires_grad=True)
     probs = part.forward(sm)
+    if labels.max(initial=0) >= probs.data.shape[1]:
+        raise ProtocolError(f"label {labels.max()} for {probs.data.shape[1]} classes")
     loss = cross_entropy(probs, labels)
     for p in part.params():
         p.grad = None

@@ -127,10 +127,10 @@ def decode_labels(buf: bytes) -> np.ndarray:
     arr, offset = decode_tensor(buf)
     if offset != len(buf) or arr.ndim != 1:
         raise ProtocolError("malformed labels payload")
-    lab = arr.astype(np.int64)
-    if not np.array_equal(lab.astype(np.float32), arr):
-        raise ProtocolError("labels payload holds non-integer values")
-    return lab
+    # Checked before any cast: NaN, inf and huge values do not cast cleanly.
+    if not np.all((arr >= 0) & (arr < 2**24) & (arr == np.floor(arr))):
+        raise ProtocolError("labels payload holds values that are not class indices")
+    return arr.astype(np.int64)
 
 
 def encode_scalar(value: float) -> bytes:

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, artifacts, config file plus flag precedence,
 and a TCP end-to-end run. Commands run in-process through main()."""
 
+import argparse
 import csv
 import json
 import os
@@ -8,7 +9,7 @@ import threading
 
 import pytest
 
-from splitlab.cli import main
+from splitlab.cli import DEFAULTS, build_parser, effective_config, main
 
 from helpers import parse_pnm
 
@@ -126,6 +127,34 @@ class TestConfigHandling:
         cfg.write_text("epochs\n")
         assert run(["train", "--config", str(cfg)]) == 2
 
+    LABELS = ["attack-labels", "--topology", "server_data", "--batch-size", "1"]
+
+    @pytest.mark.parametrize("argv,config", [
+        (["train"], "epochs = abc\n"),
+        (["train", "--seed", "-1"], None),
+        (["report", "--depths", "1", "--sample-per-class", "-1"], None),
+        ([*LABELS, "--samples", "-3"], None),
+        (["report", "--depths", "1,x"], None),
+        ([*LABELS, "--samples", "0"], None),
+        (["train", "--lr", "nan"], None),
+    ], ids=["file-epochs-abc", "seed-neg", "sample-per-class-neg", "samples-neg",
+            "depths-x", "labels-samples-0", "lr-nan"])
+    def test_malformed_value_is_config_error(self, tmp_path, argv, config):
+        extra = ["--out-dir", str(tmp_path / "out")]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            extra += ["--config", str(tmp_path / "run.cfg")]
+        assert run([*argv, "--dataset", "synth", *extra]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_of_defaults_changes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SPLITLAB_DATA_DIR", raising=False)
+        path = tmp_path / "defaults.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in DEFAULTS.items()))
+        parser = build_parser()
+        from_file = effective_config(parser.parse_args(["train", "--config", str(path)]))
+        assert from_file == effective_config(parser.parse_args(["train"]))
+
     def test_missing_dataset_files_is_io_error(self, tmp_path):
         assert run(["train", "--dataset", "mnist",
                     "--data-dir", str(tmp_path / "empty"),
@@ -208,3 +237,44 @@ class TestReport:
         assert run(["report", "--dataset", "synth", "--topology", "server_data",
                     "--depths", "1", "--out-dir", str(out)]) == 2
         assert not (out / "report.csv").exists()
+
+
+# Every subcommand's options, as the hand-written parser declared them:
+# (flag, dest, type, choices). A flag without a type parses as str.
+OPTIONS = [
+    ("--config", "config", str, None),
+    ("--dataset", "dataset", str, ["cifar", "fmnist", "mnist", "synth"]),
+    ("--data-dir", "data_dir", str, None),
+    ("--arch", "arch", str, None),
+    ("--split-depth", "split_depth", int, None),
+    ("--topology", "topology", str, ["label_sharing", "server_data", "client_labels"]),
+    ("--transport", "transport", str, None),
+    ("--role", "role", str, ["client", "server", "both"]),
+    ("--seed", "seed", int, None),
+    ("--epochs", "epochs", int, None),
+    ("--batch-size", "batch_size", int, None),
+    ("--lr", "lr", float, None),
+    ("--optimizer", "optimizer", str, ["sgd", "adam"]),
+    ("--tail-depth", "tail_depth", int, None),
+    ("--lambda", "lambda", float, None),
+    ("--input-steps", "input_steps", int, None),
+    ("--model-steps", "model_steps", int, None),
+    ("--rounds", "rounds", int, None),
+    ("--samples", "samples", int, None),
+    ("--train-subset", "train_subset", int, None),
+    ("--sample-per-class", "sample_per_class", int, None),
+    ("--depths", "depths", str, None),
+    ("--out-dir", "out_dir", str, None),
+    ("--checkpoint", "checkpoint", str, None),
+]
+
+
+def test_parser_surface_pinned():
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == ["train", "attack-invert", "attack-labels", "report"]
+    for name, parser in sub.choices.items():
+        got = [(a.option_strings[0], a.dest, a.type or str,
+                None if a.choices is None else list(a.choices))
+               for a in parser._actions if a.dest != "help"]
+        assert got == OPTIONS, name

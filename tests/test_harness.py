@@ -21,6 +21,7 @@ from splitlab.harness import (
     dump_image,
     epoch_attack_curve,
     image_grid,
+    label_inference_accuracy,
     mse_images,
     run_depth_sweep,
     snapshot_tap,
@@ -169,10 +170,11 @@ class TestReportWriter:
 
 
 class TestSweep:
-    def small_sweep(self, tmp_path, seed=0):
+    def small_sweep(self, tmp_path, **session):
         return SweepConfig(
-            arch="tiny8", depths=[1], seed=seed, epochs=1, train_subset=64,
-            sample_per_class=1, label_samples=5, head_epochs=1,
+            session=SessionConfig(arch="tiny8", epochs=1, **session),
+            depths=[1], train_subset=64, sample_per_class=1, label_samples=5,
+            head_epochs=1,
             inversion=InversionConfig(input_steps=5, model_steps=5,
                                       max_rounds=2, plateau_rounds=3),
             out_dir=str(tmp_path / "out"),
@@ -182,7 +184,7 @@ class TestSweep:
         a = self.small_sweep(tmp_path)
         b = self.small_sweep(tmp_path)
         assert a.config_hash() == b.config_hash()
-        b.epochs = 2
+        b.session.epochs = 2
         assert a.config_hash() != b.config_hash()
 
     def test_end_to_end_and_resume(self, tmp_path):
@@ -206,8 +208,8 @@ class TestSweep:
             assert len(list(csv.DictReader(fh))) == 2
 
     def test_client_labels_rows_measure_the_trained_model(self, tmp_path):
-        sweep = self.small_sweep(tmp_path)
-        sweep.topology, sweep.batch_size, sweep.train_subset = "client_labels", 8, 128
+        sweep = self.small_sweep(tmp_path, topology="client_labels", batch_size=8)
+        sweep.train_subset = 128
         train = synth_dataset(128, (1, 8, 8), seed=0)
         test = synth_dataset(64, (1, 8, 8), seed=0, split="test")
         rows = run_depth_sweep(sweep, train, test)
@@ -215,3 +217,16 @@ class TestSweep:
                             seed=0, batch_size=8, epochs=1).validate()
         model, _, _, _ = train_local(cfg, train.images, train.labels)
         assert rows[1].orig_acc == tail_accuracy(model, test.images, test.labels)
+
+    def test_client_labels_rows_train_the_attacked_tail(self, tmp_path):
+        sweep = self.small_sweep(tmp_path, topology="client_labels", batch_size=8,
+                                 tail_depth=2)
+        sweep.train_subset = 128
+        train = synth_dataset(128, (1, 8, 8), seed=0)
+        test = synth_dataset(64, (1, 8, 8), seed=0, split="test")
+        rows = run_depth_sweep(sweep, train, test)
+        cfg = SessionConfig(arch="tiny8", split_depth=1, topology="client_labels",
+                            seed=0, batch_size=8, epochs=1, tail_depth=2).validate()
+        model, _, _, _ = train_local(cfg, train.images, train.labels)
+        assert rows[1].orig_acc == tail_accuracy(model, test.images, test.labels)
+        assert rows[1].label_inf_acc == label_inference_accuracy(model, train, 2, 5, 0)

@@ -41,8 +41,6 @@ class TestConfig:
             {"input_steps": 0},
             {"model_steps": 0},
             {"max_rounds": 0},
-            {"input_lr": 0.0},
-            {"model_lr": -1.0},
         ],
     )
     def test_bad_values_rejected(self, kw):
@@ -124,12 +122,11 @@ def small_invert(lam, rounds=15, seed=0, steps=20, ground_truth=None,
         x = synth_dataset(4, (1, 8, 8), seed=4).images
         targets = f1.forward(Tensor(x)).data
         ground_truth = x
-    cfg = InversionConfig(input_steps=steps, model_steps=steps,
+    cfg = InversionConfig(tv_lambda=lam, input_steps=steps, model_steps=steps,
                           max_rounds=rounds, plateau_rounds=rounds + 1,
                           seed=seed)
     clone = make_client_clone("tiny8", 1, seed=99)
-    return invert(targets, clone, (1, 8, 8), cfg,
-                  ground_truth=ground_truth, tv_lambda=lam)
+    return invert(targets, clone, (1, 8, 8), cfg, ground_truth=ground_truth)
 
 
 class TestDescent:
@@ -185,10 +182,10 @@ class TestFailureModes:
         clone = make_client_clone("tiny8", 1, seed=0)
         p = clone.params()[0]
         p.data *= np.float32(1e25)
-        cfg = InversionConfig(input_steps=2, model_steps=2, max_rounds=2)
+        cfg = InversionConfig(tv_lambda=0.1, input_steps=2, model_steps=2,
+                              max_rounds=2)
         with np.errstate(over="ignore"), pytest.raises(NumericError):
-            invert(np.ones((1, 4, 8, 8), np.float32), clone, (1, 8, 8), cfg,
-                   tv_lambda=0.1)
+            invert(np.ones((1, 4, 8, 8), np.float32), clone, (1, 8, 8), cfg)
 
     def test_unsplit_invert_needs_entries(self):
         with pytest.raises(ConfigError):
@@ -207,10 +204,11 @@ class TestPlateau:
         f1 = true_client(seed=1)
         x = synth_dataset(2, (1, 8, 8), seed=8).images
         targets = f1.forward(Tensor(x)).data
-        cfg = InversionConfig(input_steps=1, model_steps=1, max_rounds=200,
-                              plateau_rel=10.0, plateau_rounds=3, seed=0)
+        cfg = InversionConfig(tv_lambda=0.1, input_steps=1, model_steps=1,
+                              max_rounds=200, plateau_rel=10.0, plateau_rounds=3,
+                              seed=0)
         clone = make_client_clone("tiny8", 1, seed=11)
-        res = invert(targets, clone, (1, 8, 8), cfg, tv_lambda=0.1)
+        res = invert(targets, clone, (1, 8, 8), cfg)
         assert len(res.history) < cfg.max_rounds
         assert len(res.history) <= cfg.plateau_rounds + 1
 

@@ -317,6 +317,30 @@ class TestWireSessions:
                 run_server(st, cfg)
             th.join(timeout=5)
 
+    def test_out_of_range_labels_are_protocol_error(self, synth):
+        cfg = small_cfg()
+        ct, st = inproc_pair(timeout=5)
+        smashed = split_at(build_net("tiny8", seed=0), 2)[0].forward(
+            Tensor(synth.images[:2])).data
+
+        def rogue_client():  # honest handshake and activations, label 11 of 10
+            from splitlab import wire
+
+            ct.send(MsgType.HELLO, wire.encode_hello())
+            ct.recv()  # HELLO back
+            ct.send(MsgType.CONFIG, wire.encode_json({**cfg.to_dict(), "examples": 2}))
+            ct.recv()  # ACK
+            ct.send(MsgType.SMASHED, wire.encode_tensor(smashed))
+            ct.send(MsgType.LABELS, wire.encode_labels(np.array([11, 3])))
+
+        th = threading.Thread(target=rogue_client, daemon=True)
+        with ct, st:
+            th.start()
+            with pytest.raises(ProtocolError, match="label 11 for 10 classes"):
+                run_server(st, cfg)
+            th.join(timeout=5)
+        assert not th.is_alive()
+
     def test_config_mismatch_handshake(self, synth):
         ct, st = inproc_pair()
         cfg_a, cfg_b = small_cfg(seed=1), small_cfg(seed=2)

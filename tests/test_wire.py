@@ -1,5 +1,7 @@
 """Wire codec round trips and malformed-input behaviour."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,14 @@ class TestScalarAndLabels:
         buf = wire.encode_tensor(np.array([1.5], dtype=np.float32))
         with pytest.raises(ProtocolError):
             wire.decode_labels(buf)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0, 1e30])
+    def test_labels_reject_non_class_values(self, value):
+        buf = wire.encode_tensor(np.array([value, 3], dtype=np.float32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProtocolError):
+                wire.decode_labels(buf)
 
     def test_labels_reject_matrix(self):
         buf = wire.encode_tensor(np.zeros((2, 2), dtype=np.float32))
