@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
@@ -28,12 +28,6 @@ from .layers import LayerStack
 from .models import SplitModel, build_net, split_at, tail_start_index
 from .optim import fit_epoch, make_optimizer
 from .protocol import SessionConfig, TapEntry, build_parts, train_local, train_step
-
-CSV_FIELDS = [
-    "dataset", "depth", "trained", "mse_before", "mse_after", "clone_acc",
-    "orig_acc", "label_inf_acc", "seconds", "seed", "config_hash",
-]
-
 
 def mse_images(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
@@ -200,6 +194,9 @@ class SweepRow:
     seconds: float = 0.0
     seed: int = 0
     config_hash: str = ""
+
+
+CSV_FIELDS = [f.name for f in fields(SweepRow)]
 
 
 class ReportWriter:

@@ -1,8 +1,12 @@
-"""Primitive layer descriptors chained into networks.
+"""Primitive layers chained into networks.
 
-Each layer knows how to run its forward through the autograd ops, which
-parameter tensors it owns, and what output shape it produces for a given
-input shape (used for early shape validation and split bookkeeping).
+A layer names its autograd op by ``kind`` and owns its parameters, if
+any. Shape rules live only in the ops: each op checks its input and
+computes its output shape, so a layer states neither.
+
+Ops are looked up on ``autograd`` at every call, never bound at import,
+so that a function patched onto the module (a tracer's span wrapper,
+say) is the one that runs.
 """
 
 from __future__ import annotations
@@ -15,36 +19,41 @@ from .errors import ShapeError
 
 
 class Layer:
+    """A parameter-free layer: ``forward`` applies ``autograd.<kind>``."""
+
     kind = "layer"
 
     def forward(self, x: Tensor) -> Tensor:
-        raise NotImplementedError
+        return getattr(ag, self.kind)(x)
 
     def params(self) -> list[Tensor]:
-        return []
-
-    def param_names(self) -> list[str]:
         return []
 
     def init(self, rng: np.random.Generator) -> None:
         pass
 
-    def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        return self.kind
-
     def __repr__(self) -> str:
-        return f"<{self.describe()}>"
+        return f"<{self.kind}>"
 
 
-def _fanin_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+class Weighted(Layer):
+    """A layer with a ``weight`` and a ``bias``, both drawn uniform in
+    ±1/sqrt(fan-in), weight first."""
+
+    def __init__(self, weight_shape: tuple[int, ...]):
+        self.weight = Tensor(np.zeros(weight_shape, dtype=np.float32), requires_grad=True)
+        self.bias = Tensor(np.zeros(weight_shape[0], dtype=np.float32), requires_grad=True)
+
+    def params(self) -> list[Tensor]:
+        return [self.weight, self.bias]
+
+    def init(self, rng: np.random.Generator) -> None:
+        bound = 1.0 / np.sqrt(self.weight.data[0].size)
+        for p in self.params():
+            p.data = rng.uniform(-bound, bound, size=p.data.shape).astype(np.float32)
 
 
-class Conv2d(Layer):
+class Conv2d(Weighted):
     """Stride-1 convolution with zero padding preserving spatial dims."""
 
     kind = "conv2d"
@@ -52,132 +61,41 @@ class Conv2d(Layer):
     def __init__(self, in_ch: int, out_ch: int, kernel: int = 3):
         if kernel % 2 == 0:
             raise ShapeError(f"conv2d kernel must be odd to preserve dims, got {kernel}")
-        self.in_ch = in_ch
-        self.out_ch = out_ch
-        self.kernel = kernel
+        super().__init__((out_ch, in_ch, kernel, kernel))
         self.padding = (kernel - 1) // 2
-        self.weight = Tensor(
-            np.zeros((out_ch, in_ch, kernel, kernel), dtype=np.float32),
-            requires_grad=True,
-        )
-        self.bias = Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True)
-
-    def init(self, rng):
-        fan_in = self.in_ch * self.kernel * self.kernel
-        self.weight.data = _fanin_uniform(rng, self.weight.data.shape, fan_in)
-        self.bias.data = _fanin_uniform(rng, self.bias.data.shape, fan_in)
 
     def forward(self, x):
         return ag.conv2d(x, self.weight, self.bias, self.padding)
 
-    def params(self):
-        return [self.weight, self.bias]
 
-    def param_names(self):
-        return ["weight", "bias"]
-
-    def out_shape(self, shape):
-        n, c, h, w = shape
-        if c != self.in_ch:
-            raise ShapeError(f"conv2d: expected {self.in_ch} channels, got shape {shape}")
-        return (n, self.out_ch, h, w)
-
-    def describe(self):
-        return f"conv2d({self.in_ch}->{self.out_ch}, {self.kernel}x{self.kernel})"
-
-
-class FullyConnected(Layer):
+class FullyConnected(Weighted):
     kind = "fc"
 
     def __init__(self, in_features: int, out_features: int):
-        self.in_features = in_features
-        self.out_features = out_features
-        self.weight = Tensor(
-            np.zeros((out_features, in_features), dtype=np.float32), requires_grad=True
-        )
-        self.bias = Tensor(np.zeros(out_features, dtype=np.float32), requires_grad=True)
-
-    def init(self, rng):
-        self.weight.data = _fanin_uniform(rng, self.weight.data.shape, self.in_features)
-        self.bias.data = _fanin_uniform(rng, self.bias.data.shape, self.in_features)
+        super().__init__((out_features, in_features))
 
     def forward(self, x):
         return ag.linear(x, self.weight, self.bias)
-
-    def params(self):
-        return [self.weight, self.bias]
-
-    def param_names(self):
-        return ["weight", "bias"]
-
-    def out_shape(self, shape):
-        if len(shape) != 2 or shape[1] != self.in_features:
-            raise ShapeError(
-                f"fc: expected (N, {self.in_features}), got shape {shape}"
-            )
-        return (shape[0], self.out_features)
-
-    def describe(self):
-        return f"fc({self.in_features}->{self.out_features})"
 
 
 class ReLU(Layer):
     kind = "relu"
 
-    def forward(self, x):
-        return ag.relu(x)
-
-    def out_shape(self, shape):
-        return shape
-
 
 class Sigmoid(Layer):
     kind = "sigmoid"
-
-    def forward(self, x):
-        return ag.sigmoid(x)
-
-    def out_shape(self, shape):
-        return shape
 
 
 class MaxPool2x2(Layer):
     kind = "maxpool2x2"
 
-    def forward(self, x):
-        return ag.maxpool2x2(x)
-
-    def out_shape(self, shape):
-        n, c, h, w = shape
-        if h % 2 or w % 2:
-            raise ShapeError(f"maxpool2x2: odd spatial dims in shape {shape}")
-        return (n, c, h // 2, w // 2)
-
 
 class Flatten(Layer):
     kind = "flatten"
 
-    def forward(self, x):
-        return ag.flatten(x)
-
-    def out_shape(self, shape):
-        n = shape[0]
-        size = 1
-        for d in shape[1:]:
-            size *= d
-        return (n, size)
-
 
 class Softmax(Layer):
     kind = "softmax"
-
-    def forward(self, x):
-        return ag.softmax(x)
-
-    def out_shape(self, shape):
-        if len(shape) != 2:
-            raise ShapeError(f"softmax: expected 2-d shape, got {shape}")
-        return shape
 
 
 class LayerStack:
@@ -200,14 +118,9 @@ class LayerStack:
     def named_params(self) -> list[tuple[str, Tensor]]:
         out = []
         for i, layer in enumerate(self.layers):
-            for name, p in zip(layer.param_names(), layer.params()):
+            for name, p in zip(("weight", "bias"), layer.params()):
                 out.append((f"{i}.{name}", p))
         return out
-
-    def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
-        for layer in self.layers:
-            shape = layer.out_shape(shape)
-        return shape
 
     def __len__(self) -> int:
         return len(self.layers)

@@ -45,9 +45,6 @@ class SplitModel(LayerStack):
     def num_classes(self) -> int:
         return ARCHS[self.arch].num_classes
 
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self.params())
-
 
 def _mnist_layers() -> list[Layer]:
     return [
@@ -131,10 +128,7 @@ def build_net(arch: str, seed: int = 0, split_depth: int = 1) -> SplitModel:
     rng = np.random.default_rng(seed)
     for layer in layers:
         layer.init(rng)
-    model = SplitModel(layers, arch, seed, split_depth)
-    # Fail fast if the layer list is not shape-consistent.
-    model.out_shape((1, *ARCHS[arch].input_shape))
-    return model
+    return SplitModel(layers, arch, seed, split_depth)
 
 
 def split_at(model: SplitModel, depth: int) -> tuple[LayerStack, LayerStack]:

@@ -11,7 +11,8 @@ Tensor payload encoding, used by SMASHED / LABELS / GRAD / LOSS:
 Tensors are self-delimiting, so a payload may carry several back to back
 (a GRAD message carries the cut gradient first, optionally followed by
 client-side parameter gradients). Decoding is exact: the f32 bits on the
-wire are the f32 bits in memory.
+wire are the f32 bits in memory. A peer's NaN or infinity is rejected at
+decode, before it reaches any arithmetic.
 """
 
 from __future__ import annotations
@@ -103,6 +104,8 @@ def decode_tensor(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
             f"tensor payload truncated: dims {dims} need {need} data bytes"
         )
     arr = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
+    if not np.isfinite(arr).all():
+        raise ProtocolError("tensor payload holds NaN or infinite values")
     offset += need
     return arr.reshape(dims).copy(), offset
 
@@ -112,6 +115,8 @@ def encode_tensor_list(arrays) -> bytes:
 
 
 def decode_tensor_list(buf: bytes) -> list[np.ndarray]:
+    if not buf:  # no message carries an empty list
+        raise ProtocolError("empty tensor list payload")
     out, offset = [], 0
     while offset < len(buf):
         arr, offset = decode_tensor(buf, offset)

@@ -62,7 +62,8 @@ def test_size_formula(ckpt):
     per_tensor_meta = sum(
         2 + len(name) + 1 + 4 * p.data.ndim for name, p in model.named_params()
     )
-    assert len(raw) == header + per_tensor_meta + 4 * model.param_count()
+    data = 4 * sum(p.data.size for p in model.params())
+    assert len(raw) == header + per_tensor_meta + data
 
 
 def test_bad_magic_rejected(ckpt):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from splitlab import autograd as ag
-from splitlab import protocol
+from splitlab import protocol, wire
 from splitlab.autograd import Tensor
 from splitlab.data import load_idx, synth_dataset
 from splitlab.errors import ConfigError, ProtocolError
@@ -401,6 +401,71 @@ class TestWireSessions:
                 run_client(ct, cfg, None, synth.labels)
             th.join(timeout=5)
         assert not th.is_alive()
+
+    @staticmethod
+    def _serve_rogue(monkeypatch, cfg, rogue, images=None):
+        """Run ``run_server`` against ``rogue(transport)`` after an honest
+        client handshake; returns the server's model once it has raised
+        ``ProtocolError``."""
+        built = []
+
+        def spy(*args):
+            built.append(build_parts(*args))
+            return built[-1]
+
+        monkeypatch.setattr(protocol, "build_parts", spy)
+        ct, st = inproc_pair(timeout=5)
+
+        def client():
+            try:
+                ct.send(MsgType.HELLO, wire.encode_hello())
+                ct.recv()  # HELLO back
+                ct.send(MsgType.CONFIG, wire.encode_json({**cfg.to_dict(), "examples": 8}))
+                ct.recv()  # ACK
+                rogue(ct)
+            except (ProtocolError, OSError):
+                pass  # the server has given up on us
+
+        th = threading.Thread(target=client, daemon=True)
+        with ct, st:
+            th.start()
+            with pytest.raises(ProtocolError) as info:
+                run_server(st, cfg, images)
+            th.join(timeout=5)
+        assert not th.is_alive()
+        return built[0][0], info.value
+
+    @pytest.mark.parametrize("bad", ["grad", "loss"])
+    def test_non_finite_values_are_protocol_error(self, monkeypatch, bad):
+        cfg = small_cfg(topology="client_labels")
+
+        def rogue(ct):  # client_labels: honest cut activations, then NaN
+            ct.send(MsgType.SMASHED, wire.encode_tensor(np.zeros((8, 4, 4, 4))))
+            ct.recv()  # the server's activations
+            g2 = np.full((8, 32), np.nan if bad == "grad" else 0.0)
+            ct.send(MsgType.GRAD, wire.encode_tensor_list(
+                [g2, np.zeros((10, 32)), np.zeros(10)]))
+            ct.send(MsgType.LOSS, wire.encode_scalar(np.nan if bad == "loss" else 2.3))
+
+        model, exc = self._serve_rogue(monkeypatch, cfg, rogue)
+        assert "NaN or infinite" in str(exc)
+        assert all(np.isfinite(p.data).all() for p in model.params())
+
+    @pytest.mark.parametrize("topology", ["server_data", "client_labels"])
+    def test_empty_grad_is_protocol_error(self, synth, monkeypatch, topology):
+        cfg = small_cfg(topology=topology)
+
+        def rogue(ct):
+            if topology == "client_labels":
+                ct.send(MsgType.SMASHED, wire.encode_tensor(np.zeros((8, 4, 4, 4))))
+            ct.recv()  # the server's activations
+            ct.send(MsgType.GRAD, wire.encode_tensor_list([]))
+            ct.send(MsgType.LOSS, wire.encode_scalar(2.3))
+
+        images = synth.images[:8] if topology == "server_data" else None
+        model, exc = self._serve_rogue(monkeypatch, cfg, rogue, images)
+        assert "empty tensor list" in str(exc)
+        assert all(np.isfinite(p.data).all() for p in model.params())
 
     def test_session_names_a_stalled_role(self, synth, monkeypatch):
         monkeypatch.setattr(protocol, "SESSION_TIMEOUT", 0.5)

@@ -91,10 +91,25 @@ class TestTensorCodec:
         with pytest.raises(ProtocolError):
             wire.decode_tensor(b"")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        buf = wire.encode_tensor(np.array([1.0, value, 2.0], dtype=np.float32))
+        with pytest.raises(ProtocolError, match="NaN or infinite"):
+            wire.decode_tensor(buf)
+
+    def test_tensor_list_rejects_empty_payload(self):
+        with pytest.raises(ProtocolError, match="empty"):
+            wire.decode_tensor_list(b"")
+
 
 class TestScalarAndLabels:
     def test_scalar_round_trip(self):
         assert wire.decode_scalar(wire.encode_scalar(2.5)) == 2.5
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_scalar_rejects_non_finite(self, value):
+        with pytest.raises(ProtocolError, match="NaN or infinite"):
+            wire.decode_scalar(wire.encode_scalar(value))
 
     def test_scalar_rejects_vector(self):
         with pytest.raises(ProtocolError):
