@@ -49,7 +49,7 @@ class InversionConfig:
     tv_lambda: float | None = None  # None -> default_tv_lambda(depth)
     input_steps: int = 100
     model_steps: int = 100
-    max_rounds: int = 1000
+    max_rounds: int = 20
     plateau_rel: float = 1e-4
     plateau_rounds: int = 5
     seed: int = 0

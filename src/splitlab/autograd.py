@@ -14,6 +14,7 @@ once in reverse topological order and then marks it consumed.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -116,13 +117,12 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def flatten(x: Tensor) -> Tensor:
-    n = x.data.shape[0]
     shape = x.data.shape
 
     def vjp(g):
         return (g.reshape(shape),)
 
-    return _node(x.data.reshape(n, -1), (x,), vjp)
+    return _node(x.data.reshape(shape[0], math.prod(shape[1:])), (x,), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

@@ -48,30 +48,31 @@ from .transport import inproc_pair, tcp_connect, tcp_listen
 DATASET_ARCH = {"synth": "tiny8", "mnist": "mnist", "fmnist": "mnist", "cifar": "cifar"}
 
 # Every run knob: its config-file key, its --flag (underscores become
-# dashes) and its type, which is the type of its default.
+# dashes) and its type, which is the type of its default. A knob that
+# sets a library field takes that field's default.
 DEFAULTS = {
     "dataset": "synth",
     "data_dir": "data",
     "arch": "",  # derived from dataset when empty
-    "split_depth": 1,
-    "topology": "label_sharing",
+    "split_depth": SessionConfig.split_depth,
+    "topology": SessionConfig.topology,
     "transport": "inproc",
     "role": "both",
-    "seed": 0,
-    "epochs": 1,
-    "batch_size": 64,
-    "lr": 0.001,
-    "optimizer": "adam",
-    "tail_depth": 1,
+    "seed": SessionConfig.seed,
+    "epochs": SessionConfig.epochs,
+    "batch_size": SessionConfig.batch_size,
+    "lr": SessionConfig.lr,
+    "optimizer": SessionConfig.optimizer,
+    "tail_depth": SessionConfig.tail_depth,
     "lambda": -1.0,  # <0 -> per-depth default
-    "input_steps": 100,
-    "model_steps": 100,
-    "rounds": 20,
-    "samples": 200,
-    "train_subset": 10000,
-    "sample_per_class": 1,
+    "input_steps": InversionConfig.input_steps,
+    "model_steps": InversionConfig.model_steps,
+    "rounds": InversionConfig.max_rounds,
+    "samples": SweepConfig.label_samples,
+    "train_subset": SweepConfig.train_subset,
+    "sample_per_class": SweepConfig.sample_per_class,
     "depths": "1,2,3",
-    "out_dir": "out",
+    "out_dir": SweepConfig.out_dir,
     "checkpoint": "",
 }
 

@@ -1,10 +1,11 @@
 """Experiment orchestration: metrics, artifact emission, depth sweeps.
 
-A sweep walks (depth, trained-state) cells for one dataset: attack the
-untrained client, train the split model in memory, attack again,
-retrain a head on the stolen clone, and run label inference. Results go
-to an append-only CSV (one flush per row) plus PGM/PPM reconstruction
-grids, keyed by the seed and a hash of the effective configuration.
+A sweep walks (depth, trained-state) cells for one dataset. Each cell
+trains the split model in memory, for zero epochs when untrained, and
+inverts its client head; the trained cell also retrains a head on the
+stolen clone and runs label inference. Results go to an append-only
+CSV (one flush per row) plus PGM/PPM reconstruction grids, keyed by the
+seed and a hash of the effective configuration.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .autograd import Tensor
 from .data import Dataset, epoch_batches, sample_class_balanced
 from .errors import ConfigError, ShapeError
 from .layers import LayerStack
-from .models import SplitModel, build_net, split_at, tail_start_index
+from .models import SplitModel, build_net, tail_start_index
 from .optim import fit_epoch, make_optimizer
 from .protocol import SessionConfig, TapEntry, build_parts, train_local, train_step
 
@@ -93,23 +94,22 @@ def snapshot_tap(client_part: LayerStack, images: np.ndarray) -> list[TapEntry]:
     return entries
 
 
-def stitch_and_train_head(
-    clone_f1: LayerStack, arch: str, depth: int, train_ds: Dataset,
-    test_ds: Dataset, epochs: int = 3, lr: float = 0.001,
-    optimizer: str = "adam", batch_size: int = 64, seed: int = 0,
-) -> float:
-    """Evaluate a stolen client part: freeze it, train a fresh head on top,
-    return test accuracy of the stitched model."""
-    head_donor = build_net(arch, seed=seed + 1)
-    stitched = LayerStack(list(clone_f1.layers) + head_donor.layers[depth:])
+def stitch_and_train_head(clone_f1: LayerStack, cfg: SessionConfig, train_ds: Dataset,
+                          test_ds: Dataset, epochs: int) -> float:
+    """Evaluate a client part stolen from the session ``cfg``: freeze it,
+    train a fresh head of the session's architecture on top with the
+    session's optimizer, lr, batch size and seed, and return the test
+    accuracy of the stitched model."""
+    head_donor = build_net(cfg.arch, seed=cfg.seed + 1)
+    head_layers = head_donor.layers[cfg.split_depth:]
+    stitched = LayerStack(list(clone_f1.layers) + head_layers)
     for p in clone_f1.params():
         p.requires_grad = False
-    head_params = [p for layer in head_donor.layers[depth:] for p in layer.params()]
-    opt = make_optimizer(optimizer, head_params, lr)
+    opt = make_optimizer(cfg.optimizer, LayerStack(head_layers).params(), cfg.lr)
     try:
         for epoch in range(epochs):
             fit_epoch(stitched, opt, train_ds.images, train_ds.labels,
-                      batch_size, seed, epoch)
+                      cfg.batch_size, cfg.seed, epoch)
     finally:
         for p in clone_f1.params():
             p.requires_grad = True
@@ -169,9 +169,9 @@ def epoch_attack_curve(
 class SweepConfig:
     session: SessionConfig = field(default_factory=SessionConfig)  # split at each depth
     depths: list[int] = field(default_factory=lambda: [1, 2, 3])
-    train_subset: int = 1000
+    train_subset: int = 10000
     sample_per_class: int = 1
-    label_samples: int = 50
+    label_samples: int = 200
     head_epochs: int = 2
     inversion: InversionConfig = field(default_factory=InversionConfig)
     out_dir: str = "out"
@@ -245,50 +245,33 @@ def run_depth_sweep(sweep: SweepConfig, train_ds: Dataset,
     rows: list[SweepRow] = []
 
     for depth in sweep.depths:
-        img_dir = os.path.join(sweep.out_dir, train_ds.name, str(depth))
-        # --- untrained client ---------------------------------------------
-        if not writer.has(train_ds.name, depth, 0, chash):
+        for trained in (0, 1):
+            if writer.has(train_ds.name, depth, trained, chash):
+                continue
             t0 = time.monotonic()
-            model0 = build_net(session.arch, seed=session.seed, split_depth=depth)
-            f1_0, _ = split_at(model0, depth)
-            entries = snapshot_tap(f1_0, sample.images)
-            res = unsplit_invert(entries, session.arch, depth, sweep.inversion,
+            # Zero epochs leave the seeded init: the untrained client.
+            cfg = replace(session, split_depth=depth, epochs=session.epochs * trained)
+            # The model holds every trained layer, whichever role trained it.
+            model, _, client, _ = train_local(cfg, subset.images, subset.labels)
+            entries = snapshot_tap(client.head, sample.images)
+            res = unsplit_invert(entries, cfg.arch, depth, sweep.inversion,
                                  ground_truth=sample.images)
-            _dump_pair(sample.images, res.x_est, os.path.join(img_dir, "before"))
-            row = SweepRow(train_ds.name, depth, 0,
-                           mse_before=mse_images(res.x_est, sample.images),
+            _dump_pair(sample.images, res.x_est, os.path.join(
+                sweep.out_dir, train_ds.name, str(depth), ("before", "after")[trained]))
+            mse = mse_images(res.x_est, sample.images)
+            metrics = dict(
+                mse_after=mse,
+                orig_acc=tail_accuracy(model, test_ds.images, test_ds.labels),
+                clone_acc=stitch_and_train_head(res.clone, cfg, subset, test_ds,
+                                                sweep.head_epochs),
+                label_inf_acc=label_inference_accuracy(
+                    model, subset, cfg.tail_depth, sweep.label_samples, cfg.seed),
+            ) if trained else dict(mse_before=mse)
+            row = SweepRow(train_ds.name, depth, trained, **metrics,
                            seconds=time.monotonic() - t0, seed=session.seed,
                            config_hash=chash)
             writer.append(row)
             rows.append(row)
-
-        # --- trained client ------------------------------------------------
-        if writer.has(train_ds.name, depth, 1, chash):
-            continue
-        t0 = time.monotonic()
-        # The model holds every trained layer, whichever role trained it.
-        model, _, client, _ = train_local(replace(session, split_depth=depth),
-                                          subset.images, subset.labels)
-        orig_acc = tail_accuracy(model, test_ds.images, test_ds.labels)
-        entries = snapshot_tap(client.head, sample.images)
-        res = unsplit_invert(entries, session.arch, depth, sweep.inversion,
-                             ground_truth=sample.images)
-        _dump_pair(sample.images, res.x_est, os.path.join(img_dir, "after"))
-        clone_acc = stitch_and_train_head(
-            res.clone, session.arch, depth, subset, test_ds, epochs=sweep.head_epochs,
-            lr=session.lr, optimizer=session.optimizer, batch_size=session.batch_size,
-            seed=session.seed,
-        )
-        label_acc = label_inference_accuracy(model, subset, session.tail_depth,
-                                             sweep.label_samples, session.seed)
-        row = SweepRow(train_ds.name, depth, 1,
-                       mse_after=mse_images(res.x_est, sample.images),
-                       clone_acc=clone_acc, orig_acc=orig_acc,
-                       label_inf_acc=label_acc,
-                       seconds=time.monotonic() - t0, seed=session.seed,
-                       config_hash=chash)
-        writer.append(row)
-        rows.append(row)
     return rows
 
 

@@ -158,23 +158,6 @@ def tail_start_index(model: SplitModel, tail_depth: int) -> int:
     )
 
 
-def split_three(
-    model: SplitModel, depth: int, tail_depth: int = 1
-) -> tuple[LayerStack, LayerStack, LayerStack]:
-    """Three-way partition: client head, server middle, client tail."""
-    tail_at = tail_start_index(model, tail_depth)
-    if not 1 <= depth < tail_at:
-        raise ConfigError(
-            f"split depth {depth} must lie in [1, {tail_at - 1}] for a "
-            f"tail of depth {tail_depth}"
-        )
-    return (
-        LayerStack(model.layers[:depth]),
-        LayerStack(model.layers[depth:tail_at]),
-        LayerStack(model.layers[tail_at:]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # checkpoint serialization
 #

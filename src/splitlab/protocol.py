@@ -36,7 +36,7 @@ from .autograd import Tensor, backward, cross_entropy
 from .data import epoch_batches, epoch_order  # noqa: F401  (re-exported)
 from .errors import ConfigError, ProtocolError
 from .layers import LayerStack
-from .models import ARCHS, SplitModel, build_net, split_at, split_three, tail_start_index
+from .models import ARCHS, SplitModel, build_net, tail_start_index
 from .optim import OPTIMIZERS, Optimizer, fit_epoch, make_optimizer
 from .transport import Transport
 from .wire import MsgType
@@ -155,6 +155,7 @@ class ClientState:
     tail: LayerStack | None = None
     head_opt: Optimizer | None = None
     tail_opt: Optimizer | None = None
+    rows: tuple[int, ...] | None = None  # row shape of the SMASHED it receives
 
 
 @dataclass
@@ -163,6 +164,7 @@ class ServerState:
     opt: Optimizer | None = None
     tap: ServerTap | None = None
     step: int = 0
+    rows: tuple[int, ...] | None = None  # row shape of the SMASHED it receives
 
     def observe(self, smashed: np.ndarray, labels: np.ndarray | None,
                 grad: list[np.ndarray]) -> None:
@@ -174,31 +176,43 @@ class ServerState:
 
 def build_parts(cfg: SessionConfig, model: SplitModel | None = None
                 ) -> tuple[SplitModel, ClientState, ServerState]:
-    """Build the full model and distribute its parts per the topology."""
+    """Build the full model and cut it, in every topology, at ``a`` (the
+    split depth, 0 in server_data) and ``b`` (the tail's start, the end
+    of the net in label_sharing): the client's head is layers [0, a),
+    the server's part [a, b) and the client's tail [b, end). An empty
+    range is None. A role that receives SMASHED gets its cut's row
+    shape, from a zero-row forward as deep as that cut."""
     cfg.validate()
     if model is None:
         model = build_net(cfg.arch, seed=cfg.seed, split_depth=cfg.split_depth)
-    client = ClientState()
-    server = ServerState(tap=None)
+    layers = model.layers
+    a = 0 if cfg.topology == "server_data" else cfg.split_depth
+    b = (len(layers) if cfg.topology == "label_sharing"
+         else tail_start_index(model, cfg.tail_depth))
+    if not (cfg.topology == "server_data" or 1 <= a < b):
+        raise ConfigError(f"split depth {a} out of range [1, {b - 1}] in {cfg.topology}")
+    head, part, tail = (LayerStack(layers[lo:hi]) if lo < hi else None
+                        for lo, hi in ((0, a), (a, b), (b, len(layers))))
 
-    def opt(part: LayerStack) -> Optimizer:
-        return make_optimizer(cfg.optimizer, part.params(), cfg.lr)
+    def opt(stack: LayerStack | None) -> Optimizer | None:
+        return None if stack is None else make_optimizer(cfg.optimizer, stack.params(), cfg.lr)
 
-    if cfg.topology == "label_sharing":
-        f1, f2 = split_at(model, cfg.split_depth)
-        client.head, client.head_opt = f1, opt(f1)
-        server.part, server.opt = f2, opt(f2)
-    elif cfg.topology == "server_data":
-        k = tail_start_index(model, cfg.tail_depth)
-        head, tail = LayerStack(model.layers[:k]), LayerStack(model.layers[k:])
-        server.part, server.opt = head, opt(head)
-        client.tail, client.tail_opt = tail, opt(tail)
-    else:  # client_labels
-        f1, f2, f3 = split_three(model, cfg.split_depth, cfg.tail_depth)
-        client.head, client.head_opt = f1, opt(f1)
-        client.tail, client.tail_opt = f3, opt(f3)
-        server.part, server.opt = f2, opt(f2)
+    client = ClientState(head, tail, opt(head), opt(tail))
+    server = ServerState(part, opt(part))
+    cut = Tensor(np.zeros((0, *ARCHS[cfg.arch].input_shape), np.float32))
+    if head is not None:
+        cut = head.forward(cut)
+        server.rows = cut.data.shape[1:]
+    if tail is not None:
+        client.rows = part.forward(cut).data.shape[1:]
     return model, client, server
+
+
+def _check_rows(smashed: np.ndarray, rows: tuple[int, ...]) -> np.ndarray:
+    """A peer's cut activations, if their rows have the cut's shape."""
+    if np.shape(smashed)[1:] != rows:
+        raise ProtocolError(f"activations {np.shape(smashed)} for rows of {rows}")
+    return smashed
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +232,7 @@ def _label_sharing_client(client: ClientState, x, y):
 
 
 def _label_sharing_server(server: ServerState, x):
-    smashed = yield MsgType.SMASHED
+    smashed = _check_rows((yield MsgType.SMASHED), server.rows)
     y = yield MsgType.LABELS
     loss, gcut, _ = loss_forward_backward(server.part, smashed, y, server.opt)
     server.observe(smashed, y, [gcut])
@@ -228,7 +242,7 @@ def _label_sharing_server(server: ServerState, x):
 
 
 def _server_data_client(client: ClientState, x, y):
-    smashed = yield MsgType.SMASHED
+    smashed = _check_rows((yield MsgType.SMASHED), client.rows)
     loss, gcut, pgrads = loss_forward_backward(
         client.tail, smashed, y, client.tail_opt, collect_param_grads=True
     )
@@ -250,7 +264,7 @@ def _server_data_server(server: ServerState, x):
 def _client_labels_client(client: ClientState, x, y):
     a1 = part_forward(client.head, x)
     yield MsgType.SMASHED, a1.data
-    a2 = yield MsgType.SMASHED
+    a2 = _check_rows((yield MsgType.SMASHED), client.rows)
     loss, g2, pgrads = loss_forward_backward(
         client.tail, a2, y, client.tail_opt, collect_param_grads=True
     )
@@ -262,7 +276,7 @@ def _client_labels_client(client: ClientState, x, y):
 
 
 def _client_labels_server(server: ServerState, x):
-    a1 = yield MsgType.SMASHED
+    a1 = _check_rows((yield MsgType.SMASHED), server.rows)
     sm1 = Tensor(a1, requires_grad=True)
     a2 = server.part.forward(sm1)
     yield MsgType.SMASHED, a2.data

@@ -185,9 +185,8 @@ class TestAcceptance:
         f1, _ = split_at(model, 1)
         inv = InversionConfig(max_rounds=20, plateau_rounds=5, seed=0)
         res = unsplit_invert(snapshot_tap(f1, sample.images), "mnist", 1, inv)
-        clone_acc = stitch_and_train_head(res.clone, "mnist", 1,
-                                          mnist_setup["train"], test,
-                                          epochs=3)
+        clone_acc = stitch_and_train_head(res.clone, SessionConfig(arch="mnist"),
+                                          mnist_setup["train"], test, epochs=3)
         ok = clone_acc >= orig_acc - 0.10
         report(capsys,
                f"ACCEPTANCE 5 [{'PASS' if ok else 'FAIL'}] stolen clone + "

@@ -99,6 +99,40 @@ class TestTrain:
         th.join(timeout=30)
         assert rc == {"server": 3, "client": 3}
 
+    def test_tcp_server_facing_wrong_shape_smashed_exits_3(self, tmp_path):
+        import socket
+
+        import numpy as np
+
+        from splitlab import wire
+        from splitlab.protocol import SessionConfig
+        from splitlab.transport import tcp_connect
+        from splitlab.wire import MsgType
+
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]
+        rc = {}
+
+        def serve():
+            rc["server"] = run(train_args(str(tmp_path / "s"),
+                                          ["--transport", f"tcp:127.0.0.1:{port}",
+                                           "--role", "server"]))
+
+        th = threading.Thread(target=serve, daemon=True)
+        th.start()
+        # A rogue client: the server's own config, then SMASHED rows of (3,)
+        # where tiny8's depth-1 cut makes (4, 8, 8).
+        cfg = SessionConfig(arch="tiny8", batch_size=16, epochs=1).to_dict()
+        with tcp_connect("127.0.0.1", port, timeout=10) as ct:
+            ct.send(MsgType.HELLO, wire.encode_hello())
+            ct.recv()  # HELLO back
+            ct.send(MsgType.CONFIG, wire.encode_json({**cfg, "examples": 64}))
+            assert ct.recv()[0] == MsgType.ACK
+            ct.send(MsgType.SMASHED, wire.encode_tensor(np.ones((16, 3))))
+            th.join(timeout=30)
+        assert rc == {"server": 3}
+
 
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path):

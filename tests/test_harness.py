@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splitlab.attacks.inversion import InversionConfig
+from splitlab.attacks.inversion import InversionConfig, unsplit_invert
 from splitlab.attacks.labels import tail_accuracy
 from splitlab.autograd import Tensor
-from splitlab.data import synth_dataset
+from splitlab.data import sample_class_balanced, synth_dataset
 from splitlab.errors import ShapeError
 from splitlab.harness import (
     CSV_FIELDS,
@@ -118,7 +118,8 @@ class TestAttackPlumbing:
         test = synth_dataset(64, (1, 8, 8), seed=3)
         clone_f1, _ = split_at(build_net("tiny8", seed=9), 1)
         before = [p.data.copy() for p in clone_f1.params()]
-        acc = stitch_and_train_head(clone_f1, "tiny8", 1, train, test, epochs=1)
+        acc = stitch_and_train_head(clone_f1, SessionConfig(arch="tiny8"), train, test,
+                                    epochs=1)
         assert 0.0 <= acc <= 1.0
         # the stolen part itself must stay frozen
         for p, b in zip(clone_f1.params(), before):
@@ -206,6 +207,20 @@ class TestSweep:
         assert again == []
         with open(report, newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 2
+
+    def test_untrained_row_inverts_the_seeded_client(self, tmp_path):
+        sweep = self.small_sweep(tmp_path, seed=3)
+        sweep.depths = [2]
+        train = synth_dataset(128, (1, 8, 8), seed=0)
+        test = synth_dataset(64, (1, 8, 8), seed=0, split="test")
+        rows = run_depth_sweep(sweep, train, test)
+        assert (rows[0].depth, rows[0].trained) == (2, 0)
+        assert rows[0].mse_after is rows[0].orig_acc is rows[0].clone_acc is None
+        sample = sample_class_balanced(test, sweep.sample_per_class, 3)
+        f1, _ = split_at(build_net("tiny8", seed=3), 2)
+        res = unsplit_invert(snapshot_tap(f1, sample.images), "tiny8", 2,
+                             sweep.inversion, ground_truth=sample.images)
+        assert rows[0].mse_before == mse_images(res.x_est, sample.images)
 
     def test_client_labels_rows_measure_the_trained_model(self, tmp_path):
         sweep = self.small_sweep(tmp_path, topology="client_labels", batch_size=8)

@@ -11,9 +11,11 @@ from splitlab import protocol, wire
 from splitlab.autograd import Tensor
 from splitlab.data import load_idx, synth_dataset
 from splitlab.errors import ConfigError, ProtocolError
-from splitlab.models import build_net, split_at
+from splitlab.layers import FullyConnected
+from splitlab.models import ARCHS, build_net, split_at
 from splitlab.optim import SGD
 from splitlab.protocol import (
+    TOPOLOGIES,
     ServerTap,
     SessionConfig,
     backprop_part,
@@ -115,6 +117,45 @@ class TestStepArithmetic:
         first = train_step(cfg.topology, client, server, batch)
         second = train_step(cfg.topology, client, server, batch)
         assert second < first
+
+
+class TestLayout:
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_build_parts_cuts_by_one_rule(self, arch, topology):
+        """Every split and tail depth: a ConfigError exactly where the
+        topology has no such cut, else head + server part + tail are the
+        model's layers in order and compose to its forward bit for bit."""
+        model = build_net(arch, seed=0)
+        layers = model.layers
+        fc = [i for i, layer in enumerate(layers) if isinstance(layer, FullyConnected)]
+        x = np.random.default_rng(0).uniform(
+            size=(2, *ARCHS[arch].input_shape)).astype(np.float32)
+        full = model.forward(Tensor(x)).data
+        for depth in range(len(layers) + 1):
+            for tail_depth in range(1, len(fc) + 2):
+                cfg = SessionConfig(arch=arch, topology=topology, split_depth=depth,
+                                    tail_depth=tail_depth)
+                tail_at = fc[-tail_depth] if tail_depth <= len(fc) else None
+                valid = {"label_sharing": 1 <= depth < len(layers),
+                         "server_data": tail_at is not None,
+                         "client_labels": tail_at is not None and 1 <= depth < tail_at,
+                         }[topology]
+                if not valid:
+                    with pytest.raises(ConfigError):
+                        build_parts(cfg, model)
+                    continue
+                _, client, server = build_parts(cfg, model)
+                assert (client.head is None) == (topology == "server_data")
+                assert (client.tail is None) == (topology == "label_sharing")
+                parts = [p for p in (client.head, server.part, client.tail) if p is not None]
+                assert [layer for p in parts for layer in p.layers] == layers
+                a1 = x if client.head is None else client.head.forward(Tensor(x)).data
+                a2 = server.part.forward(Tensor(a1)).data
+                out = a2 if client.tail is None else client.tail.forward(Tensor(a2)).data
+                np.testing.assert_array_equal(out, full)
+                assert server.rows == (None if client.head is None else a1.shape[1:])
+                assert client.rows == (None if client.tail is None else a2.shape[1:])
 
 
 class TestTopologies:
@@ -362,13 +403,15 @@ class TestWireSessions:
 
     def test_session_surfaces_role_failure(self, synth):
         # Split depth 2 leaves the fc layers on the server, so 4x4 inputs
-        # fail there; the client, waiting on GRAD, must not wait out 5 s.
+        # fail its cut's row check; the client, waiting on GRAD, must not
+        # wait out 5 s.
         cfg = small_cfg()
         bad_images = synth.images[:, :, :4, :4]  # wrong input shape
         ct, st = inproc_pair(timeout=5)
         t0 = time.monotonic()
-        with ct, st, pytest.raises(ProtocolError,
-                                   match=r"^server role failed: ShapeError"):
+        with ct, st, pytest.raises(
+                ProtocolError, match=r"^server role failed: ProtocolError\('activations "
+                                     r"\(8, 4, 2, 2\) for rows of \(4, 4, 4\)'\)$"):
             run_session(cfg, bad_images, synth.labels, (ct, st))
         assert time.monotonic() - t0 < 1.0
 
@@ -466,6 +509,37 @@ class TestWireSessions:
         model, exc = self._serve_rogue(monkeypatch, cfg, rogue, images)
         assert "empty tensor list" in str(exc)
         assert all(np.isfinite(p.data).all() for p in model.params())
+
+    @pytest.mark.parametrize("topology", ["label_sharing", "client_labels"])
+    def test_wrong_shape_smashed_from_client(self, monkeypatch, topology):
+        cfg = small_cfg(topology=topology)
+
+        def rogue(ct):  # 8 rows, but not of the (4, 4, 4) the cut makes
+            ct.send(MsgType.SMASHED, wire.encode_tensor(np.ones((8, 3))))
+
+        model, exc = self._serve_rogue(monkeypatch, cfg, rogue)
+        assert str(exc) == "activations (8, 3) for rows of (4, 4, 4)"
+        assert params_equal(model, build_net("tiny8", seed=0))
+
+    def test_wrong_shape_smashed_from_server(self, synth):
+        cfg = small_cfg(topology="server_data")
+        ct, st = inproc_pair(timeout=5)
+
+        def rogue_server():  # honest handshake, then rows the tail cannot take
+            st.recv()  # HELLO
+            st.send(MsgType.HELLO, wire.encode_hello())
+            st.recv()  # CONFIG
+            st.send(MsgType.ACK)
+            st.send(MsgType.SMASHED, wire.encode_tensor(np.ones((8, 4, 4, 4))))
+
+        th = threading.Thread(target=rogue_server, daemon=True)
+        with ct, st:
+            th.start()
+            with pytest.raises(ProtocolError,
+                               match=r"^activations \(8, 4, 4, 4\) for rows of \(32,\)$"):
+                run_client(ct, cfg, None, synth.labels)
+            th.join(timeout=5)
+        assert not th.is_alive()
 
     def test_session_names_a_stalled_role(self, synth, monkeypatch):
         monkeypatch.setattr(protocol, "SESSION_TIMEOUT", 0.5)
