@@ -27,7 +27,7 @@ from ..autograd import (
 )
 from ..errors import ConfigError, NumericError
 from ..layers import LayerStack
-from ..models import ARCHS, build_net, split_at
+from ..models import ARCHS, build_layers
 from ..optim import Adam
 
 
@@ -171,8 +171,9 @@ def invert(
 
 
 def make_client_clone(arch: str, depth: int, seed: int) -> LayerStack:
-    """Fresh random clone of the client part of a registered architecture."""
-    return split_at(build_net(arch, seed=seed), depth)[0]
+    """Fresh random clone of the client part of a registered architecture,
+    equal to layers [0, depth) of ``build_net(arch, seed)``."""
+    return LayerStack(build_layers(arch, seed, 0, depth))
 
 
 def unsplit_invert(

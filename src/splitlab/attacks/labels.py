@@ -1,11 +1,19 @@
 """Label inference from the gradients a loss-owning client sends back.
 
 For a single stochastic training step the server knows the activations it
-sent to the client tail and the gradients it got back. It probes a fresh
-random clone of the tail architecture with every candidate label and
-picks the one whose parameter gradients are closest (mean squared over
-all tail parameters, concatenated) to the received ones. One clone is
-drawn per inference and reused across all candidates.
+sent to the client tail and the gradients it got back. It compares them
+with the gradients a fresh random clone of the tail architecture would
+produce under every candidate label, and picks the candidate whose
+parameter gradients are closest (mean squared over all tail parameters)
+to the received ones. One clone is drawn per inference.
+
+All candidates share the clone's forward pass, so one backward pass of a
+matrix with a row per candidate gives each candidate's gradient at every
+layer output. An fc layer's weight gradient for a candidate is the outer
+product ``d aᵀ`` of its output-gradient row ``d`` and the layer input
+``a``, whose squared distance to a received ``G`` is
+``|d|²|a|² − 2 d·(G a) + |G|²`` (after Goodfellow, arXiv:1510.01799), so
+no candidate's gradients are ever built.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import numpy as np
 from ..autograd import Tensor, backward, cross_entropy
 from ..errors import ConfigError, TieError
 from ..layers import LayerStack
-from ..models import build_net, tail_start_index
+from ..models import arch_layers, build_layers, tail_start_index
 
 
 @dataclass
@@ -29,9 +37,10 @@ class LabelInferenceResult:
 
 
 def make_tail_clone(arch: str, tail_depth: int, seed: int) -> LayerStack:
-    """Fresh random clone of the last ``tail_depth`` fc layers of an arch."""
-    model = build_net(arch, seed=seed)
-    return LayerStack(model.layers[tail_start_index(model, tail_depth):])
+    """Fresh random clone of the last ``tail_depth`` fc layers of an arch,
+    equal to the same layers of ``build_net(arch, seed)``."""
+    start = tail_start_index(LayerStack(arch_layers(arch)), tail_depth)
+    return LayerStack(build_layers(arch, seed, start))
 
 
 def tail_param_gradients(tail: LayerStack, smashed: np.ndarray,
@@ -45,8 +54,67 @@ def tail_param_gradients(tail: LayerStack, smashed: np.ndarray,
     return [p.grad.copy() for p in tail.params()]
 
 
-def _concat(grads) -> np.ndarray:
-    return np.concatenate([np.asarray(g, dtype=np.float32).ravel() for g in grads])
+# How each kind of tail layer carries the candidate rows ``d`` (gradients
+# at its output ``s``) back to its input ``a``, as the layer's VJP does.
+_CARRY = {
+    "fc": lambda d, layer, a, s: d @ layer.weight.data,
+    "relu": lambda d, layer, a, s: d * (a > 0),
+    "sigmoid": lambda d, layer, a, s: d * s * (1.0 - s),
+}
+
+
+def _fc_distances(d: np.ndarray, a: np.ndarray, gw: np.ndarray,
+                  gb: np.ndarray) -> np.ndarray:
+    """Per candidate row of ``d``, the float64 squared distance from the fc
+    gradients ``(outer(d, a), d)`` to the received ``(gw, gb)``."""
+    d64, a64 = d.astype(np.float64), a.astype(np.float64)
+    ga = np.einsum("ud,d->u", gw, a, dtype=np.float64)
+    return ((d64 * d64).sum(axis=1) * (a64 @ a64)
+            - 2.0 * (d64 @ ga)
+            + np.einsum("ud,ud->", gw, gw, dtype=np.float64)
+            + ((d64 - gb) ** 2).sum(axis=1))
+
+
+def _candidate_distances(grad_received, smashed_in: np.ndarray,
+                        clone_tail: LayerStack, num_classes: int) -> np.ndarray:
+    """Mean squared distance between the received tail gradients and the
+    clone's gradients under each candidate label, in closed form."""
+    params = clone_tail.params()
+    received = [np.asarray(g, dtype=np.float32) for g in grad_received]
+    if [g.shape for g in received] != [p.data.shape for p in params]:
+        raise ConfigError(
+            f"clone gradient shapes {[p.data.shape for p in params]} != received "
+            f"{[g.shape for g in received]}; clone architecture does not match "
+            "the client tail"
+        )
+    *layers, last = clone_tail.layers
+    if last.kind != "softmax":
+        raise ConfigError(f"clone tail must end in softmax, not {last.kind!r}")
+    try:
+        carries = [_CARRY[layer.kind] for layer in layers]
+    except KeyError as e:
+        raise ConfigError(f"closed-form label inference has no rule for a "
+                          f"{e.args[0]!r} layer") from None
+    x = Tensor(smashed_in)
+    acts = [x.data[0]]  # acts[i] is the input of layer i, acts[-1] the probs
+    for layer in clone_tail.layers:
+        x = layer.forward(x)
+        acts.append(x.data[0])
+    probs = acts[-1]
+    # Seed rows as cross_entropy's and softmax's VJPs compute them, in float32.
+    rows = np.arange(num_classes)
+    g = np.zeros((num_classes, probs.size), dtype=np.float32)
+    g[rows, rows] = np.float32(-1.0) / np.clip(probs[:num_classes], 1e-12, None)
+    d = probs * (g - (g * probs).sum(axis=1, keepdims=True))
+    total = np.zeros(num_classes, dtype=np.float64)
+    for i in range(len(layers) - 1, -1, -1):
+        layer, a = layers[i], acts[i]
+        if layer.kind == "fc":
+            gb, gw = received.pop(), received.pop()
+            total += _fc_distances(d, a, gw, gb)
+        if i:
+            d = carries[i](d, layer, a, acts[i + 1])
+    return total / sum(p.data.size for p in params)
 
 
 def infer_label(
@@ -65,17 +133,7 @@ def infer_label(
         raise ConfigError(
             f"label inference needs a batch-size-1 step, got batch {smashed_in.shape[0]}"
         )
-    ref = _concat(grad_received)
-    distances = np.empty(num_classes, dtype=np.float64)
-    for cand in range(num_classes):
-        grads = tail_param_gradients(clone_tail, smashed_in, cand)
-        probe = _concat(grads)
-        if probe.shape != ref.shape:
-            raise ConfigError(
-                f"clone gradient size {probe.size} != received {ref.size}; "
-                "clone architecture does not match the client tail"
-            )
-        distances[cand] = np.mean((probe - ref) ** 2)
+    distances = _candidate_distances(grad_received, smashed_in, clone_tail, num_classes)
     if np.all(distances == distances[0]):
         raise TieError("all candidate labels produce identical gradient distances")
     order = np.argsort(distances, kind="stable")

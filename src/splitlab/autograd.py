@@ -37,7 +37,6 @@ __all__ = [
     "cross_entropy",
     "tv_penalty",
     "backward",
-    "finite_diff_grad",
     "assert_finite",
 ]
 
@@ -404,33 +403,3 @@ def backward(loss: Tensor, seed_grad: np.ndarray | None = None) -> None:
                 grads[id(parent)] = pg if acc is None else acc + pg
         elif node.requires_grad:
             node.grad = g.copy() if node.grad is None else node.grad + g
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-
-def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, h: float = 1e-3) -> Tensor:
-    """Central-difference gradient estimate of a tensor-to-scalar function.
-
-    Evaluates in float64 around the float32 point to keep the oracle's own
-    rounding error below the comparison tolerances.
-    """
-    base = x.data.copy()
-    flat = base.reshape(-1)
-    out = np.zeros(flat.shape, dtype=np.float64)
-    for k in range(flat.size):
-        orig = flat[k]
-        flat[k] = orig + h
-        fp = float(_eval_scalar(f, base))
-        flat[k] = orig - h
-        fm = float(_eval_scalar(f, base))
-        flat[k] = orig
-        out[k] = (fp - fm) / (2.0 * h)
-    return Tensor(out.reshape(base.shape))
-
-
-def _eval_scalar(f, data: np.ndarray) -> float:
-    val = f(Tensor(data.copy()))
-    if isinstance(val, Tensor):
-        val = val.data
-    return float(np.asarray(val).reshape(()))

@@ -39,7 +39,8 @@ from .harness import (
     snapshot_tap,
     _dump_pair,
 )
-from .models import SplitModel, build_net, load_checkpoint, save_checkpoint, split_at
+from .models import (SplitModel, build_layers, build_net, load_checkpoint, save_checkpoint,
+                     split_at)
 from .optim import OPTIMIZERS
 from .protocol import (TOPOLOGIES, RoleResult, SessionConfig, held_examples, run_client,
                        run_server, run_session)
@@ -251,8 +252,8 @@ def cmd_attack_invert(cfg: dict) -> int:
         for m in res.history:
             writer.writerow([m.round, m.objective, m.tv,
                              "" if m.mse_truth is None else m.mse_truth])
-    clone_full = build_net(model.arch, seed=cfg["seed"], split_depth=depth)
-    clone_full.layers[:depth] = res.clone.layers
+    clone_full = SplitModel(res.clone.layers + build_layers(model.arch, cfg["seed"], depth),
+                            model.arch, cfg["seed"], depth)
     save_checkpoint(clone_full, os.path.join(out, "inversion", "clone.ckpt"))
     final_mse = mse_images(res.x_est, sample.images)
     lam = default_tv_lambda(depth) if inv.tv_lambda is None else inv.tv_lambda

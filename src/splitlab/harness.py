@@ -26,7 +26,7 @@ from .autograd import Tensor
 from .data import Dataset, epoch_batches, sample_class_balanced
 from .errors import ConfigError, ShapeError
 from .layers import LayerStack
-from .models import SplitModel, build_net, tail_start_index
+from .models import SplitModel, build_layers, tail_start_index
 from .optim import fit_epoch, make_optimizer
 from .protocol import SessionConfig, TapEntry, build_parts, train_local, train_step
 
@@ -100,8 +100,7 @@ def stitch_and_train_head(clone_f1: LayerStack, cfg: SessionConfig, train_ds: Da
     train a fresh head of the session's architecture on top with the
     session's optimizer, lr, batch size and seed, and return the test
     accuracy of the stitched model."""
-    head_donor = build_net(cfg.arch, seed=cfg.seed + 1)
-    head_layers = head_donor.layers[cfg.split_depth:]
+    head_layers = build_layers(cfg.arch, cfg.seed + 1, cfg.split_depth)
     stitched = LayerStack(list(clone_f1.layers) + head_layers)
     for p in clone_f1.params():
         p.requires_grad = False
@@ -123,7 +122,7 @@ def label_inference_accuracy(
     """Accuracy of the gradient-matching attack over stochastic steps.
 
     The true tail produces the gradients the client would send; each
-    inference probes the candidates with its own freshly initialized
+    inference scores the candidates on its own freshly initialized
     clone, matching the attack's per-step random restart.
     """
     if n_samples < 1:

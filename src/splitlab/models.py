@@ -120,15 +120,41 @@ ARCHS: dict[str, ArchSpec] = {
 }
 
 
-def build_net(arch: str, seed: int = 0, split_depth: int = 1) -> SplitModel:
-    """Build and initialize a registered architecture from a seed."""
+def arch_layers(arch: str) -> list[Layer]:
+    """Fresh, uninitialized layers of a registered architecture."""
     if arch not in ARCHS:
         raise ConfigError(f"unknown architecture {arch!r}; known: {sorted(ARCHS)}")
-    layers = ARCHS[arch].builder()
+    return ARCHS[arch].builder()
+
+
+def build_layers(arch: str, seed: int = 0, start: int = 0,
+                 stop: int | None = None) -> list[Layer]:
+    """Layers [start, stop) of an architecture, initialized bit-identically
+    to the same layers of ``build_net(arch, seed)``.
+
+    Every layer draws from one ``default_rng(seed)`` stream in order, one
+    64-bit draw per parameter element, so the layers before ``start`` are
+    skipped by advancing the stream by their element count.
+    """
+    layers = arch_layers(arch)
+    stop = len(layers) if stop is None else stop
+    if not 0 <= start < stop <= len(layers):
+        raise ConfigError(
+            f"layer range [{start}, {stop}) out of range for {arch!r} "
+            f"({len(layers)} layers)"
+        )
     rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(
+        sum(p.data.size for layer in layers[:start] for p in layer.params()))
+    layers = layers[start:stop]
     for layer in layers:
         layer.init(rng)
-    return SplitModel(layers, arch, seed, split_depth)
+    return layers
+
+
+def build_net(arch: str, seed: int = 0, split_depth: int = 1) -> SplitModel:
+    """Build and initialize a registered architecture from a seed."""
+    return SplitModel(build_layers(arch, seed), arch, seed, split_depth)
 
 
 def split_at(model: SplitModel, depth: int) -> tuple[LayerStack, LayerStack]:

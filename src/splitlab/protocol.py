@@ -37,7 +37,7 @@ from .data import epoch_batches, epoch_order  # noqa: F401  (re-exported)
 from .errors import ConfigError, ProtocolError
 from .layers import LayerStack
 from .models import ARCHS, SplitModel, build_net, tail_start_index
-from .optim import OPTIMIZERS, Optimizer, fit_epoch, make_optimizer
+from .optim import OPTIMIZERS, Optimizer, make_optimizer
 from .transport import Transport
 from .wire import MsgType
 
@@ -363,22 +363,6 @@ def train_local(cfg: SessionConfig, images: np.ndarray, labels: np.ndarray,
                                  (images[idx], labels[idx])))
         model.step_count += 1
     return model, losses, client, server
-
-
-def train_monolithic(cfg: SessionConfig, images: np.ndarray, labels: np.ndarray,
-                     model: SplitModel | None = None
-                     ) -> tuple[SplitModel, list[float]]:
-    """Unsplit reference trainer: same data order, one optimizer over all
-    parameters. The oracle for split-training equivalence."""
-    cfg.validate()
-    if model is None:
-        model = build_net(cfg.arch, seed=cfg.seed, split_depth=cfg.split_depth)
-    opt = make_optimizer(cfg.optimizer, model.params(), cfg.lr)
-    losses = []
-    for epoch in range(cfg.epochs):
-        losses += fit_epoch(model, opt, images, labels, cfg.batch_size, cfg.seed, epoch)
-    model.step_count += len(losses)
-    return model, losses
 
 
 # ---------------------------------------------------------------------------

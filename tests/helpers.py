@@ -1,5 +1,6 @@
-"""Shared test utilities: finite-difference gradient checking with
-kink-aware input sampling, and tiny PGM/PPM parsing."""
+"""Shared test utilities: the oracles the library is checked against
+(central finite differences, an unsplit trainer, per-candidate label
+probing), kink-aware input sampling, and tiny PGM/PPM parsing."""
 
 from __future__ import annotations
 
@@ -8,10 +9,68 @@ import os
 import numpy as np
 
 from splitlab import autograd as ag
+from splitlab.attacks.labels import tail_param_gradients
 from splitlab.autograd import Tensor
+from splitlab.models import build_net
+from splitlab.optim import fit_epoch, make_optimizer
 
 RTOL = 1e-3
 ATOL = 1e-4
+
+
+def finite_diff_grad(f, x: Tensor, h: float = 1e-3) -> Tensor:
+    """Central-difference gradient estimate of a tensor-to-scalar function.
+
+    Evaluates in float64 around the float32 point to keep the oracle's own
+    rounding error below the comparison tolerances.
+    """
+    base = x.data.copy()
+    flat = base.reshape(-1)
+    out = np.zeros(flat.shape, dtype=np.float64)
+    for k in range(flat.size):
+        orig = flat[k]
+        flat[k] = orig + h
+        fp = float(_eval_scalar(f, base))
+        flat[k] = orig - h
+        fm = float(_eval_scalar(f, base))
+        flat[k] = orig
+        out[k] = (fp - fm) / (2.0 * h)
+    return Tensor(out.reshape(base.shape))
+
+
+def _eval_scalar(f, data: np.ndarray) -> float:
+    val = f(Tensor(data.copy()))
+    if isinstance(val, Tensor):
+        val = val.data
+    return float(np.asarray(val).reshape(()))
+
+
+def train_monolithic(cfg, images: np.ndarray, labels: np.ndarray):
+    """Unsplit reference trainer: same data order, one optimizer over all
+    parameters. The oracle for split-training equivalence."""
+    cfg.validate()
+    model = build_net(cfg.arch, seed=cfg.seed, split_depth=cfg.split_depth)
+    opt = make_optimizer(cfg.optimizer, model.params(), cfg.lr)
+    losses = []
+    for epoch in range(cfg.epochs):
+        losses += fit_epoch(model, opt, images, labels, cfg.batch_size, cfg.seed, epoch)
+    model.step_count += len(losses)
+    return model, losses
+
+
+def probe_distances(grad_received, smashed: np.ndarray, clone,
+                    num_classes: int = 10) -> np.ndarray:
+    """Label inference's distances the direct way: one full forward and
+    backward per candidate label, then the float32 mean squared difference
+    of the concatenated parameter gradients."""
+    def concat(grads):
+        return np.concatenate([np.asarray(g, dtype=np.float32).ravel() for g in grads])
+
+    ref = concat(grad_received)
+    return np.array([
+        np.mean((concat(tail_param_gradients(clone, smashed, c)) - ref) ** 2)
+        for c in range(num_classes)
+    ], dtype=np.float64)
 
 
 def fd_check(f, x: np.ndarray, h: float, rtol: float = RTOL, atol: float = ATOL):
@@ -20,7 +79,7 @@ def fd_check(f, x: np.ndarray, h: float, rtol: float = RTOL, atol: float = ATOL)
     out = f(xt)
     ag.backward(out)
     got = xt.grad
-    want = ag.finite_diff_grad(f, Tensor(x), h).data
+    want = finite_diff_grad(f, Tensor(x), h).data
     np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
 
 

@@ -38,11 +38,11 @@ from splitlab.protocol import (
     run_server,
     run_session,
     train_local,
-    train_monolithic,
 )
 from splitlab.transport import inproc_pair, tcp_connect, tcp_listen
 
-from helpers import gradcheck_suite, max_param_diff, mnist_dir, params_equal
+from helpers import (gradcheck_suite, max_param_diff, mnist_dir, params_equal,
+                     train_monolithic)
 
 MODULE_T0 = time.monotonic()
 

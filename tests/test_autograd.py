@@ -11,7 +11,7 @@ from splitlab.autograd import Tensor
 from splitlab.errors import GraphError, NumericError, ShapeError
 from splitlab.optim import SGD, Adam
 
-from helpers import fd_check, pool_safe, relu_safe
+from helpers import fd_check, finite_diff_grad, pool_safe, relu_safe
 
 
 class TestOps:
@@ -238,11 +238,11 @@ class TestConvBackward:
 class TestFiniteDiff:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
-        g = ag.finite_diff_grad(ag.tsum, x, h=1e-3)
+        g = finite_diff_grad(ag.tsum, x, h=1e-3)
         np.testing.assert_allclose(g.data, np.ones((2, 3)), rtol=1e-3, atol=1e-4)
 
     def test_mse_scalar(self):
-        g = ag.finite_diff_grad(
+        g = finite_diff_grad(
             lambda t: ag.mse_loss(t, Tensor([0.0])), Tensor([3.0]), h=1e-3
         )
         np.testing.assert_allclose(g.data, [6.0], atol=1e-3)

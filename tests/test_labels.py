@@ -1,6 +1,6 @@
-"""Gradient-matching label inference: closed-form oracle, end-to-end
-protocol path, invariances, failure modes, and the clone-training
-(Fig. 5 analogue) curves."""
+"""Gradient-matching label inference: closed-form oracles, agreement with
+direct per-candidate probing, end-to-end protocol path, invariances,
+failure modes, and the clone-training (Fig. 5 analogue) curves."""
 
 import numpy as np
 import pytest
@@ -16,10 +16,12 @@ from splitlab.autograd import Tensor
 from splitlab.data import synth_dataset
 from splitlab.errors import ConfigError, TieError
 from splitlab.harness import label_inference_accuracy
-from splitlab.layers import LayerStack
+from splitlab.layers import Flatten, LayerStack
 from splitlab.models import build_net, tail_start_index
 from splitlab.optim import Adam, fit_epoch
 from splitlab.protocol import ServerTap, SessionConfig, epoch_order, train_local
+
+from helpers import probe_distances
 
 
 def smashed_for(arch, tail_depth, images):
@@ -54,14 +56,57 @@ class TestAnalyticGradients:
 
     def test_true_label_minimizes_distance_against_itself(self):
         # Probing with the *same* parameters as the sender: the true
-        # candidate reproduces the reference gradient exactly.
+        # candidate reproduces the reference gradient, up to the rounding
+        # of the float64 closed form.
         tail = make_tail_clone("tiny8", 1, seed=0)
         sm = smashed_for("tiny8", 1, synth_dataset(1, (1, 8, 8), seed=2).images)
         ref = tail_param_gradients(tail, sm, 7)
         result = infer_label(ref, sm, tail)
         assert result.label == 7
-        assert result.distances[7] == 0.0
+        assert result.distances[7] <= 1e-12 * np.delete(result.distances, 7).min()
         assert result.margin > 0
+
+
+ARCH_SHAPES = {"tiny8": (1, 8, 8), "mnist": (1, 28, 28), "cifar": (3, 32, 32)}
+TAILS = [(arch, t) for arch, n in (("tiny8", 2), ("mnist", 3), ("cifar", 2))
+         for t in range(1, n + 1)]
+
+
+class TestClosedFormAgainstProbing:
+    """The one-pass distances against the direct per-candidate probe."""
+
+    def assert_same_inference(self, ref, sm, clone):
+        got = infer_label(ref, sm, clone)
+        want = probe_distances(ref, sm, clone)
+        np.testing.assert_allclose(got.distances, want, rtol=1e-5)
+        order = np.argsort(want, kind="stable")
+        assert got.label == int(order[0])
+        assert got.tie == bool(want[order[0]] == want[order[1]])
+
+    @pytest.mark.parametrize("arch,tail_depth", TAILS)
+    def test_every_tail(self, arch, tail_depth):
+        ds = synth_dataset(3, ARCH_SHAPES[arch], seed=tail_depth)
+        sms = smashed_for(arch, tail_depth, ds.images)
+        sender = make_tail_clone(arch, tail_depth, seed=1)
+        for j, y in enumerate((0, 4, 9)):
+            sm = sms[j : j + 1]
+            ref = tail_param_gradients(sender, sm, y)
+            self.assert_same_inference(ref, sm, make_tail_clone(arch, tail_depth, seed=2 + j))
+
+    @pytest.mark.parametrize("arch,tail_depth", TAILS)
+    def test_saturated_clone(self, arch, tail_depth):
+        # Past cross_entropy's 1e-12 clip the probe's seed is clipped too.
+        # Lowering one class's bias sinks that class, alone, below the clip.
+        sm = smashed_for(arch, tail_depth, synth_dataset(1, ARCH_SHAPES[arch], seed=5).images)
+        ref = tail_param_gradients(make_tail_clone(arch, tail_depth, seed=1), sm, 3)
+        for sunk in (3, 6):
+            for log_p in (-46.0, -69.0):  # about 1e-20 and 1e-30
+                clone = make_tail_clone(arch, tail_depth, seed=2)
+                z = LayerStack(clone.layers[:-1]).forward(Tensor(sm)).data[0]
+                clone.params()[-1].data[sunk] += np.float32(log_p - (z[sunk] - z.max()))
+                p = np.sort(clone.forward(Tensor(sm)).data[0])
+                assert 0.0 < p[0] < 1e-12 <= p[1]
+                self.assert_same_inference(ref, sm, clone)
 
 
 class TestInferLabel:
@@ -89,6 +134,15 @@ class TestInferLabel:
         ref = tail_param_gradients(tail, sm_m, 0)
         with pytest.raises(ConfigError):
             infer_label(ref, sm_t, clone)
+
+    def test_rejects_tail_without_closed_form(self):
+        # A layer kind with no backward rule, and a tail without softmax.
+        clone = make_tail_clone("tiny8", 1, seed=0)
+        sm = smashed_for("tiny8", 1, synth_dataset(1, (1, 8, 8), seed=0).images)
+        ref = [np.zeros_like(p.data) for p in clone.params()]
+        for layers in ([Flatten(), *clone.layers], clone.layers[:-1]):
+            with pytest.raises(ConfigError):
+                infer_label(ref, sm, LayerStack(layers))
 
     def test_degenerate_tie_raises(self):
         clone = make_tail_clone("tiny8", 1, seed=0)

@@ -8,6 +8,7 @@ from splitlab.errors import ConfigError
 from splitlab.layers import Conv2d, FullyConnected, LayerStack, MaxPool2x2
 from splitlab.models import (
     ARCHS,
+    build_layers,
     build_net,
     split_at,
     tail_start_index,
@@ -138,3 +139,36 @@ class TestBuild:
         conv = net.layers[0]
         bound = 1.0 / np.sqrt(conv.weight.data[0].size)
         assert np.all(np.abs(conv.weight.data) <= bound)
+
+
+class TestBuildLayers:
+    """``build_layers`` skips the layers before its range by advancing the
+    seed's stream, which relies on one 64-bit draw per parameter element."""
+
+    def test_advance_matches_uniform_draws(self):
+        # A numpy whose float64 uniform stops taking one draw per element
+        # fails here first.
+        for n in (1, 7, 2100):
+            drawn, skipped = np.random.default_rng(5), np.random.default_rng(5)
+            drawn.uniform(-0.5, 0.5, size=n)
+            skipped.bit_generator.advance(n)
+            np.testing.assert_array_equal(drawn.uniform(size=4), skipped.uniform(size=4))
+
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_every_range_equals_slice_of_full_build(self, arch):
+        full = build_net(arch, seed=17).layers
+        for start in range(len(full)):
+            for stop in [*range(start + 1, len(full)), None]:  # None: to the end
+                part = build_layers(arch, 17, start, stop)
+                assert [l.kind for l in part] == [l.kind for l in full[start:stop]]
+                got = LayerStack(part).params()
+                want = LayerStack(full[start:stop]).params()
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g.data.dtype == w.data.dtype
+                    np.testing.assert_array_equal(g.data, w.data)
+
+    @pytest.mark.parametrize("start,stop", [(-1, 3), (3, 3), (4, 2), (0, 99)])
+    def test_bad_range_rejected(self, start, stop):
+        with pytest.raises(ConfigError):
+            build_layers("tiny8", 0, start, stop)

@@ -27,13 +27,13 @@ from splitlab.protocol import (
     run_server,
     run_session,
     train_local,
-    train_monolithic,
     train_step,
 )
 from splitlab.transport import inproc_pair, tcp_connect, tcp_listen
 from splitlab.wire import MsgType
 
-from helpers import max_param_diff, mnist_dir, params_equal
+from helpers import (finite_diff_grad, max_param_diff, mnist_dir, params_equal,
+                     train_monolithic)
 
 
 def small_cfg(**kw):
@@ -90,7 +90,7 @@ class TestStepArithmetic:
         def f(t):
             return ag.cross_entropy(f2.forward(t), y)
 
-        want = ag.finite_diff_grad(f, Tensor(smashed), h=1e-2).data
+        want = finite_diff_grad(f, Tensor(smashed), h=1e-2).data
         np.testing.assert_allclose(gcut, want, rtol=1e-3, atol=1e-4)
 
     def test_zero_cut_grad_sgd_no_client_update(self, synth):
