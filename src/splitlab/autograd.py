@@ -214,14 +214,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
     n, _, hh, ww = x.data.shape
     o, c, kh, kw = w.data.shape
     p = padding
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p)))
+    xp = np.zeros((n, c, hh + 2 * p, ww + 2 * p), dtype=np.float32)
+    xp[:, :, p : p + hh, p : p + ww] = x.data
     cols = _im2col(xp, kh, kw)  # (N, C*kh*kw, H*W)
     ho, wo = hh + 2 * p - kh + 1, ww + 2 * p - kw + 1
     wm = w.data.reshape(o, -1)
     out = (wm @ cols).reshape(n, o, ho, wo) + b.data.reshape(1, o, 1, 1)
 
     def vjp(g):
-        gr = g.reshape(n, o, -1)  # (N, O, H*W)
+        gr = g.reshape(n, o, ho * wo)  # (N, O, H*W)
         # Batched GEMM against the patch matrix, then a sum over the batch.
         dw = np.matmul(gr, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
         db = gr.sum(axis=(0, 2))
@@ -235,29 +236,49 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
     return _node(out.astype(np.float32, copy=False), (x, w, b), vjp)
 
 
+_POOL_SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1))  # window slots, row-major
+
+
 def maxpool2x2(x: Tensor) -> Tensor:
-    """2x2 max pooling, stride 2. Ties go to the first slot in row-major order."""
+    """2x2 max pooling, stride 2. Each window outputs its first maximal slot
+    in row-major order, bit for bit, and only that slot gets the window's
+    gradient. Ties compare equal across signed zeros, so the first of +0.0
+    and -0.0 wins with its sign. A window holding NaN outputs its first NaN,
+    and that slot gets the gradient, the slot ``argmax`` would pick.
+    """
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2x2: expected 4-d input, got {x.data.shape}")
-    n, c, h, w = x.data.shape
+    h, w = x.data.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2: spatial dims must be even, got {x.data.shape}")
-    win = x.data.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    win = win.reshape(n, c, h // 2, w // 2, 4)  # window slots in row-major order
-    idx = win.argmax(axis=-1)  # argmax returns the first maximal slot
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    # Contiguous copies of the four slots: elementwise ops run several times
+    # faster on them than on the stride-2 views.
+    slots = [x.data[:, :, r::2, s::2].copy() for r, s in _POOL_SLOTS]
+    top = np.maximum(np.maximum(slots[0], slots[1]), np.maximum(slots[2], slots[3]))
+    # Which signed zero np.maximum returns on a tie is not specified, so the
+    # output takes the winning slot's bits through the masks.
+    taken = np.zeros(top.shape, dtype=bool)
+    bits = np.zeros(top.shape, dtype=np.uint32)
+    masks = []
+    for v in slots:
+        m = (v == top) | np.isnan(v)
+        m &= ~taken
+        taken |= m
+        mk = m.astype(np.uint32)
+        masks.append(np.negative(mk, out=mk))  # all ones where the slot wins
+        bits |= v.view(np.uint32) & mk
 
     def vjp(g):
-        dwin = np.zeros_like(win)
-        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-        dx = (
-            dwin.reshape(n, c, h // 2, w // 2, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h, w)
-        )
+        # ANDing g's bits keeps a routed -0.0 and writes +0.0 to every other
+        # slot; g * mask would write -0.0 wherever g < 0.
+        gb = np.asarray(g, dtype=np.float32).view(np.uint32)
+        dx = np.empty_like(x.data)
+        dxb = dx.view(np.uint32)
+        for (r, s), mk in zip(_POOL_SLOTS, masks):
+            np.bitwise_and(gb, mk, out=dxb[:, :, r::2, s::2])
         return (dx,)
 
-    return _node(out, (x,), vjp)
+    return _node(bits.view(np.float32), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ Recording never alters any message.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import threading
 import time
 from dataclasses import dataclass, field, asdict
@@ -488,6 +490,27 @@ def run_server(transport: Transport, cfg: SessionConfig,
     return RoleResult(losses=losses, model=model, server=server)
 
 
+_M_ARENA_MAX = -8  # glibc's mallopt parameter number
+
+
+@functools.cache
+def _share_main_malloc_arena() -> None:
+    """Make every thread allocate from glibc's main arena.
+
+    A role thread takes whichever arena an exited thread left free, in an
+    order set by thread timing, and an arena keeps the pages of the largest
+    role that ever used it. With one arena a process's peak memory no longer
+    depends on how the roles of its sessions landed. Role threads allocate
+    in lockstep, so they do not contend for it. Not glibc: nothing to do.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version
+    except (OSError, TypeError, AttributeError):
+        return
+    libc.mallopt(_M_ARENA_MAX, 1)
+
+
 def run_session(cfg: SessionConfig, images: np.ndarray, labels: np.ndarray,
                 transport_pair, tap: ServerTap | None = None
                 ) -> tuple[RoleResult, RoleResult]:
@@ -495,6 +518,7 @@ def run_session(cfg: SessionConfig, images: np.ndarray, labels: np.ndarray,
     pair; returns (client result, server result). The caller owns the pair
     and closes it. A role that fails closes its own end, so the peer's next
     recv fails at once; the first failure is reported as the cause."""
+    _share_main_malloc_arena()
     ct, st = transport_pair
     client_images, server_images = held_examples(cfg.topology, images)
     results: dict[str, RoleResult] = {}

@@ -1,6 +1,7 @@
 """Shared test utilities: the oracles the library is checked against
 (central finite differences, an unsplit trainer, per-candidate label
-probing), kink-aware input sampling, and tiny PGM/PPM parsing."""
+probing, argmax pooling), kink-aware input sampling, and tiny PGM/PPM
+parsing."""
 
 from __future__ import annotations
 
@@ -71,6 +72,25 @@ def probe_distances(grad_received, smashed: np.ndarray, clone,
         np.mean((concat(tail_param_gradients(clone, smashed, c)) - ref) ** 2)
         for c in range(num_classes)
     ], dtype=np.float64)
+
+
+def maxpool_oracle(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2x2 max pooling and its input gradient the direct way: ``argmax`` over
+    a transposed copy of each window picks the first maximal slot (the first
+    NaN, if any), and ``put_along_axis`` routes ``g`` to it."""
+    n, c, h, w = x.shape
+    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    win = win.reshape(n, c, h // 2, w // 2, 4)  # window slots in row-major order
+    idx = win.argmax(axis=-1)
+    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    dwin = np.zeros_like(win)
+    np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
+    dx = (
+        dwin.reshape(n, c, h // 2, w // 2, 2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, h, w)
+    )
+    return out, dx
 
 
 def fd_check(f, x: np.ndarray, h: float, rtol: float = RTOL, atol: float = ATOL):

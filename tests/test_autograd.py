@@ -3,15 +3,16 @@ finite-difference oracle."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from splitlab import autograd as ag
 from splitlab.autograd import Tensor
 from splitlab.errors import GraphError, NumericError, ShapeError
 from splitlab.optim import SGD, Adam
 
-from helpers import fd_check, finite_diff_grad, pool_safe, relu_safe
+from helpers import fd_check, finite_diff_grad, maxpool_oracle, pool_safe, relu_safe
 
 
 class TestOps:
@@ -83,6 +84,65 @@ class TestOps:
         p = Tensor(np.full((1, 10), 0.1, dtype=np.float32))
         with pytest.raises(ShapeError):
             ag.cross_entropy(p, np.array([10]))
+
+
+def _pool_grads(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """maxpool2x2's output and its input gradient for the seed ``g``."""
+    t = Tensor(x, requires_grad=True)
+    out = ag.maxpool2x2(t)
+    ag.backward(out, seed_grad=g)
+    return out.data, t.grad
+
+
+@st.composite
+def _pool_case(draw):
+    """An input over a small value set with both signed zeros, so 2-, 3- and
+    4-way ties occur, and a seed gradient holding -0.0."""
+    shape = (draw(st.sampled_from([0, 1, 3])), draw(st.sampled_from([1, 4])),
+             draw(st.sampled_from([2, 4, 6])), draw(st.sampled_from([2, 4, 6])))
+    x = draw(arrays(np.float32, shape,
+                    elements=st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])))
+    gshape = (shape[0], shape[1], shape[2] // 2, shape[3] // 2)
+    g = draw(arrays(np.float32, gshape,
+                    elements=st.sampled_from([-0.0, 0.0, -1.5, 3.0])))
+    return x, g
+
+
+class TestMaxPoolBytes:
+    """maxpool2x2 against the argmax oracle, byte for byte."""
+
+    @given(_pool_case())
+    @example((  # a signed-zero tie: the first slot's -0.0 wins, and g is -0.0
+        np.array([-0.0, 0.0, 0.0, -0.0], dtype=np.float32).reshape(1, 1, 2, 2),
+        np.full((1, 1, 1, 1), -0.0, dtype=np.float32),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_argmax_oracle(self, case):
+        x, g = case
+        out, dx = _pool_grads(x, g)
+        want_out, want_dx = maxpool_oracle(x, g)
+        assert out.dtype == dx.dtype == np.float32
+        assert out.shape == want_out.shape and dx.shape == want_dx.shape
+        assert out.tobytes() == want_out.tobytes()
+        assert dx.tobytes() == want_dx.tobytes()
+
+    def test_nan_window_outputs_nan_and_routes_to_first_nan(self):
+        # Windows: [1, nan, nan, 5] | [nan, 0, 2, 1] | [-inf x 4] | [3, 1, 2, 0].
+        x = np.array([
+            [1.0, np.nan, np.nan, 0.0, -np.inf, -np.inf, 3.0, 1.0],
+            [np.nan, 5.0, 2.0, 1.0, -np.inf, -np.inf, 2.0, 0.0],
+        ], dtype=np.float32).reshape(1, 1, 2, 8)
+        g = np.array([-1.5, 2.0, 4.0, 8.0], dtype=np.float32).reshape(1, 1, 1, 4)
+        out, dx = _pool_grads(x, g)
+        assert np.isnan(out[0, 0, 0, :2]).all()
+        np.testing.assert_array_equal(out[0, 0, 0, 2:], [-np.inf, 3.0])
+        np.testing.assert_array_equal(dx[0, 0], [
+            [0.0, -1.5, 2.0, 0.0, 4.0, 0.0, 8.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        ])
+        want_out, want_dx = maxpool_oracle(x, g)
+        assert out.tobytes() == want_out.tobytes()
+        assert dx.tobytes() == want_dx.tobytes()
 
 
 class TestTV:
@@ -200,14 +260,12 @@ def _conv_grads_reference(x, w, g, p):
 
 class TestConvBackward:
     """conv2d's VJP against an independent float64 reference, at shapes
-    large enough for BLAS to block the products."""
+    large enough for BLAS to block the products, and at the edges of the
+    padding code."""
 
-    @pytest.mark.parametrize("padding", [0, 1])
-    def test_matches_float64_reference(self, padding):
-        rng = np.random.default_rng(11)
-        x = Tensor(rng.normal(size=(4, 16, 13, 10)).astype(np.float32), requires_grad=True)
-        w = Tensor(rng.normal(size=(8, 16, 3, 3)).astype(np.float32), requires_grad=True)
-        b = Tensor(rng.normal(size=8).astype(np.float32), requires_grad=True)
+    @staticmethod
+    def _check_against_reference(x, w, b, padding, rng):
+        x, w, b = (Tensor(a.astype(np.float32), requires_grad=True) for a in (x, w, b))
         out = ag.conv2d(x, w, b, padding)
         g = rng.normal(size=out.shape).astype(np.float32)
         ag.backward(out, seed_grad=g)
@@ -215,7 +273,24 @@ class TestConvBackward:
                              _conv_grads_reference(x.data, w.data, g, padding)):
             assert got.dtype == np.float32 and got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-5,
-                                       atol=1e-5 * np.abs(want).max())
+                                       atol=1e-5 * np.abs(want).max(initial=0.0))
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_matches_float64_reference(self, padding):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(4, 16, 13, 10))
+        w = rng.normal(size=(8, 16, 3, 3))
+        self._check_against_reference(x, w, rng.normal(size=8), padding, rng)
+
+    @pytest.mark.parametrize("xshape, wshape, padding", [
+        ((3, 5, 6, 7), (4, 5, 1, 1), 0),  # pointwise kernel, no padding
+        ((0, 3, 6, 5), (2, 3, 3, 3), 0),  # zero rows, as build_parts runs
+        ((0, 3, 6, 5), (2, 3, 3, 3), 1),
+    ])
+    def test_padding_edges(self, xshape, wshape, padding):
+        rng = np.random.default_rng(13)
+        x, w = rng.normal(size=xshape), rng.normal(size=wshape)
+        self._check_against_reference(x, w, rng.normal(size=wshape[0]), padding, rng)
 
     def test_input_without_grad(self):
         rng = np.random.default_rng(12)

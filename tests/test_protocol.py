@@ -1,7 +1,12 @@
 """Split-training protocol: topologies, equivalence oracles, wire roles."""
 
+import os
+import platform
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -560,6 +565,43 @@ class TestWireSessions:
                     run_session(small_cfg(), synth.images, synth.labels, (ct, st))
             finally:
                 release.set()
+
+
+# Runs sessions in a fresh process, then writes glibc's malloc_info XML
+# (one <heap nr=...> element per arena) to the file named by argv[1].
+_ARENA_PROBE = """
+import ctypes, sys
+from splitlab.data import synth_dataset
+from splitlab.protocol import SessionConfig, run_session
+from splitlab.transport import inproc_pair
+
+ds = synth_dataset(16, (1, 8, 8), seed=0)
+cfg = SessionConfig(arch="tiny8", topology="label_sharing", split_depth=2,
+                    batch_size=8, epochs=1).validate()
+for _ in range(4):
+    ct, st = inproc_pair()
+    with ct, st:
+        run_session(cfg, ds.images, ds.labels, (ct, st))
+libc = ctypes.CDLL(None)
+libc.fopen.restype = ctypes.c_void_p
+libc.fopen.argtypes = [ctypes.c_char_p, ctypes.c_char_p]
+libc.malloc_info.argtypes = [ctypes.c_int, ctypes.c_void_p]
+libc.fclose.argtypes = [ctypes.c_void_p]
+fp = libc.fopen(sys.argv[1].encode(), b"w")
+libc.malloc_info(0, fp)
+libc.fclose(fp)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+def test_role_threads_share_one_malloc_arena(tmp_path):
+    """Session threads allocate from the main arena, so a process's memory
+    does not depend on which role an earlier thread's arena served."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = tmp_path / "malloc_info.xml"
+    subprocess.run([sys.executable, "-c", _ARENA_PROBE, str(out)], check=True,
+                   env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert out.read_text().count("<heap nr=") == 1
 
 
 class TestEpochOrder:
