@@ -9,7 +9,8 @@ attack relies on.
 
 Graphs are built implicitly: every op records its parents and a
 vector-Jacobian closure on the output tensor. ``backward`` walks the graph
-once in reverse topological order and then marks it consumed.
+once in reverse topological order, marking each node consumed and dropping
+its closure and parents as soon as its gradient has passed through.
 """
 
 from __future__ import annotations
@@ -192,19 +193,29 @@ def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return win.reshape(n, c * kh * kw, h * w)
 
 
-def _col2im(dcols: np.ndarray, padded_shape, kh: int, kw: int) -> np.ndarray:
-    n, c, hp, wp = padded_shape
+def _col2im(dcols: np.ndarray, dxp: np.ndarray, kh: int, kw: int) -> None:
+    """Add a (N, C*kh*kw, H*W) patch gradient into the zeroed padded input
+    gradient ``dxp`` (N, C, Hp, Wp), in place."""
+    n, c, hp, wp = dxp.shape
     h, w = hp - kh + 1, wp - kw + 1
-    dxp = np.zeros(padded_shape, dtype=np.float32)
     dc = dcols.reshape(n, c, kh, kw, h, w)
     for i in range(kh):
         for j in range(kw):
             dxp[:, :, i : i + h, j : j + w] += dc[:, :, i, j]
-    return dxp
+
+
+# conv2d never holds more patch matrix than this at once. A batch whose
+# patches fit keeps them for backward; a larger one is lowered a chunk of
+# samples at a time and keeps only its padded input.
+_CHUNK_BYTES = 2 << 20
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
-    """Stride-1 convolution. x: (N,C,H,W), w: (O,C,kh,kw), b: (O,)."""
+    """Stride-1 convolution. x: (N,C,H,W), w: (O,C,kh,kw), b: (O,).
+
+    Every product is one GEMM per sample, and ``dw`` adds the samples up
+    in batch order, so the bits do not depend on the chunk size.
+    """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-d input, got {x.data.shape}")
     if x.data.shape[1] != w.data.shape[1]:
@@ -216,24 +227,45 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
     p = padding
     xp = np.zeros((n, c, hh + 2 * p, ww + 2 * p), dtype=np.float32)
     xp[:, :, p : p + hh, p : p + ww] = x.data
-    cols = _im2col(xp, kh, kw)  # (N, C*kh*kw, H*W)
     ho, wo = hh + 2 * p - kh + 1, ww + 2 * p - kw + 1
     wm = w.data.reshape(o, -1)
-    out = (wm @ cols).reshape(n, o, ho, wo) + b.data.reshape(1, o, 1, 1)
+    step = max(1, _CHUNK_BYTES // max(1, 4 * c * kh * kw * ho * wo))  # samples
+    out = np.empty((n, o, ho * wo), dtype=np.float32)
+    if n <= step:
+        cols = _im2col(xp, kh, kw)  # (N, C*kh*kw, H*W), kept for backward
+        np.matmul(wm, cols, out=out)
+    else:
+        cols = None  # rebuilt chunk by chunk in backward
+        for s in range(0, n, step):
+            np.matmul(wm, _im2col(xp[s : s + step], kh, kw), out=out[s : s + step])
+    out = out.reshape(n, o, ho, wo)
+    out += b.data.reshape(1, o, 1, 1)
 
     def vjp(g):
         gr = g.reshape(n, o, ho * wo)  # (N, O, H*W)
-        # Batched GEMM against the patch matrix, then a sum over the batch.
-        dw = np.matmul(gr, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
-        db = gr.sum(axis=(0, 2))
-        if not x.requires_grad:  # backward drops gradients for such parents
-            return (None, dw, db)
-        dcols = np.matmul(wm.T, gr)  # (C*kh*kw, O) @ (N, O, H*W)
-        dxp = _col2im(dcols, xp.shape, kh, kw)
-        dx = dxp[:, :, p : p + hh, p : p + ww] if p else dxp
-        return (dx, dw, db)
+        # backward drops the gradients of parents that need none
+        db = gr.sum(axis=(0, 2)) if b.requires_grad else None
+        dw = None
+        dxp = np.zeros(xp.shape, dtype=np.float32) if x.requires_grad else None
+        for s in range(0, max(n, 1), step):  # one empty chunk when n == 0
+            e = s + step
+            if w.requires_grad:
+                chunk = cols if cols is not None else _im2col(xp[s:e], kh, kw)
+                part = np.matmul(gr[s:e], chunk.transpose(0, 2, 1))  # (chunk, O, C*kh*kw)
+                if dw is None:
+                    dw = part.sum(axis=0)
+                else:  # later samples one at a time, as .sum(axis=0) adds them
+                    for row in part:
+                        dw += row
+            if dxp is not None:
+                _col2im(np.matmul(wm.T, gr[s:e]), dxp[s:e], kh, kw)
+        if dw is not None:
+            dw = dw.reshape(w.data.shape)
+        if dxp is not None and p:
+            dxp = dxp[:, :, p : p + hh, p : p + ww]
+        return (dxp, dw, db)
 
-    return _node(out.astype(np.float32, copy=False), (x, w, b), vjp)
+    return _node(out, (x, w, b), vjp)
 
 
 _POOL_SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1))  # window slots, row-major
@@ -408,16 +440,20 @@ def backward(loss: Tensor, seed_grad: np.ndarray | None = None) -> None:
     order = _toposort(loss)
     grads: dict[int, np.ndarray] = {id(loss): seed_grad.reshape(loss.data.shape)}
     for node in reversed(order):
-        if node._vjp is not None:
-            # Interior nodes are single-use; leaves live across many graphs.
-            if node._consumed:
-                raise GraphError("backward: graph already consumed")
+        # Interior nodes are single-use; leaves live across many graphs.
+        if node._consumed:
+            raise GraphError("backward: graph already consumed")
+        vjp, parents = node._vjp, node._parents
+        if vjp is not None:
+            # Unlinked as the walk reaches it, so the op's saved arrays are
+            # freed once its VJP has run rather than when the walk ends.
             node._consumed = True
+            node._vjp, node._parents = None, ()
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node._vjp is not None:
-            for parent, pg in zip(node._parents, node._vjp(g)):
+        if vjp is not None:
+            for parent, pg in zip(parents, vjp(g)):
                 if not parent.requires_grad:
                     continue
                 acc = grads.get(id(parent))

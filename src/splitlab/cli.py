@@ -39,8 +39,8 @@ from .harness import (
     snapshot_tap,
     _dump_pair,
 )
-from .models import (SplitModel, build_layers, build_net, load_checkpoint, save_checkpoint,
-                     split_at)
+from .models import (ARCHS, SplitModel, build_layers, build_net, load_checkpoint,
+                     save_checkpoint, split_at)
 from .optim import OPTIMIZERS
 from .protocol import (TOPOLOGIES, RoleResult, SessionConfig, held_examples, run_client,
                        run_server, run_session)
@@ -131,6 +131,21 @@ def effective_config(args: argparse.Namespace) -> dict:
 
 
 def load_dataset(cfg: dict, split: str) -> Dataset:
+    """``split`` of the configured dataset, checked against the configured
+    arch's input shape before anything runs on it."""
+    ds = _read_dataset(cfg, split)
+    spec = ARCHS.get(cfg["arch"])
+    if spec is None:
+        raise ConfigError(f"unknown architecture {cfg['arch']!r}; known: {sorted(ARCHS)}")
+    if ds.images.shape[1:] != spec.input_shape:
+        raise ConfigError(
+            f"dataset {cfg['dataset']} has images of shape {ds.images.shape[1:]}, "
+            f"but arch {cfg['arch']} takes {spec.input_shape}"
+        )
+    return ds
+
+
+def _read_dataset(cfg: dict, split: str) -> Dataset:
     name, root = cfg["dataset"], cfg["data_dir"]
     if name == "synth":
         n = 512 if split == "train" else 256

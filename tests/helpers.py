@@ -1,7 +1,7 @@
 """Shared test utilities: the oracles the library is checked against
 (central finite differences, an unsplit trainer, per-candidate label
-probing, argmax pooling), kink-aware input sampling, and tiny PGM/PPM
-parsing."""
+probing, argmax pooling, whole-batch convolution), kink-aware input
+sampling, and tiny PGM/PPM parsing."""
 
 from __future__ import annotations
 
@@ -91,6 +91,37 @@ def maxpool_oracle(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray
         .reshape(n, c, h, w)
     )
     return out, dx
+
+
+def conv2d_oracle(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: int,
+                  g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Stride-1 convolution and its gradients for the seed ``g`` the direct
+    way: one patch matrix for the whole batch, one batched GEMM per product,
+    and ``dw`` summed over the batch by one ``.sum(axis=0)``. Returns
+    ``(out, dx, dw, db)``."""
+    n, _, hh, ww = x.shape
+    o, c, kh, kw = w.shape
+    p = padding
+    xp = np.zeros((n, c, hh + 2 * p, ww + 2 * p), dtype=np.float32)
+    xp[:, :, p : p + hh, p : p + ww] = x
+    ho, wo = hh + 2 * p - kh + 1, ww + 2 * p - kw + 1
+    s0, s1, s2, s3 = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (n, c, kh, kw, ho, wo), (s0, s1, s2, s3, s2, s3)
+    )
+    cols = win.reshape(n, c * kh * kw, ho * wo)
+    wm = w.reshape(o, -1)
+    out = (wm @ cols).reshape(n, o, ho, wo) + b.reshape(1, o, 1, 1)
+    gr = g.reshape(n, o, ho * wo)
+    dw = np.matmul(gr, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    db = gr.sum(axis=(0, 2))
+    dc = np.matmul(wm.T, gr).reshape(n, c, kh, kw, ho, wo)
+    dxp = np.zeros(xp.shape, dtype=np.float32)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i : i + ho, j : j + wo] += dc[:, :, i, j]
+    dx = dxp[:, :, p : p + hh, p : p + ww] if p else dxp
+    return out.astype(np.float32, copy=False), dx, dw, db
 
 
 def fd_check(f, x: np.ndarray, h: float, rtol: float = RTOL, atol: float = ATOL):

@@ -1,6 +1,8 @@
 """Autograd engine: op-level examples, analytic gradients, and the
 finite-difference oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +14,8 @@ from splitlab.autograd import Tensor
 from splitlab.errors import GraphError, NumericError, ShapeError
 from splitlab.optim import SGD, Adam
 
-from helpers import fd_check, finite_diff_grad, maxpool_oracle, pool_safe, relu_safe
+from helpers import (conv2d_oracle, fd_check, finite_diff_grad, maxpool_oracle, pool_safe,
+                     relu_safe)
 
 
 class TestOps:
@@ -308,6 +311,126 @@ class TestConvBackward:
         assert dx is not None and dx_none is None
         np.testing.assert_array_equal(dw_only, dw)
         np.testing.assert_array_equal(db_only, db)
+
+
+def _conv_all_grads(x, w, b, padding, g):
+    """conv2d's output and its (dx, dw, db) for the seed ``g``."""
+    ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+    out = ag.conv2d(*ts, padding)
+    ag.backward(out, seed_grad=g)
+    return (out.data, *(t.grad for t in ts))
+
+
+def _assert_same_bytes(got, want):
+    for a, e in zip(got, want, strict=True):
+        assert a.dtype == np.float32 and a.shape == e.shape
+        assert a.tobytes() == e.tobytes()
+
+
+@st.composite
+def _conv_case(draw):
+    """A small convolution over normal values, a fifth of them zeros of
+    either sign, its seed gradient, and a chunk size in samples (``None``:
+    the whole batch)."""
+    n = draw(st.sampled_from([0, 1, 2, 5]))
+    c, o = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    k, p = draw(st.sampled_from([(3, 1), (1, 0)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(shape):
+        v = rng.normal(size=shape).astype(np.float32)
+        zero = rng.random(shape) < 0.2
+        v[zero] = np.where(rng.random(shape) < 0.5, -0.0, 0.0)[zero]
+        return v
+
+    x, wt, b, g = (values(s) for s in ((n, c, h, w), (o, c, k, k), (o,), (n, o, h, w)))
+    return x, wt, b, p, g, draw(st.sampled_from([1, 2, None]))
+
+
+class TestConvBytes:
+    """conv2d against the whole-batch oracle, byte for byte, whatever the
+    chunk size."""
+
+    @given(_conv_case())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle_at_every_chunk_size(self, case):
+        x, w, b, p, g, samples = case
+        per_sample = 4 * w[0].size * g.shape[2] * g.shape[3]  # patch bytes
+        budget = 1 << 40 if samples is None else samples * per_sample
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ag, "_CHUNK_BYTES", budget)
+            got = _conv_all_grads(x, w, b, p, g)
+        _assert_same_bytes(got, conv2d_oracle(x, w, b, p, g))
+
+    def test_cifar_layer_at_the_real_budget(self):
+        # cifar's 64->64 layer at batch 8: 18 MiB of patches, one sample a chunk.
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(8, 64, 32, 32)).astype(np.float32)
+        w = rng.normal(scale=0.05, size=(64, 64, 3, 3)).astype(np.float32)
+        b = rng.normal(size=64).astype(np.float32)
+        g = rng.normal(size=(8, 64, 32, 32)).astype(np.float32)
+        assert 4 * 64 * 9 * 32 * 32 > ag._CHUNK_BYTES
+        _assert_same_bytes(_conv_all_grads(x, w, b, 1, g), conv2d_oracle(x, w, b, 1, g))
+
+    @pytest.mark.parametrize("budget", [1, 1 << 40])
+    @pytest.mark.parametrize("w_grad, b_grad", [(False, True), (True, False),
+                                                (False, False)])
+    def test_frozen_params_get_no_gradient(self, monkeypatch, budget, w_grad, b_grad):
+        monkeypatch.setattr(ag, "_CHUNK_BYTES", budget)
+        rng = np.random.default_rng(22)
+        xd = rng.normal(size=(3, 4, 6, 5)).astype(np.float32)
+        wd = rng.normal(size=(5, 4, 3, 3)).astype(np.float32)
+        bd = rng.normal(size=5).astype(np.float32)
+        g = rng.normal(size=(3, 5, 6, 5)).astype(np.float32)
+
+        def vjp(w_grad, b_grad):
+            out = ag.conv2d(Tensor(xd, requires_grad=True),
+                            Tensor(wd, requires_grad=w_grad),
+                            Tensor(bd, requires_grad=b_grad), 1)
+            return out._vjp(g)
+
+        dx, dw, db = vjp(w_grad, b_grad)
+        want_dx, want_dw, want_db = vjp(True, True)
+        assert (dw is None) == (not w_grad) and (db is None) == (not b_grad)
+        assert dx.tobytes() == want_dx.tobytes()
+        for got, want in ((dw, want_dw), (db, want_db)):
+            assert got is None or got.tobytes() == want.tobytes()
+
+
+class TestBackwardFreesGraph:
+    def test_interior_nodes_unlinked(self):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
+        h1 = ag.conv2d(x, w, b, 1)
+        h2 = ag.relu(h1)
+        h3 = ag.maxpool2x2(h2)
+        loss = ag.mse_loss(h3, Tensor(np.ones((2, 4, 3, 3), dtype=np.float32)))
+        ag.backward(loss)
+        for node in (h1, h2, h3, loss):
+            assert node._vjp is None and node._parents == ()
+        assert all(t.grad is not None for t in (x, w, b))
+        with pytest.raises(GraphError):
+            ag.backward(loss)
+        with pytest.raises(GraphError):  # a new graph through a consumed node
+            ag.backward(ag.tsum(h2))
+
+    def test_conv_peak_memory(self):
+        # Whole-batch patches and their gradient were 2 x 18 MiB here.
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.normal(size=(8, 64, 32, 32)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(64, 64, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(64, dtype=np.float32), requires_grad=True)
+        g = rng.normal(size=(8, 64, 32, 32)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            ag.backward(ag.conv2d(x, w, b, 1), seed_grad=g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
 
 class TestFiniteDiff:

@@ -9,7 +9,8 @@ import threading
 
 import pytest
 
-from splitlab.cli import DEFAULTS, build_parser, effective_config, main
+from splitlab.cli import DEFAULTS, build_parser, effective_config, load_dataset, main
+from splitlab.errors import ConfigError
 
 from helpers import parse_pnm
 
@@ -188,6 +189,22 @@ class TestConfigHandling:
         parser = build_parser()
         from_file = effective_config(parser.parse_args(["train", "--config", str(path)]))
         assert from_file == effective_config(parser.parse_args(["train"]))
+
+    @pytest.mark.parametrize("depth", ["1", "4"])
+    def test_dataset_that_does_not_fit_the_arch_is_config_error(self, tmp_path, capsys,
+                                                                 depth):
+        # synth's 8x8 images cannot feed the 28x28 mnist net.
+        out = tmp_path / "out"
+        assert run(["train", "--dataset", "synth", "--arch", "mnist",
+                    "--split-depth", depth, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "(1, 8, 8)" in err and "(1, 28, 28)" in err
+        assert not any(out.iterdir())  # no session ran, so nothing was written
+
+    def test_unknown_arch_is_config_error(self):
+        cfg = {"dataset": "synth", "arch": "resnet", "data_dir": "", "seed": 0}
+        with pytest.raises(ConfigError, match="resnet"):
+            load_dataset(cfg, "train")
 
     def test_missing_dataset_files_is_io_error(self, tmp_path):
         assert run(["train", "--dataset", "mnist",

@@ -176,7 +176,7 @@ class TestSynth:
         assert digest == "493bec072ca94e540bce62135988a6b5f0752ca0f03d47dc1deaa64658f1b8c4"
 
     def test_test_split_is_learnable(self):
-        cfg = {"dataset": "synth", "data_dir": "", "seed": 3}
+        cfg = {"dataset": "synth", "arch": "tiny8", "data_dir": "", "seed": 3}
         train, test = load_dataset(cfg, "train"), load_dataset(cfg, "test")
         assert test.split == "test"
         assert not np.array_equal(train.labels[: len(test)], test.labels)
