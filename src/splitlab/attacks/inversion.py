@@ -7,7 +7,9 @@ a fixed number of gradient steps on the input estimates (matching loss
 plus a total-variation smoothness term) with the clone frozen, then a
 fixed number of steps on the clone parameters (matching loss only) with
 the inputs frozen. Only the activations and the architecture are used;
-the true client parameters are never touched.
+the true client parameters are never touched, and the clone and the
+first estimates are drawn from the attacker's own streams, never from
+the session's (see ``splitlab.attacks``).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from ..errors import ConfigError, NumericError
 from ..layers import LayerStack
 from ..models import ARCHS, build_layers
 from ..optim import Adam
+from . import attacker_seed
 
 
 def default_tv_lambda(depth: int) -> float:
@@ -52,7 +55,7 @@ class InversionConfig:
     max_rounds: int = 20
     plateau_rel: float = 1e-4
     plateau_rounds: int = 5
-    seed: int = 0
+    seed: int = 0  # the attacker's, from which its streams are derived
 
     def validate(self) -> "InversionConfig":
         if self.tv_lambda is not None and self.tv_lambda < 0:
@@ -105,7 +108,7 @@ def invert(
     lam = cfg.validate().tv_lambda
     if lam is None:
         raise ConfigError("tv_lambda unset; set one or use unsplit_invert")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(attacker_seed(cfg.seed, "inversion-input"))
     b = targets.shape[0]
     lo, hi = CLAMP
     x = Tensor(
@@ -170,7 +173,7 @@ def invert(
     return InversionResult(x_est=best_x, clone=clone, history=history)
 
 
-def make_client_clone(arch: str, depth: int, seed: int) -> LayerStack:
+def make_client_clone(arch: str, depth: int, seed: int | list[int]) -> LayerStack:
     """Fresh random clone of the client part of a registered architecture,
     equal to layers [0, depth) of ``build_net(arch, seed)``."""
     return LayerStack(build_layers(arch, seed, 0, depth))
@@ -202,5 +205,5 @@ def unsplit_invert(
     targets = np.stack(rows)
     if cfg.tv_lambda is None:
         cfg = replace(cfg, tv_lambda=default_tv_lambda(depth))
-    clone = make_client_clone(arch, depth, cfg.seed)
+    clone = make_client_clone(arch, depth, attacker_seed(cfg.seed, "inversion-clone"))
     return invert(targets, clone, ARCHS[arch].input_shape, cfg, ground_truth=ground_truth)

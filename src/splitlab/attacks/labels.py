@@ -25,7 +25,7 @@ import numpy as np
 from ..autograd import Tensor, backward, cross_entropy
 from ..errors import ConfigError, TieError
 from ..layers import LayerStack
-from ..models import arch_layers, build_layers, tail_start_index
+from ..models import build_layers, tail_start_index
 
 
 @dataclass
@@ -36,11 +36,10 @@ class LabelInferenceResult:
     tie: bool  # best distance shared by several candidates
 
 
-def make_tail_clone(arch: str, tail_depth: int, seed: int) -> LayerStack:
+def make_tail_clone(arch: str, tail_depth: int, seed: int | list[int]) -> LayerStack:
     """Fresh random clone of the last ``tail_depth`` fc layers of an arch,
     equal to the same layers of ``build_net(arch, seed)``."""
-    start = tail_start_index(LayerStack(arch_layers(arch)), tail_depth)
-    return LayerStack(build_layers(arch, seed, start))
+    return LayerStack(build_layers(arch, seed, tail_start_index(arch, tail_depth)))
 
 
 def tail_param_gradients(tail: LayerStack, smashed: np.ndarray,
@@ -148,13 +147,14 @@ def infer_label(
 
 def infer_from_tap_entry(entry, clone_tail: LayerStack,
                          num_classes: int = 10) -> LabelInferenceResult:
-    """Run inference on a tap entry whose grad list is [cut grad, param grads...]."""
-    if len(entry.grad) < 2:
+    """Run inference on a tap entry whose grad list is [cut grad, param
+    grads...], against the activations the server sent to the tail."""
+    if len(entry.grad) < 2 or entry.tail_input is None:
         raise ConfigError(
             "tap entry carries no client parameter gradients; label inference "
             "needs a topology where the client owns the loss"
         )
-    return infer_label(entry.grad[1:], entry.smashed, clone_tail, num_classes)
+    return infer_label(entry.grad[1:], entry.tail_input, clone_tail, num_classes)
 
 
 def tail_accuracy(tail: LayerStack, smashed: np.ndarray, labels: np.ndarray,

@@ -39,11 +39,11 @@ from .harness import (
     snapshot_tap,
     _dump_pair,
 )
-from .models import (ARCHS, SplitModel, build_layers, build_net, load_checkpoint,
+from .models import (ARCHS, SplitModel, build_net, load_checkpoint, merge,
                      save_checkpoint, split_at)
 from .optim import OPTIMIZERS
-from .protocol import (TOPOLOGIES, RoleResult, SessionConfig, held_examples, run_client,
-                       run_server, run_session)
+from .protocol import (TOPOLOGIES, SessionConfig, held_examples, run_client, run_server,
+                       run_session)
 from .transport import inproc_pair, tcp_connect, tcp_listen
 
 DATASET_ARCH = {"synth": "tiny8", "mnist": "mnist", "fmnist": "mnist", "cifar": "cifar"}
@@ -198,15 +198,6 @@ def _write_curve(path: str, losses: list[float]) -> None:
             writer.writerow([i, loss])
 
 
-def merged_model(client_res: RoleResult, server_res: RoleResult,
-                 depth: int) -> SplitModel:
-    """Recombine the trained halves of a label-sharing session."""
-    cm, sm = client_res.model, server_res.model
-    model = SplitModel(cm.layers[:depth] + sm.layers[depth:], cm.arch, cm.seed, depth)
-    model.step_count = cm.step_count
-    return model
-
-
 def cmd_train(cfg: dict) -> int:
     scfg = session_config(cfg)
     out = cfg["out_dir"]
@@ -223,9 +214,8 @@ def cmd_train(cfg: dict) -> int:
                 scfg, subset.images, subset.labels, (ct, st))
         save_checkpoint(client_res.model, os.path.join(out, "client.ckpt"))
         save_checkpoint(server_res.model, os.path.join(out, "server.ckpt"))
-        if scfg.topology == "label_sharing":
-            merged = merged_model(client_res, server_res, scfg.split_depth)
-            save_checkpoint(merged, os.path.join(out, "model.ckpt"))
+        save_checkpoint(merge(client_res.model, server_res.model),
+                        os.path.join(out, "model.ckpt"))
         _write_curve(os.path.join(out, "train_curve.csv"), client_res.losses)
         print(f"trained {len(client_res.losses)} steps; "
               f"final loss {client_res.losses[-1]:.4f}" if client_res.losses
@@ -267,9 +257,8 @@ def cmd_attack_invert(cfg: dict) -> int:
         for m in res.history:
             writer.writerow([m.round, m.objective, m.tv,
                              "" if m.mse_truth is None else m.mse_truth])
-    clone_full = SplitModel(res.clone.layers + build_layers(model.arch, cfg["seed"], depth),
-                            model.arch, cfg["seed"], depth)
-    save_checkpoint(clone_full, os.path.join(out, "inversion", "clone.ckpt"))
+    save_checkpoint(SplitModel(res.clone.layers, model.arch, cfg["seed"], depth),
+                    os.path.join(out, "inversion", "clone.ckpt"))
     final_mse = mse_images(res.x_est, sample.images)
     lam = default_tv_lambda(depth) if inv.tv_lambda is None else inv.tv_lambda
     print(f"inversion: depth={depth} lambda={lam} rounds={len(res.history)} "
@@ -290,7 +279,8 @@ def cmd_attack_labels(cfg: dict) -> int:
             "label information away"
         )
     if cfg["checkpoint"]:
-        model = load_checkpoint(cfg["checkpoint"])
+        # The attack simulates the client's tail, so it needs the whole net.
+        model = merge(load_checkpoint(cfg["checkpoint"]))
     else:
         model = build_net(cfg["arch"], seed=cfg["seed"])
     ds = load_dataset(cfg, "train")

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
+from .attacks import attacker_seed
 from .attacks.inversion import InversionConfig, unsplit_invert
 from .attacks.labels import (infer_label, make_tail_clone, tail_accuracy,
                              tail_param_gradients)
@@ -99,8 +100,10 @@ def stitch_and_train_head(clone_f1: LayerStack, cfg: SessionConfig, train_ds: Da
     """Evaluate a client part stolen from the session ``cfg``: freeze it,
     train a fresh head of the session's architecture on top with the
     session's optimizer, lr, batch size and seed, and return the test
-    accuracy of the stitched model."""
-    head_layers = build_layers(cfg.arch, cfg.seed + 1, cfg.split_depth)
+    accuracy of the stitched model. The head's initial weights come from
+    the attacker's stream, not the session's."""
+    head_layers = build_layers(cfg.arch, attacker_seed(cfg.seed, "stitched-head"),
+                               cfg.split_depth)
     stitched = LayerStack(list(clone_f1.layers) + head_layers)
     for p in clone_f1.params():
         p.requires_grad = False
@@ -127,14 +130,15 @@ def label_inference_accuracy(
     """
     if n_samples < 1:
         raise ConfigError(f"label inference needs at least one sample, got {n_samples}")
-    k = tail_start_index(model, tail_depth)
+    k = tail_start_index(model.arch, tail_depth)
     prefix = LayerStack(model.layers[:k])
     true_tail = LayerStack(model.layers[k:])
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, len(ds), size=n_samples)
     hits = 0
     for step, i in enumerate(picks):
-        clone = make_tail_clone(model.arch, tail_depth, seed + 7919 + step)
+        clone = make_tail_clone(model.arch, tail_depth,
+                                attacker_seed(seed, "label-clone", step))
         smashed = prefix.forward(Tensor(ds.images[int(i) : int(i) + 1])).data
         sent = tail_param_gradients(true_tail, smashed, int(ds.labels[int(i)]))
         result = infer_label(sent, smashed, clone, model.num_classes)
@@ -148,7 +152,7 @@ def epoch_attack_curve(
 ) -> list[float]:
     """Mean reconstruction MSE against a fixed sample set after each
     training epoch of the client."""
-    model, client, server = build_parts(cfg)
+    client, server = build_parts(cfg)
     curve = []
     for epoch in range(cfg.epochs):
         for idx in epoch_batches(len(train_ds), cfg.batch_size, cfg.seed, epoch):
@@ -250,7 +254,7 @@ def run_depth_sweep(sweep: SweepConfig, train_ds: Dataset,
             t0 = time.monotonic()
             # Zero epochs leave the seeded init: the untrained client.
             cfg = replace(session, split_depth=depth, epochs=session.epochs * trained)
-            # The model holds every trained layer, whichever role trained it.
+            # The model holds both roles' trained layers.
             model, _, client, _ = train_local(cfg, subset.images, subset.labels)
             entries = snapshot_tap(client.head, sample.images)
             res = unsplit_invert(entries, cfg.arch, depth, sweep.inversion,

@@ -4,7 +4,9 @@ The two paper-scale architectures (28x28 grayscale and 32x32 RGB, 10
 classes each) are built here, plus a shrunk 8x8 fixture net so the test
 suite and CI runs need no dataset downloads. A network is split by an
 integer depth: every primitive layer is one depth unit, the client runs
-layers [0, depth) and the server the rest.
+layers [0, depth) and the server the rest. A model may hold only some of
+a net's layers (one role's part, say); each layer keeps its index in the
+whole net, and ``merge`` puts parts back together.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autograd import Tensor
 from .errors import CheckpointError, ConfigError
 from .layers import (
     Conv2d,
@@ -28,22 +31,31 @@ from .layers import (
 )
 
 CHECKPOINT_MAGIC = b"USPL"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class SplitModel(LayerStack):
-    """A full network plus the metadata needed to rebuild and split it."""
+    """Layers of a network, each with its ``index`` in the whole net (by
+    default all of them, in order), plus the metadata needed to rebuild
+    and split it."""
 
-    def __init__(self, layers: list[Layer], arch: str, seed: int, split_depth: int = 1):
+    def __init__(self, layers: list[Layer], arch: str, seed: int, split_depth: int = 1,
+                 index: list[int] | None = None):
         super().__init__(layers)
         self.arch = arch
         self.seed = seed
         self.split_depth = split_depth
+        self.index = list(range(len(self.layers)) if index is None else index)
         self.step_count = 0
 
     @property
     def num_classes(self) -> int:
         return ARCHS[self.arch].num_classes
+
+    def named_params(self) -> list[tuple[str, Tensor]]:
+        """Parameters named ``<net index>.weight`` / ``<net index>.bias``."""
+        return [(f"{i}.{name}", p) for i, layer in zip(self.index, self.layers)
+                for name, p in zip(("weight", "bias"), layer.params())]
 
 
 def _mnist_layers() -> list[Layer]:
@@ -127,7 +139,7 @@ def arch_layers(arch: str) -> list[Layer]:
     return ARCHS[arch].builder()
 
 
-def build_layers(arch: str, seed: int = 0, start: int = 0,
+def build_layers(arch: str, seed: int | list[int] = 0, start: int = 0,
                  stop: int | None = None) -> list[Layer]:
     """Layers [start, stop) of an architecture, initialized bit-identically
     to the same layers of ``build_net(arch, seed)``.
@@ -157,30 +169,64 @@ def build_net(arch: str, seed: int = 0, split_depth: int = 1) -> SplitModel:
     return SplitModel(build_layers(arch, seed), arch, seed, split_depth)
 
 
+def build_part(arch: str, seed: int, ranges, split_depth: int = 1) -> SplitModel:
+    """The layers of ``ranges`` (``(start, stop)`` pairs in net order; an
+    empty one is skipped) as one model, each layer initialized
+    bit-identically to the same layer of ``build_net(arch, seed)``."""
+    ranges = [(lo, hi) for lo, hi in ranges if lo < hi]
+    return SplitModel([layer for lo, hi in ranges for layer in build_layers(arch, seed, lo, hi)],
+                      arch, seed, split_depth, [i for lo, hi in ranges for i in range(lo, hi)])
+
+
+def merge(*parts: SplitModel) -> SplitModel:
+    """One model of the parts' layers in net order. The parts' indices must
+    tile the whole net exactly. Layers are shared, not copied; the
+    metadata and step count are the first part's."""
+    first = parts[0]
+    n = len(arch_layers(first.arch))
+    held = sorted(((i, layer) for part in parts for i, layer in zip(part.index, part.layers)),
+                  key=lambda pair: pair[0])
+    index = [i for i, _ in held]
+    if index != list(range(n)):
+        raise ConfigError(f"parts hold layers {index}, not each of the {n} layers "
+                          f"of {first.arch!r} once")
+    model = SplitModel([layer for _, layer in held], first.arch, first.seed, first.split_depth)
+    model.step_count = first.step_count
+    return model
+
+
 def split_at(model: SplitModel, depth: int) -> tuple[LayerStack, LayerStack]:
-    """Partition into client part [0, depth) and server part [depth, end).
+    """Partition into the client part, layers [0, depth) of the net, and
+    the model's other layers (the server part [depth, end) of a whole
+    net). The model must hold every layer of the client part.
 
     The halves share the model's layer objects, so parameters are views,
     not copies.
     """
-    if not 1 <= depth < len(model.layers):
+    n = len(arch_layers(model.arch))
+    if not 1 <= depth < n:
+        raise ConfigError(f"split depth {depth} out of range [1, {n - 1}]")
+    missing = set(range(depth)) - set(model.index)
+    if missing:
         raise ConfigError(
-            f"split depth {depth} out of range [1, {len(model.layers) - 1}]"
+            f"model holds layers {model.index} of {model.arch!r}, not layer "
+            f"{min(missing)} of the client part [0, {depth})"
         )
     return LayerStack(model.layers[:depth]), LayerStack(model.layers[depth:])
 
 
-def tail_start_index(model: SplitModel, tail_depth: int) -> int:
+def tail_start_index(arch: str, tail_depth: int) -> int:
     """Index where a client tail holding the last ``tail_depth`` fully-connected
-    layers (plus everything after them) begins."""
+    layers of an architecture (plus everything after them) begins."""
+    layers = arch_layers(arch)
     seen = 0
-    for i in range(len(model.layers) - 1, -1, -1):
-        if isinstance(model.layers[i], FullyConnected):
+    for i in range(len(layers) - 1, -1, -1):
+        if isinstance(layers[i], FullyConnected):
             seen += 1
             if seen == tail_depth:
                 return i
     raise ConfigError(
-        f"model has only {seen} fully-connected layers, need {tail_depth}"
+        f"{arch!r} has only {seen} fully-connected layers, need {tail_depth}"
     )
 
 
@@ -189,8 +235,13 @@ def tail_start_index(model: SplitModel, tail_depth: int) -> int:
 #
 # Little-endian layout:
 #   "USPL" | u32 version | u8 arch-id length | arch-id bytes
-#   | u32 split depth | u64 seed | u64 step count | u32 tensor count
+#   | u32 split depth | u64 seed | u64 step count
+#   | u32 layer count | u32 net index of each held layer, ascending
+#   | u32 tensor count
 #   | per tensor: u16 name length | name bytes | u8 ndim | u32 dims... | f32 data
+#
+# A tensor is named by its layer's net index, so a part checkpoint (one
+# role's layers) names the same tensor as a whole-net one.
 
 def save_checkpoint(model: SplitModel, path: str) -> None:
     parts = [
@@ -199,6 +250,7 @@ def save_checkpoint(model: SplitModel, path: str) -> None:
         struct.pack("<B", len(model.arch)),
         model.arch.encode("ascii"),
         struct.pack("<IQQ", model.split_depth, model.seed, model.step_count),
+        struct.pack(f"<I{len(model.index)}I", len(model.index), *model.index),
     ]
     named = model.named_params()
     parts.append(struct.pack("<I", len(named)))
@@ -233,6 +285,8 @@ class _Reader:
 
 
 def load_checkpoint(path: str) -> SplitModel:
+    """The model a checkpoint holds: only its listed layers, every
+    parameter read from the file."""
     with open(path, "rb") as fh:
         r = _Reader(fh.read())
     if r.take(4) != CHECKPOINT_MAGIC:
@@ -245,24 +299,35 @@ def load_checkpoint(path: str) -> SplitModel:
     if arch not in ARCHS:
         raise CheckpointError(f"{path}: unknown architecture id {arch!r}")
     split_depth, seed, step_count = r.unpack("<IQQ")
+    layers = arch_layers(arch)
+    (held,) = r.unpack("<I")
+    if not 1 <= held <= len(layers):
+        raise CheckpointError(f"{path}: {held} layers listed, {arch!r} has {len(layers)}")
+    index = list(r.unpack(f"<{held}I"))
+    if any(i >= j for i, j in zip(index, index[1:])) or index[-1] >= len(layers):
+        raise CheckpointError(
+            f"{path}: layer indices {index} are not ascending, distinct and "
+            f"below {len(layers)}"
+        )
     (count,) = r.unpack("<I")
 
-    model = build_net(arch, seed=int(seed), split_depth=int(split_depth))
+    model = SplitModel([layers[i] for i in index], arch, int(seed), int(split_depth), index)
     model.step_count = int(step_count)
     expected = dict(model.named_params())
     if count != len(expected):
         raise CheckpointError(
-            f"{path}: architecture mismatch, {count} tensors vs "
-            f"{len(expected)} expected for {arch!r}"
+            f"{path}: {count} tensors, but layers {index} of {arch!r} have "
+            f"{len(expected)}"
         )
     for _ in range(count):
         (name_len,) = r.unpack("<H")
         name = r.take(name_len).decode("ascii")
         (ndim,) = r.unpack("<B")
         dims = r.unpack(f"<{ndim}I")
-        if name not in expected:
-            raise CheckpointError(f"{path}: unexpected tensor {name!r} for {arch!r}")
-        p = expected[name]
+        p = expected.pop(name, None)
+        if p is None:
+            raise CheckpointError(
+                f"{path}: unexpected or repeated tensor {name!r} for layers {index}")
         if tuple(dims) != p.data.shape:
             raise CheckpointError(
                 f"{path}: tensor {name!r} shape {dims} != expected {p.data.shape}"

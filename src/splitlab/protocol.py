@@ -38,7 +38,7 @@ from .autograd import Tensor, backward, cross_entropy
 from .data import epoch_batches, epoch_order  # noqa: F401  (re-exported)
 from .errors import ConfigError, ProtocolError
 from .layers import LayerStack
-from .models import ARCHS, SplitModel, build_net, tail_start_index
+from .models import ARCHS, SplitModel, arch_layers, build_part, merge, tail_start_index
 from .optim import OPTIMIZERS, Optimizer, make_optimizer
 from .transport import Transport
 from .wire import MsgType
@@ -78,9 +78,10 @@ class SessionConfig:
 @dataclass
 class TapEntry:
     step: int
-    smashed: np.ndarray
+    smashed: np.ndarray  # cut activations received; in server_data, those sent
     labels: np.ndarray | None
     grad: list[np.ndarray]
+    tail_input: np.ndarray | None = None  # activations sent to the client's tail
 
 
 class ServerTap:
@@ -90,13 +91,18 @@ class ServerTap:
         self.entries: list[TapEntry] = []
 
     def record(self, step: int, smashed: np.ndarray,
-               labels: np.ndarray | None, grad: list[np.ndarray]) -> None:
+               labels: np.ndarray | None, grad: list[np.ndarray],
+               tail_input: np.ndarray | None = None) -> None:
+        kept = np.array(smashed, copy=True)
         self.entries.append(
             TapEntry(
                 step,
-                np.array(smashed, copy=True),
+                kept,
                 None if labels is None else np.array(labels, copy=True),
                 [np.array(g, copy=True) for g in grad],
+                # server_data sends its cut activations to the tail: one copy.
+                kept if tail_input is smashed else
+                None if tail_input is None else np.array(tail_input, copy=True),
             )
         )
 
@@ -153,6 +159,7 @@ def backprop_part(part: LayerStack, out: Tensor, grad_out: np.ndarray,
 
 @dataclass
 class ClientState:
+    model: SplitModel  # the client's own layers: the head's, then the tail's
     head: LayerStack | None = None
     tail: LayerStack | None = None
     head_opt: Optimizer | None = None
@@ -162,52 +169,62 @@ class ClientState:
 
 @dataclass
 class ServerState:
-    part: LayerStack | None = None
+    part: SplitModel  # the server's own layers
     opt: Optimizer | None = None
     tap: ServerTap | None = None
     step: int = 0
     rows: tuple[int, ...] | None = None  # row shape of the SMASHED it receives
 
     def observe(self, smashed: np.ndarray, labels: np.ndarray | None,
-                grad: list[np.ndarray]) -> None:
+                grad: list[np.ndarray], tail_input: np.ndarray | None = None) -> None:
         """Count a step and log what the server saw in it."""
         self.step += 1
         if self.tap is not None:
-            self.tap.record(self.step, smashed, labels, grad)
+            self.tap.record(self.step, smashed, labels, grad, tail_input)
 
 
-def build_parts(cfg: SessionConfig, model: SplitModel | None = None
-                ) -> tuple[SplitModel, ClientState, ServerState]:
-    """Build the full model and cut it, in every topology, at ``a`` (the
-    split depth, 0 in server_data) and ``b`` (the tail's start, the end
-    of the net in label_sharing): the client's head is layers [0, a),
-    the server's part [a, b) and the client's tail [b, end). An empty
-    range is None. A role that receives SMASHED gets its cut's row
-    shape, from a zero-row forward as deep as that cut."""
+def cut(cfg: SessionConfig) -> tuple[int, int, int]:
+    """Where every topology cuts the ``n`` layers of its net: at ``a`` (the
+    split depth, 0 in server_data) and ``b`` (the tail's start, ``n`` in
+    label_sharing). The client's head is layers [0, a), the server's part
+    [a, b) and the client's tail [b, n)."""
     cfg.validate()
-    if model is None:
-        model = build_net(cfg.arch, seed=cfg.seed, split_depth=cfg.split_depth)
-    layers = model.layers
+    n = len(arch_layers(cfg.arch))
     a = 0 if cfg.topology == "server_data" else cfg.split_depth
-    b = (len(layers) if cfg.topology == "label_sharing"
-         else tail_start_index(model, cfg.tail_depth))
+    b = n if cfg.topology == "label_sharing" else tail_start_index(cfg.arch, cfg.tail_depth)
     if not (cfg.topology == "server_data" or 1 <= a < b):
         raise ConfigError(f"split depth {a} out of range [1, {b - 1}] in {cfg.topology}")
-    head, part, tail = (LayerStack(layers[lo:hi]) if lo < hi else None
-                        for lo, hi in ((0, a), (a, b), (b, len(layers))))
+    return a, b, n
+
+
+def build_parts(cfg: SessionConfig, roles=("client", "server")) -> tuple:
+    """The state of each of ``roles``, in order. A role builds only its own
+    layers of the net cut at ``cut(cfg)``, each initialized as the same
+    layer of ``build_net(cfg.arch, cfg.seed)``; an empty part is None. A
+    role that receives SMASHED gets its cut's row shape, from a zero-row
+    forward through unseeded layers as deep as that cut."""
+    a, b, n = cut(cfg)
+    layers = arch_layers(cfg.arch)
+
+    def rows(depth: int) -> tuple[int, ...]:
+        x = Tensor(np.zeros((0, *ARCHS[cfg.arch].input_shape), np.float32))
+        return LayerStack(layers[:depth]).forward(x).data.shape[1:]
 
     def opt(stack: LayerStack | None) -> Optimizer | None:
         return None if stack is None else make_optimizer(cfg.optimizer, stack.params(), cfg.lr)
 
-    client = ClientState(head, tail, opt(head), opt(tail))
-    server = ServerState(part, opt(part))
-    cut = Tensor(np.zeros((0, *ARCHS[cfg.arch].input_shape), np.float32))
-    if head is not None:
-        cut = head.forward(cut)
-        server.rows = cut.data.shape[1:]
-    if tail is not None:
-        client.rows = part.forward(cut).data.shape[1:]
-    return model, client, server
+    states = []
+    for role in roles:
+        if role == "client":
+            model = build_part(cfg.arch, cfg.seed, ((0, a), (b, n)), cfg.split_depth)
+            head = LayerStack(model.layers[:a]) if a else None
+            tail = LayerStack(model.layers[a:]) if b < n else None
+            states.append(ClientState(model, head, tail, opt(head), opt(tail),
+                                      None if tail is None else rows(b)))
+        else:
+            part = build_part(cfg.arch, cfg.seed, ((a, b),), cfg.split_depth)
+            states.append(ServerState(part, opt(part), rows=rows(a) if a else None))
+    return tuple(states)
 
 
 def _check_rows(smashed: np.ndarray, rows: tuple[int, ...]) -> np.ndarray:
@@ -258,7 +275,7 @@ def _server_data_server(server: ServerState, x):
     yield MsgType.SMASHED, smashed.data
     grads = yield MsgType.GRAD
     loss = yield MsgType.LOSS
-    server.observe(smashed.data, None, grads)
+    server.observe(smashed.data, None, grads, smashed.data)
     backprop_part(server.part, smashed, grads[0], server.opt)
     return loss
 
@@ -284,7 +301,7 @@ def _client_labels_server(server: ServerState, x):
     yield MsgType.SMASHED, a2.data
     grads = yield MsgType.GRAD
     loss = yield MsgType.LOSS
-    server.observe(a1, None, grads)
+    server.observe(a1, None, grads, a2.data)
     backprop_part(server.part, a2, grads[0], server.opt)
     yield MsgType.GRAD, [sm1.grad]
     return loss
@@ -354,16 +371,17 @@ def train_step(topology: str, client: ClientState, server: ServerState,
 
 
 def train_local(cfg: SessionConfig, images: np.ndarray, labels: np.ndarray,
-                model: SplitModel | None = None, tap: ServerTap | None = None
+                tap: ServerTap | None = None
                 ) -> tuple[SplitModel, list[float], ClientState, ServerState]:
-    """Run the whole training loop in-memory via ``train_step``."""
-    model, client, server = build_parts(cfg, model)
+    """Run the whole training loop in-memory via ``train_step``; returns
+    the whole net (both roles' layers, merged), the losses and the two
+    role states."""
+    client, server = build_parts(cfg)
     server.tap = tap
-    losses = []
-    for idx in session_batches(cfg, len(labels)):
-        losses.append(train_step(cfg.topology, client, server,
-                                 (images[idx], labels[idx])))
-        model.step_count += 1
+    losses = [train_step(cfg.topology, client, server, (images[idx], labels[idx]))
+              for idx in session_batches(cfg, len(labels))]
+    model = merge(client.model, server.part)
+    model.step_count = len(losses)
     return model, losses, client, server
 
 
@@ -447,7 +465,7 @@ def _finish(transport: Transport, holds_examples: bool) -> None:
 @dataclass
 class RoleResult:
     losses: list[float] = field(default_factory=list)
-    model: SplitModel | None = None
+    model: SplitModel | None = None  # this role's own layers
     client: ClientState | None = None
     server: ServerState | None = None
 
@@ -456,17 +474,16 @@ def run_client(transport: Transport, cfg: SessionConfig,
                images: np.ndarray | None, labels: np.ndarray) -> RoleResult:
     """Client role. Holds the labels, and the examples (``images``) in
     every topology but ``server_data``."""
-    cfg.validate()
+    (client,) = build_parts(cfg, ("client",))
     _client_handshake(transport, cfg, len(labels))
-    model, client, _ = build_parts(cfg)
     program = ROLES[cfg.topology][0]
     losses: list[float] = []
     for idx in session_batches(cfg, len(labels)):
         x = None if images is None else images[idx]
         losses.append(_play(transport, program(client, x, labels[idx])))
-        model.step_count += 1
     _finish(transport, images is not None)
-    return RoleResult(losses=losses, model=model, client=client)
+    client.model.step_count = len(losses)
+    return RoleResult(losses=losses, model=client.model, client=client)
 
 
 def run_server(transport: Transport, cfg: SessionConfig,
@@ -474,9 +491,8 @@ def run_server(transport: Transport, cfg: SessionConfig,
                ) -> RoleResult:
     """Server role. Holds the examples (``images``) only in ``server_data``;
     otherwise it runs as many steps as the client's example count makes."""
-    cfg.validate()
+    (server,) = build_parts(cfg, ("server",))
     n = _server_handshake(transport, cfg, None if images is None else len(images))
-    model, _, server = build_parts(cfg)
     server.tap = tap
     program = ROLES[cfg.topology][1]
     losses: list[float] = []
@@ -485,9 +501,9 @@ def run_server(transport: Transport, cfg: SessionConfig,
                 else session_batches(cfg, n)):
         x = None if images is None else images[idx]
         losses.append(_play(transport, program(server, x)))
-        model.step_count += 1
     _finish(transport, images is not None)
-    return RoleResult(losses=losses, model=model, server=server)
+    server.part.step_count = len(losses)
+    return RoleResult(losses=losses, model=server.part, server=server)
 
 
 _M_ARENA_MAX = -8  # glibc's mallopt parameter number

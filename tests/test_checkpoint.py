@@ -11,6 +11,7 @@ from splitlab.errors import CheckpointError
 from splitlab.models import (
     CHECKPOINT_MAGIC,
     build_net,
+    build_part,
     load_checkpoint,
     save_checkpoint,
 )
@@ -58,12 +59,88 @@ def test_size_formula(ckpt):
     model = build_net("tiny8", seed=0)
     save_checkpoint(model, ckpt)
     raw = Path(ckpt).read_bytes()
-    header = 4 + 4 + 1 + len(model.arch) + 4 + 8 + 8 + 4
+    header = 4 + 4 + 1 + len(model.arch) + 4 + 8 + 8 + 4 + 4 * len(model.index) + 4
     per_tensor_meta = sum(
         2 + len(name) + 1 + 4 * p.data.ndim for name, p in model.named_params()
     )
     data = 4 * sum(p.data.size for p in model.params())
     assert len(raw) == header + per_tensor_meta + data
+
+
+def test_part_round_trip_keeps_net_indices(ckpt):
+    part = build_part("tiny8", 4, [(0, 1), (6, 8)], split_depth=1)
+    part.step_count = 3
+    save_checkpoint(part, ckpt)
+    loaded = load_checkpoint(ckpt)
+    assert loaded.index == [0, 6, 7]
+    assert [l.kind for l in loaded.layers] == ["conv2d", "fc", "softmax"]
+    assert loaded.step_count == 3
+    for (na, pa), (nb, pb) in zip(part.named_params(), loaded.named_params()):
+        assert na == nb
+        np.testing.assert_array_equal(pa.data, pb.data)
+
+
+def _index_offset(model) -> int:
+    """Byte offset of a checkpoint's layer count."""
+    return 4 + 4 + 1 + len(model.arch) + 4 + 8 + 8
+
+
+@pytest.mark.parametrize("index, problem", [
+    ([1, 8], "not ascending, distinct and below 8"),  # out of range
+    ([1, 1], "not ascending, distinct and below 8"),  # duplicated
+    ([2, 1], "not ascending, distinct and below 8"),  # unsorted
+    ([1, 2], "2 tensors, but layers \\[1, 2\\] of 'tiny8' have 0"),  # pool, relu
+    ([1, 6], "unexpected or repeated tensor '4.weight'"),  # the fc's index changed
+])
+def test_bad_layer_index_rejected(ckpt, index, problem):
+    """A two-layer part (layers 1 and 4: pool and fc) with its list rewritten."""
+    part = build_part("tiny8", 0, [(1, 2), (4, 5)])
+    save_checkpoint(part, ckpt)
+    raw = bytearray(Path(ckpt).read_bytes())
+    at = _index_offset(part)
+    assert struct.unpack_from("<3I", raw, at) == (2, 1, 4)
+    struct.pack_into("<2I", raw, at + 4, *index)
+    Path(ckpt).write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=problem):
+        load_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("count", [0, 9, 2**32 - 1])
+def test_bad_layer_count_rejected(ckpt, count):
+    model = build_net("tiny8", seed=0)
+    save_checkpoint(model, ckpt)
+    raw = bytearray(Path(ckpt).read_bytes())
+    struct.pack_into("<I", raw, _index_offset(model), count)
+    Path(ckpt).write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="layers listed"):
+        load_checkpoint(ckpt)
+
+
+def test_tensor_named_for_another_layer_rejected(ckpt):
+    part = build_part("tiny8", 0, [(4, 5)])
+    save_checkpoint(part, ckpt)
+    raw = Path(ckpt).read_bytes()
+    Path(ckpt).write_bytes(raw.replace(b"4.weight", b"6.weight"))
+    with pytest.raises(CheckpointError, match="unexpected or repeated tensor '6.weight'"):
+        load_checkpoint(ckpt)
+
+
+def test_repeated_tensor_rejected(ckpt):
+    part = build_part("tiny8", 0, [(4, 5), (6, 7)])
+    save_checkpoint(part, ckpt)
+    raw = Path(ckpt).read_bytes()
+    Path(ckpt).write_bytes(raw.replace(b"6.weight", b"4.weight"))
+    with pytest.raises(CheckpointError, match="unexpected or repeated tensor '4.weight'"):
+        load_checkpoint(ckpt)
+
+
+def test_version_1_rejected(ckpt):
+    save_checkpoint(build_net("tiny8", seed=0), ckpt)
+    raw = bytearray(Path(ckpt).read_bytes())
+    raw[4:8] = struct.pack("<I", 1)
+    Path(ckpt).write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="unsupported version 1"):
+        load_checkpoint(ckpt)
 
 
 def test_bad_magic_rejected(ckpt):

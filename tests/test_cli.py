@@ -6,6 +6,7 @@ import csv
 import json
 import os
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -37,11 +38,23 @@ class TestTrain:
         assert len(rows) == 1 + 64 // 16
         assert float(rows[1][1]) > 0
 
-    def test_no_merged_checkpoint_for_client_loss_topology(self, tmp_path):
-        out = str(tmp_path / "out")
-        assert run(train_args(out, ["--topology", "server_data"])) == 0
-        assert os.path.exists(os.path.join(out, "client.ckpt"))
-        assert not os.path.exists(os.path.join(out, "model.ckpt"))
+    def test_merged_checkpoint_for_every_topology(self, tmp_path):
+        """Each role's checkpoint holds only its own layers; model.ckpt
+        holds both, so every layer once, with the role's tensors."""
+        from splitlab.models import load_checkpoint
+
+        for topology in ("label_sharing", "server_data", "client_labels"):
+            out = str(tmp_path / topology)
+            assert run(train_args(out, ["--topology", topology])) == 0
+            client, server, model = (load_checkpoint(os.path.join(out, f"{name}.ckpt"))
+                                     for name in ("client", "server", "model"))
+            assert not set(client.index) & set(server.index)
+            assert model.index == sorted(client.index + server.index) == list(range(8))
+            held = dict(client.named_params()) | dict(server.named_params())
+            assert sorted(name for name, _ in model.named_params()) == sorted(held)
+            for name, p in model.named_params():
+                assert p.data.tobytes() == held[name].data.tobytes()
+            assert client.step_count == server.step_count == model.step_count == 4
 
     def test_inproc_needs_role_both(self, tmp_path):
         assert run(train_args(str(tmp_path), ["--role", "client"])) == 2
@@ -264,6 +277,51 @@ class TestAttackInvert:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert float(rows[0]["mse_truth"]) > 0
+
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_checkpoint_without_the_client_layers_is_config_error(self, tmp_path, capsys,
+                                                                   depth):
+        """server.ckpt of a label_sharing run holds layers [1, 8): it has no
+        client part to invert, and the clone it would start is not there."""
+        out = str(tmp_path / "out")
+        assert run(train_args(out)) == 0
+        capsys.readouterr()
+        rc = run(["attack-invert", "--dataset", "synth",
+                  "--checkpoint", os.path.join(out, "server.ckpt"),
+                  "--split-depth", str(depth), "--out-dir", out])
+        assert rc == 2
+        assert "not layer 0 of the client part" in capsys.readouterr().err
+
+    def test_client_checkpoint_serves_its_depth(self, tmp_path):
+        """client.ckpt holds only the head [0, 1), which is all the attack
+        needs; clone.ckpt then holds only the clone's [0, 1)."""
+        from splitlab.models import load_checkpoint
+
+        out = str(tmp_path / "out")
+        assert run(train_args(out)) == 0
+        assert run(["attack-invert", "--dataset", "synth",
+                    "--checkpoint", os.path.join(out, "client.ckpt"),
+                    "--split-depth", "1", "--rounds", "1",
+                    "--input-steps", "2", "--model-steps", "2",
+                    "--out-dir", out]) == 0
+        assert load_checkpoint(os.path.join(out, "inversion", "clone.ckpt")).index == [0]
+
+    @pytest.mark.parametrize("index", [[0, 8], [0, 0], [1, 0]])
+    def test_bad_layer_index_is_io_error(self, tmp_path, capsys, index):
+        import struct
+
+        from splitlab.models import build_part, save_checkpoint
+
+        path = str(tmp_path / "bad.ckpt")
+        save_checkpoint(build_part("tiny8", 0, [(0, 2)]), path)
+        raw = bytearray(Path(path).read_bytes())
+        struct.pack_into("<2I", raw, 4 + 4 + 1 + 5 + 4 + 8 + 8 + 4, *index)
+        Path(path).write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert run(["attack-invert", "--dataset", "synth", "--checkpoint", path,
+                    "--out-dir", str(tmp_path)]) == 5
+        assert "not ascending, distinct and below 8" in capsys.readouterr().err
 
 
 class TestReport:

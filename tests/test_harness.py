@@ -126,6 +126,23 @@ class TestAttackPlumbing:
             np.testing.assert_array_equal(p.data, b)
             assert p.requires_grad
 
+    def test_stitched_head_does_not_start_as_the_client(self, monkeypatch):
+        """The fresh head comes from the attacker's stream, not the session's."""
+        from splitlab import harness
+        from splitlab.models import build_layers
+
+        starts = []  # the head's parameters as its first epoch begins
+        monkeypatch.setattr(harness, "fit_epoch", lambda stack, *args: starts.append(
+            [p.data.copy() for layer in stack.layers[2:] for p in layer.params()]))
+        clone_f1, _ = split_at(build_net("tiny8", seed=4), 2)
+        ds = synth_dataset(16, (1, 8, 8), seed=4)
+        stitch_and_train_head(clone_f1, SessionConfig(arch="tiny8", split_depth=2, seed=4),
+                              ds, ds, epochs=1)
+        session = [p.data for layer in build_layers("tiny8", 4, 2) for p in layer.params()]
+        assert len(starts[0]) == len(session) == 4
+        for head_p, session_p in zip(starts[0], session):
+            assert not np.array_equal(head_p, session_p)
+
     def test_epoch_attack_curve_length(self):
         ds = synth_dataset(32, (1, 8, 8), seed=4)
         cfg = SessionConfig(arch="tiny8", split_depth=1, batch_size=8,

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from splitlab import autograd as ag
+from splitlab import cli
+from splitlab.attacks import STREAM_TAGS, attacker_seed, inversion
 from splitlab.attacks.inversion import (
     InversionConfig,
     default_tv_lambda,
@@ -16,9 +18,10 @@ from splitlab.attacks.inversion import (
 from splitlab.autograd import Tensor
 from splitlab.data import synth_dataset
 from splitlab.errors import ConfigError, NumericError
-from splitlab.models import build_net, split_at
+from splitlab.layers import LayerStack
+from splitlab.models import ARCHS, arch_layers, build_layers, build_net, split_at
 from splitlab.optim import make_optimizer
-from splitlab.protocol import ServerTap, SessionConfig, train_local
+from splitlab.protocol import ServerTap, SessionConfig, TapEntry, train_local
 
 
 def true_client(depth=1, seed=0):
@@ -236,3 +239,62 @@ class TestEndToEnd:
         assert res.x_est.shape == (4, 1, 8, 8)
         assert res.x_est.min() >= 0.0 and res.x_est.max() <= 1.0
         assert res.history[-1].objective < res.history[0].objective
+
+
+class TestAttackerSeeds:
+    """The server knows the client's architecture, not its weights: every
+    attacker draw comes from a stream the session never draws."""
+
+    @pytest.mark.parametrize("seed", [0, 2026])
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_starting_clone_is_not_the_client(self, monkeypatch, arch, seed):
+        """At every split depth the CLI accepts, ``unsplit_invert`` given the
+        session's seed (as ``cli.inversion_config`` passes it) starts its
+        clone away from the client's initial weights."""
+        class Started(Exception):
+            pass
+
+        started = []
+
+        def capture(targets, clone, *args, **kwargs):
+            started.append([p.data.copy() for p in clone.params()])
+            raise Started
+
+        monkeypatch.setattr(inversion, "invert", capture)
+        inv = cli.inversion_config({**cli.DEFAULTS, "seed": seed})
+        entry = TapEntry(1, np.zeros((1, 1), np.float32), None, [])
+        for depth in range(1, len(arch_layers(arch))):
+            with pytest.raises(Started):
+                unsplit_invert([entry], arch, depth, inv)
+            client = LayerStack(build_layers(arch, seed, 0, depth)).params()
+            assert len(started[-1]) == len(client) > 0
+            for clone_p, client_p in zip(started[-1], client):
+                assert not np.array_equal(clone_p, client_p.data)
+
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_streams_differ_from_the_session_and_each_other(self, arch):
+        seed = 3
+        firsts = {"session": build_layers(arch, seed, 0, 1)[0].weight.data}
+        firsts |= {stream: build_layers(arch, attacker_seed(seed, stream), 0, 1)[0].weight.data
+                   for stream in STREAM_TAGS}
+        firsts["epoch 1"] = build_layers(arch, [seed, 1], 0, 1)[0].weight.data
+        values = list(firsts.values())
+        for i, a in enumerate(values):
+            for b in values[i + 1:]:
+                assert not np.array_equal(a, b)
+
+    def test_first_estimates_are_not_drawn_from_the_session(self):
+        """The input estimates start from the attacker's stream: the
+        session's stream would make them an affine image of the client's
+        first conv weights. A target made from that start has zero loss and
+        zero gradients, so the first round ends where it began."""
+        cfg = InversionConfig(tv_lambda=0.0, input_steps=1, model_steps=1,
+                              max_rounds=1, seed=0)
+        clone = make_client_clone("tiny8", 1, 0)
+        x0 = np.random.default_rng(attacker_seed(0, "inversion-input")).uniform(
+            0.0, 1.0, size=(1, 1, 8, 8)).astype(np.float32)
+        session = np.random.default_rng(0).uniform(0.0, 1.0, size=(1, 1, 8, 8))
+        assert not np.array_equal(x0, session.astype(np.float32))
+        target = clone.forward(Tensor(x0)).data
+        res = invert(target, clone, (1, 8, 8), cfg)
+        assert res.history[0].objective < 1e-10

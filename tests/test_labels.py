@@ -19,14 +19,15 @@ from splitlab.harness import label_inference_accuracy
 from splitlab.layers import Flatten, LayerStack
 from splitlab.models import build_net, tail_start_index
 from splitlab.optim import Adam, fit_epoch
-from splitlab.protocol import ServerTap, SessionConfig, epoch_order, train_local
+from splitlab.protocol import ServerTap, SessionConfig, epoch_order, run_session, train_local
+from splitlab.transport import inproc_pair
 
 from helpers import probe_distances
 
 
 def smashed_for(arch, tail_depth, images):
     model = build_net(arch, seed=0)
-    k = tail_start_index(model, tail_depth)
+    k = tail_start_index(arch, tail_depth)
     prefix = LayerStack(model.layers[:k])
     out = [
         prefix.forward(Tensor(images[i : i + 64])).data
@@ -275,3 +276,55 @@ class TestCloneTraining:
         sm, labels = self.fixture()
         acc = tail_accuracy(tail, sm, labels.astype(np.int64))
         assert 0.0 <= acc <= 1.0
+
+
+class TestClientLabelsTap:
+    def test_tap_entries_recover_epoch_labels(self):
+        """client_labels session at batch size 1 and tail depth 1: the
+        server's tap holds the activations it sent to the tail, and every
+        step's label falls out of them and the gradients sent back."""
+        ds = synth_dataset(20, (1, 8, 8), seed=4)
+        cfg = SessionConfig(arch="tiny8", topology="client_labels", split_depth=1,
+                            tail_depth=1, batch_size=1, epochs=1, seed=11).validate()
+        tap = ServerTap()
+        ct, st = inproc_pair()
+        with ct, st:
+            run_session(cfg, ds.images, ds.labels, (ct, st), tap=tap)
+        assert len(tap) == 20
+        order = epoch_order(20, 11, 0)
+        for j, entry in enumerate(tap.entries):
+            assert entry.smashed.shape == (1, 4, 8, 8)  # the head's output it received
+            assert entry.tail_input.shape == (1, 32)  # its own output
+            clone = make_tail_clone("tiny8", 1, seed=100 + j)
+            r = infer_from_tap_entry(entry, clone)
+            assert r.label == int(ds.labels[order[j]])
+
+    def test_server_data_tap_keeps_one_copy(self):
+        ds = synth_dataset(2, (1, 8, 8), seed=4)
+        cfg = SessionConfig(arch="tiny8", topology="server_data", batch_size=1,
+                            epochs=1).validate()
+        tap = ServerTap()
+        train_local(cfg, ds.images, ds.labels, tap=tap)
+        assert all(e.tail_input is e.smashed for e in tap.entries)
+
+
+class TestAttackerClones:
+    def test_label_clones_are_not_the_client_tail(self, monkeypatch):
+        """label_inference_accuracy draws each clone from the attacker's
+        stream: given the session's seed, no clone is the client's tail."""
+        from splitlab import harness
+
+        clones = []
+
+        def spy(arch, tail_depth, seed):
+            clones.append(make_tail_clone(arch, tail_depth, seed))
+            return clones[-1]
+
+        monkeypatch.setattr(harness, "make_tail_clone", spy)
+        model = build_net("tiny8", seed=5)
+        label_inference_accuracy(model, synth_dataset(16, (1, 8, 8), seed=5), 2, 4, seed=5)
+        tail = model.layers[tail_start_index("tiny8", 2):]
+        assert len(clones) == 4
+        for clone in clones:
+            for c, t in zip(clone.params(), LayerStack(tail).params()):
+                assert not np.array_equal(c.data, t.data)

@@ -10,6 +10,8 @@ from splitlab.models import (
     ARCHS,
     build_layers,
     build_net,
+    build_part,
+    merge,
     split_at,
     tail_start_index,
 )
@@ -106,15 +108,50 @@ class TestSplitting:
 
     def test_tail_start_counts_fc_from_end(self):
         net = build_net("mnist", seed=0)
-        k1 = tail_start_index(net, 1)
+        k1 = tail_start_index("mnist", 1)
         assert isinstance(net.layers[k1], FullyConnected)
         assert [l.kind for l in net.layers[k1:]] == ["fc", "softmax"]
-        k2 = tail_start_index(net, 2)
+        k2 = tail_start_index("mnist", 2)
         assert [l.kind for l in net.layers[k2:]] == ["fc", "relu", "fc", "softmax"]
 
     def test_tail_too_deep_rejected(self):
         with pytest.raises(ConfigError):
-            tail_start_index(build_net("tiny8", seed=0), 5)
+            tail_start_index("tiny8", 5)
+
+
+class TestParts:
+    """A model of some of a net's layers keeps each layer's net index."""
+
+    def test_part_names_params_by_net_index(self):
+        part = build_part("tiny8", 3, [(0, 1), (6, 8)])
+        assert part.index == [0, 6, 7]
+        assert [name for name, _ in part.named_params()] == [
+            "0.weight", "0.bias", "6.weight", "6.bias"]
+        full = dict(build_net("tiny8", seed=3).named_params())
+        for name, p in part.named_params():
+            np.testing.assert_array_equal(p.data, full[name].data)
+
+    def test_merge_puts_parts_in_net_order(self):
+        head, tail = build_part("tiny8", 5, [(0, 1), (6, 8)]), build_part("tiny8", 5, [(1, 6)])
+        merged = merge(tail, head)
+        assert merged.index == list(range(8))
+        assert merged.layers == [*head.layers[:1], *tail.layers, *head.layers[1:]]
+
+    @pytest.mark.parametrize("ranges", [
+        [[(0, 1)], [(2, 8)]],  # a gap
+        [[(0, 2)], [(1, 8)]],  # an overlap
+        [[(0, 8)], [(7, 8)]],  # a layer twice
+    ])
+    def test_merge_requires_an_exact_tiling(self, ranges):
+        with pytest.raises(ConfigError, match="not each of the 8 layers"):
+            merge(*(build_part("tiny8", 0, r) for r in ranges))
+
+    def test_split_at_needs_the_client_layers(self):
+        server = build_part("tiny8", 0, [(1, 8)])
+        with pytest.raises(ConfigError, match="not layer 0 of the client part"):
+            split_at(server, 2)
+        f1, rest = split_at(build_part("tiny8", 0, [(0, 2), (6, 8)]), 2)
+        assert (len(f1), len(rest)) == (2, 2)
 
 
 class TestBuild:

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from splitlab import autograd as ag
-from splitlab import protocol, wire
+from splitlab import models, protocol, wire
 from splitlab.autograd import Tensor
 from splitlab.data import load_idx, synth_dataset
 from splitlab.errors import ConfigError, ProtocolError
-from splitlab.layers import FullyConnected
-from splitlab.models import ARCHS, build_net, split_at
+from splitlab.layers import FullyConnected, LayerStack
+from splitlab.models import ARCHS, build_layers, build_net, merge, split_at
 from splitlab.optim import SGD
 from splitlab.protocol import (
     TOPOLOGIES,
@@ -66,14 +66,14 @@ class TestSessionConfig:
 class TestStepArithmetic:
     def test_untrained_loss_near_ln10(self, synth):
         cfg = small_cfg()
-        model, client, server = build_parts(cfg)
+        client, server = build_parts(cfg)
         loss = train_step(cfg.topology, client, server,
                           (synth.images[:8], synth.labels[:8]))
         assert abs(loss - np.log(10.0)) < 0.2
 
     def test_overfit_fixed_batch(self, synth):
         cfg = small_cfg(lr=0.01)
-        model, client, server = build_parts(cfg)
+        client, server = build_parts(cfg)
         batch = (synth.images[:8], synth.labels[:8])
         losses = [train_step(cfg.topology, client, server, batch)
                   for _ in range(50)]
@@ -117,7 +117,7 @@ class TestStepArithmetic:
 
     def test_descent_direction_small_lr(self, synth):
         cfg = small_cfg(optimizer="sgd", lr=0.05)
-        model, client, server = build_parts(cfg)
+        client, server = build_parts(cfg)
         batch = (synth.images[:8], synth.labels[:8])
         first = train_step(cfg.topology, client, server, batch)
         second = train_step(cfg.topology, client, server, batch)
@@ -129,8 +129,9 @@ class TestLayout:
     @pytest.mark.parametrize("arch", sorted(ARCHS))
     def test_build_parts_cuts_by_one_rule(self, arch, topology):
         """Every split and tail depth: a ConfigError exactly where the
-        topology has no such cut, else head + server part + tail are the
-        model's layers in order and compose to its forward bit for bit."""
+        topology has no such cut, else head + server part + tail are
+        bit-equal to slices of ``build_net(arch, seed)``, in net order,
+        and compose to its forward bit for bit."""
         model = build_net(arch, seed=0)
         layers = model.layers
         fc = [i for i, layer in enumerate(layers) if isinstance(layer, FullyConnected)]
@@ -148,19 +149,81 @@ class TestLayout:
                          }[topology]
                 if not valid:
                     with pytest.raises(ConfigError):
-                        build_parts(cfg, model)
+                        build_parts(cfg)
                     continue
-                _, client, server = build_parts(cfg, model)
+                client, server = build_parts(cfg)
                 assert (client.head is None) == (topology == "server_data")
                 assert (client.tail is None) == (topology == "label_sharing")
+                assert sorted(client.model.index + server.part.index) == list(range(len(layers)))
                 parts = [p for p in (client.head, server.part, client.tail) if p is not None]
-                assert [layer for p in parts for layer in p.layers] == layers
+                assert [layer.kind for p in parts for layer in p.layers] == [
+                    layer.kind for layer in layers]
+                got = [p.data for part in parts for p in part.params()]
+                want = [p.data for p in model.params()]
+                assert len(got) == len(want)
+                assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
                 a1 = x if client.head is None else client.head.forward(Tensor(x)).data
                 a2 = server.part.forward(Tensor(a1)).data
                 out = a2 if client.tail is None else client.tail.forward(Tensor(a2)).data
                 np.testing.assert_array_equal(out, full)
                 assert server.rows == (None if client.head is None else a1.shape[1:])
                 assert client.rows == (None if client.tail is None else a2.shape[1:])
+
+
+class TestRoleIsolation:
+    """A role initializes only its own layers of the net: the server never
+    holds the client's head or tail at their initial weights, nor the
+    client the server's part."""
+
+    @pytest.mark.parametrize("kind", ["inproc", "tcp"])
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_each_role_builds_only_its_cut(self, synth, monkeypatch, topology, kind):
+        cfg = small_cfg(topology=topology)
+        role = threading.local()
+        built = {"client": [], "server": []}
+        build_layers_unspied = models.build_layers
+
+        def spy(arch, seed=0, start=0, stop=None):
+            layers = build_layers_unspied(arch, seed, start, stop)
+            built[role.name] += range(start, start + len(layers))
+            return layers
+
+        def as_role(name, run):
+            def play(*args, **kwargs):
+                role.name = name
+                return run(*args, **kwargs)
+            return play
+
+        def build_net(*args, **kwargs):
+            raise AssertionError("a role built the whole net")
+
+        monkeypatch.setattr(models, "build_layers", spy)
+        monkeypatch.setattr(models, "build_net", build_net)
+        monkeypatch.setattr(protocol, "run_client", as_role("client", protocol.run_client))
+        monkeypatch.setattr(protocol, "run_server", as_role("server", protocol.run_server))
+        client_x, server_x = protocol.held_examples(topology, synth.images)
+        if kind == "inproc":
+            ct, st = inproc_pair()
+            with ct, st:
+                cres, sres = run_session(cfg, synth.images, synth.labels, (ct, st))
+        else:
+            port, result = _free_port(), {}
+
+            def serve():
+                with tcp_listen("127.0.0.1", port) as t:
+                    result["server"] = protocol.run_server(t, cfg, server_x)
+
+            th = threading.Thread(target=serve, daemon=True)
+            th.start()
+            with tcp_connect("127.0.0.1", port) as t:
+                cres = protocol.run_client(t, cfg, client_x, synth.labels)
+            th.join(timeout=30)
+            sres = result["server"]
+        a, b, n = protocol.cut(cfg)
+        assert built == {"client": [*range(a), *range(b, n)], "server": [*range(a, b)]}
+        assert cres.model.index == built["client"] and sres.model.index == built["server"]
+        assert not set(cres.model.index) & set(sres.model.index)
+        assert cres.model.step_count == sres.model.step_count == len(cres.losses) == 8
 
 
 class TestTopologies:
@@ -200,7 +263,8 @@ class TestTopologies:
                                           "client_labels"])
     def test_all_parts_actually_learn(self, synth, topology):
         cfg = small_cfg(topology=topology, epochs=2, lr=0.01)
-        model, client, server = build_parts(cfg)
+        client, server = build_parts(cfg)
+        model = merge(client.model, server.part)
         before = [p.data.copy() for p in model.params()]
         for start in range(0, 32, cfg.batch_size):
             train_step(cfg.topology, client, server,
@@ -253,7 +317,7 @@ class TestWireSessions:
                                                       synth.labels)
         # The two roles hold disjoint authoritative parts of one logical
         # model; recombine them and compare against the local run.
-        merged = _merge(client_res, server_res, cfg)
+        merged = merge(client_res.model, server_res.model)
         assert params_equal(merged, local_model)
         np.testing.assert_allclose(server_res.losses, local_losses, atol=0)
 
@@ -276,8 +340,8 @@ class TestWireSessions:
         with tcp_connect("127.0.0.1", port) as t:
             tcp_client = run_client(t, cfg, synth.images, synth.labels)
         th.join(timeout=30)
-        merged_inproc = _merge(inproc_client, inproc_server, cfg)
-        merged_tcp = _merge(tcp_client, result["server"], cfg)
+        merged_inproc = merge(inproc_client.model, inproc_server.model)
+        merged_tcp = merge(tcp_client.model, result["server"].model)
         assert params_equal(merged_inproc, merged_tcp)
 
     # The server end's frames per step, after the handshake.
@@ -481,7 +545,8 @@ class TestWireSessions:
                 run_server(st, cfg, images)
             th.join(timeout=5)
         assert not th.is_alive()
-        return built[0][0], info.value
+        (server,) = built[0]
+        return server.part, info.value
 
     @pytest.mark.parametrize("bad", ["grad", "loss"])
     def test_non_finite_values_are_protocol_error(self, monkeypatch, bad):
@@ -524,7 +589,8 @@ class TestWireSessions:
 
         model, exc = self._serve_rogue(monkeypatch, cfg, rogue)
         assert str(exc) == "activations (8, 3) for rows of (4, 4, 4)"
-        assert params_equal(model, build_net("tiny8", seed=0))
+        fresh = build_layers("tiny8", 0, model.index[0], model.index[-1] + 1)
+        assert params_equal(model, LayerStack(fresh))
 
     def test_wrong_shape_smashed_from_server(self, synth):
         cfg = small_cfg(topology="server_data")
@@ -642,20 +708,6 @@ class TestLearning:
         probs = model.forward(Tensor(ds.images)).data
         acc = float((probs.argmax(axis=1) == ds.labels).mean())
         assert acc > 0.8
-
-
-def _merge(client_res, server_res, cfg):
-    """Recombine the authoritative parts each role actually trained."""
-    from splitlab.layers import LayerStack
-
-    if cfg.topology == "label_sharing":
-        layers = client_res.client.head.layers + server_res.server.part.layers
-    elif cfg.topology == "server_data":
-        layers = server_res.server.part.layers + client_res.client.tail.layers
-    else:
-        layers = (client_res.client.head.layers + server_res.server.part.layers
-                  + client_res.client.tail.layers)
-    return LayerStack(layers)
 
 
 def _free_port():
