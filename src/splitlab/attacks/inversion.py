@@ -188,21 +188,14 @@ def unsplit_invert(
 ) -> InversionResult:
     """Run the inversion over the smashed tensors of a server tap.
 
-    All captured examples are optimized jointly: one input estimate per
-    example, one shared parameter clone.
+    Every row of every entry, in order, is one example. All of them are
+    optimized jointly: one input estimate per example, one shared
+    parameter clone.
     """
     if not tap_entries:
         raise ConfigError("need at least one tap entry to invert")
     cfg = (cfg or InversionConfig()).validate()
-    rows = []
-    for e in tap_entries:
-        if e.smashed.shape[0] != 1:
-            raise ConfigError(
-                "joint inversion expects batch-size-1 tap entries; "
-                f"got batch {e.smashed.shape[0]}"
-            )
-        rows.append(e.smashed[0])
-    targets = np.stack(rows)
+    targets = np.concatenate([e.smashed for e in tap_entries])
     if cfg.tv_lambda is None:
         cfg = replace(cfg, tv_lambda=default_tv_lambda(depth))
     clone = make_client_clone(arch, depth, attacker_seed(cfg.seed, "inversion-clone"))

@@ -474,6 +474,7 @@ def run_client(transport: Transport, cfg: SessionConfig,
                images: np.ndarray | None, labels: np.ndarray) -> RoleResult:
     """Client role. Holds the labels, and the examples (``images``) in
     every topology but ``server_data``."""
+    _apply_malloc_policy()
     (client,) = build_parts(cfg, ("client",))
     _client_handshake(transport, cfg, len(labels))
     program = ROLES[cfg.topology][0]
@@ -491,6 +492,7 @@ def run_server(transport: Transport, cfg: SessionConfig,
                ) -> RoleResult:
     """Server role. Holds the examples (``images``) only in ``server_data``;
     otherwise it runs as many steps as the client's example count makes."""
+    _apply_malloc_policy()
     (server,) = build_parts(cfg, ("server",))
     n = _server_handshake(transport, cfg, None if images is None else len(images))
     server.tap = tap
@@ -506,25 +508,34 @@ def run_server(transport: Transport, cfg: SessionConfig,
     return RoleResult(losses=losses, model=server.part, server=server)
 
 
-_M_ARENA_MAX = -8  # glibc's mallopt parameter number
+# glibc's mallopt parameter numbers, and the values every role process sets.
+_M_ARENA_MAX, _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -8, -1, -3
+_MALLOC_POLICY = ((_M_ARENA_MAX, 1), (_M_TRIM_THRESHOLD, 1 << 30),
+                  (_M_MMAP_THRESHOLD, 32 << 20))
 
 
 @functools.cache
-def _share_main_malloc_arena() -> None:
-    """Make every thread allocate from glibc's main arena.
+def _apply_malloc_policy() -> None:
+    """Set glibc's process-wide malloc policy, once: one arena, no heap
+    trimming below 1 GiB, and mmap only for blocks above 32 MiB.
 
-    A role thread takes whichever arena an exited thread left free, in an
-    order set by thread timing, and an arena keeps the pages of the largest
-    role that ever used it. With one arena a process's peak memory no longer
-    depends on how the roles of its sessions landed. Role threads allocate
-    in lockstep, so they do not contend for it. Not glibc: nothing to do.
+    With an arena per thread, a role thread takes whichever arena an exited
+    thread left free, and an arena keeps the pages of the largest role that
+    ever used it, so peak memory would depend on thread timing. Role threads
+    allocate in lockstep, so they do not contend for one arena. By default
+    glibc hands a step's freed temporaries back to the kernel (trimming the
+    heap's top, or unmapping blocks above its dynamic mmap threshold) and
+    the next step faults every page in again. Setting either threshold
+    turns the dynamic one off, which alone is worse than neither, so both
+    are set. Not glibc: nothing to do.
     """
     try:
         libc = ctypes.CDLL(None)
         libc.gnu_get_libc_version
     except (OSError, TypeError, AttributeError):
         return
-    libc.mallopt(_M_ARENA_MAX, 1)
+    for param, value in _MALLOC_POLICY:
+        libc.mallopt(param, value)
 
 
 def run_session(cfg: SessionConfig, images: np.ndarray, labels: np.ndarray,
@@ -534,7 +545,7 @@ def run_session(cfg: SessionConfig, images: np.ndarray, labels: np.ndarray,
     pair; returns (client result, server result). The caller owns the pair
     and closes it. A role that fails closes its own end, so the peer's next
     recv fails at once; the first failure is reported as the cause."""
-    _share_main_malloc_arena()
+    _apply_malloc_policy()
     ct, st = transport_pair
     client_images, server_images = held_examples(cfg.topology, images)
     results: dict[str, RoleResult] = {}

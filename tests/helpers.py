@@ -74,6 +74,11 @@ def probe_distances(grad_received, smashed: np.ndarray, clone,
     ], dtype=np.float64)
 
 
+def relu_oracle(x: np.ndarray) -> np.ndarray:
+    """ReLU the direct way: ``x`` where ``x > 0``, else +0.0."""
+    return np.where(x > 0, x, np.float32(0.0))
+
+
 def maxpool_oracle(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """2x2 max pooling and its input gradient the direct way: ``argmax`` over
     a transposed copy of each window picks the first maximal slot (the first

@@ -15,7 +15,7 @@ from splitlab.errors import GraphError, NumericError, ShapeError
 from splitlab.optim import SGD, Adam
 
 from helpers import (conv2d_oracle, fd_check, finite_diff_grad, maxpool_oracle, pool_safe,
-                     relu_safe)
+                     relu_oracle, relu_safe)
 
 
 class TestOps:
@@ -109,6 +109,26 @@ def _pool_case(draw):
     g = draw(arrays(np.float32, gshape,
                     elements=st.sampled_from([-0.0, 0.0, -1.5, 3.0])))
     return x, g
+
+
+_RELU_SPECIALS = [-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-45, -1e-45,
+                  1.1754942e-38, -1.1754942e-38]
+
+
+class TestReluBytes:
+    """relu against the ``np.where`` oracle, byte for byte."""
+
+    @given(arrays(np.float32, st.tuples(st.integers(1, 4), st.integers(1, 9)),
+                  elements=st.one_of(st.sampled_from(_RELU_SPECIALS),
+                                     st.floats(width=32, allow_nan=True,
+                                               allow_subnormal=True))))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_where_oracle(self, x):
+        for view in (x, x.T):  # a strided input too
+            out = ag.relu(Tensor(view)).data
+            want = relu_oracle(view)
+            assert out.dtype == np.float32 and out.shape == want.shape
+            assert out.tobytes() == want.tobytes()
 
 
 class TestMaxPoolBytes:

@@ -194,13 +194,6 @@ class TestFailureModes:
         with pytest.raises(ConfigError):
             unsplit_invert([], "tiny8", 1)
 
-    def test_unsplit_invert_rejects_batched_entries(self):
-        tap = ServerTap()
-        tap.record(1, np.zeros((2, 4, 8, 8), np.float32), None,
-                   [np.zeros((2, 4, 8, 8), np.float32)])
-        with pytest.raises(ConfigError):
-            unsplit_invert(tap.entries, "tiny8", 1)
-
 
 class TestPlateau:
     def test_stops_when_no_relative_progress(self):
@@ -239,6 +232,20 @@ class TestEndToEnd:
         assert res.x_est.shape == (4, 1, 8, 8)
         assert res.x_est.min() >= 0.0 and res.x_est.max() <= 1.0
         assert res.history[-1].objective < res.history[0].objective
+
+    def test_batched_entry_matches_batch1_rows(self):
+        """A batch-4 entry is inverted as its four rows, exactly as four
+        batch-1 entries holding the same rows are."""
+        x = synth_dataset(4, (1, 8, 8), seed=9).images
+        smashed = true_client().forward(Tensor(x)).data
+        icfg = InversionConfig(input_steps=3, model_steps=3, max_rounds=2, seed=0)
+        batched = unsplit_invert([TapEntry(1, smashed, None, [])], "tiny8", 1, icfg,
+                                 ground_truth=x)
+        rows = unsplit_invert([TapEntry(i, smashed[i:i + 1], None, [])
+                               for i in range(4)], "tiny8", 1, icfg, ground_truth=x)
+        assert batched.x_est.shape == (4, 1, 8, 8)
+        assert batched.x_est.tobytes() == rows.x_est.tobytes()
+        assert batched.history == rows.history
 
 
 class TestAttackerSeeds:

@@ -670,6 +670,56 @@ def test_role_threads_share_one_malloc_arena(tmp_path):
     assert out.read_text().count("<heap nr=") == 1
 
 
+# Runs 4 mnist sessions of 2 batch-32 steps each in a fresh process, and
+# prints the minor page faults each session took.
+_FAULT_PROBE = """
+import resource
+from splitlab.data import synth_dataset
+from splitlab.protocol import SessionConfig, run_session
+from splitlab.transport import inproc_pair
+
+ds = synth_dataset(64, (1, 28, 28), seed=0)
+cfg = SessionConfig(arch="mnist", topology="label_sharing", split_depth=1,
+                    batch_size=32, epochs=1).validate()
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    ct, st = inproc_pair()
+    with ct, st:
+        run_session(cfg, ds.images, ds.labels, (ct, st))
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+def test_sessions_reuse_freed_memory():
+    """Once a session has run, the next ones reuse the pages it freed instead
+    of handing them back to the kernel and faulting them in again (about
+    2,500 faults a session without the malloc policy)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", _FAULT_PROBE], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    faults = [int(line) for line in out.stdout.split()]
+    assert len(faults) == 4
+    assert faults[-1] < 256, faults
+
+
+@pytest.mark.parametrize("role", [run_client, run_server])
+def test_tcp_roles_apply_the_malloc_policy(monkeypatch, role):
+    """A role run on its own, as ``splitlab train --role`` runs it over TCP,
+    sets the malloc policy before it builds anything."""
+    class Applied(Exception):
+        pass
+
+    def spy():
+        raise Applied
+
+    monkeypatch.setattr(protocol, "_apply_malloc_policy", spy)
+    monkeypatch.setattr(protocol, "build_parts", None)  # fails if called first
+    with pytest.raises(Applied):
+        role(None, small_cfg(), None, None)
+
+
 class TestEpochOrder:
     def test_permutation(self):
         order = epoch_order(10, seed=0, epoch=0)
