@@ -75,9 +75,10 @@ def _fc_distances(d: np.ndarray, a: np.ndarray, gw: np.ndarray,
 
 
 def _candidate_distances(grad_received, smashed_in: np.ndarray,
-                        clone_tail: LayerStack, num_classes: int) -> np.ndarray:
+                        clone_tail: LayerStack) -> np.ndarray:
     """Mean squared distance between the received tail gradients and the
-    clone's gradients under each candidate label, in closed form."""
+    clone's gradients under each candidate label, one per clone output,
+    in closed form."""
     params = clone_tail.params()
     received = [np.asarray(g, dtype=np.float32) for g in grad_received]
     if [g.shape for g in received] != [p.data.shape for p in params]:
@@ -101,11 +102,11 @@ def _candidate_distances(grad_received, smashed_in: np.ndarray,
         acts.append(x.data[0])
     probs = acts[-1]
     # Seed rows as cross_entropy's and softmax's VJPs compute them, in float32.
-    rows = np.arange(num_classes)
-    g = np.zeros((num_classes, probs.size), dtype=np.float32)
-    g[rows, rows] = np.float32(-1.0) / np.clip(probs[:num_classes], 1e-12, None)
+    rows = np.arange(probs.size)
+    g = np.zeros((probs.size, probs.size), dtype=np.float32)
+    g[rows, rows] = np.float32(-1.0) / np.clip(probs, 1e-12, None)
     d = probs * (g - (g * probs).sum(axis=1, keepdims=True))
-    total = np.zeros(num_classes, dtype=np.float64)
+    total = np.zeros(probs.size, dtype=np.float64)
     for i in range(len(layers) - 1, -1, -1):
         layer, a = layers[i], acts[i]
         if layer.kind == "fc":
@@ -120,7 +121,6 @@ def infer_label(
     grad_received,
     smashed_in: np.ndarray,
     clone_tail: LayerStack,
-    num_classes: int = 10,
 ) -> LabelInferenceResult:
     """Infer the label behind one stochastic step.
 
@@ -132,7 +132,7 @@ def infer_label(
         raise ConfigError(
             f"label inference needs a batch-size-1 step, got batch {smashed_in.shape[0]}"
         )
-    distances = _candidate_distances(grad_received, smashed_in, clone_tail, num_classes)
+    distances = _candidate_distances(grad_received, smashed_in, clone_tail)
     if np.all(distances == distances[0]):
         raise TieError("all candidate labels produce identical gradient distances")
     order = np.argsort(distances, kind="stable")
@@ -145,8 +145,7 @@ def infer_label(
     )
 
 
-def infer_from_tap_entry(entry, clone_tail: LayerStack,
-                         num_classes: int = 10) -> LabelInferenceResult:
+def infer_from_tap_entry(entry, clone_tail: LayerStack) -> LabelInferenceResult:
     """Run inference on a tap entry whose grad list is [cut grad, param
     grads...], against the activations the server sent to the tail."""
     if len(entry.grad) < 2 or entry.tail_input is None:
@@ -154,7 +153,7 @@ def infer_from_tap_entry(entry, clone_tail: LayerStack,
             "tap entry carries no client parameter gradients; label inference "
             "needs a topology where the client owns the loss"
         )
-    return infer_label(entry.grad[1:], entry.tail_input, clone_tail, num_classes)
+    return infer_label(entry.grad[1:], entry.tail_input, clone_tail)
 
 
 def tail_accuracy(tail: LayerStack, smashed: np.ndarray, labels: np.ndarray,

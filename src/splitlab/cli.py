@@ -46,6 +46,7 @@ from .protocol import (TOPOLOGIES, SessionConfig, held_examples, run_client, run
                        run_session)
 from .transport import inproc_pair, tcp_connect, tcp_listen
 
+# Each dataset's images fit exactly one arch, so the arch is not a knob.
 DATASET_ARCH = {"synth": "tiny8", "mnist": "mnist", "fmnist": "mnist", "cifar": "cifar"}
 
 # Every run knob: its config-file key, its --flag (underscores become
@@ -54,7 +55,6 @@ DATASET_ARCH = {"synth": "tiny8", "mnist": "mnist", "fmnist": "mnist", "cifar": 
 DEFAULTS = {
     "dataset": "synth",
     "data_dir": "data",
-    "arch": "",  # derived from dataset when empty
     "split_depth": SessionConfig.split_depth,
     "topology": SessionConfig.topology,
     "transport": "inproc",
@@ -126,7 +126,7 @@ def effective_config(args: argparse.Namespace) -> dict:
     if env_dir and args.data_dir is None:
         cfg["data_dir"] = env_dir
     cfg = {key: _typed(key, value) for key, value in cfg.items()}
-    cfg["arch"] = cfg["arch"] or DATASET_ARCH[cfg["dataset"]]
+    cfg["arch"] = DATASET_ARCH[cfg["dataset"]]
     return cfg
 
 
@@ -134,13 +134,11 @@ def load_dataset(cfg: dict, split: str) -> Dataset:
     """``split`` of the configured dataset, checked against the configured
     arch's input shape before anything runs on it."""
     ds = _read_dataset(cfg, split)
-    spec = ARCHS.get(cfg["arch"])
-    if spec is None:
-        raise ConfigError(f"unknown architecture {cfg['arch']!r}; known: {sorted(ARCHS)}")
-    if ds.images.shape[1:] != spec.input_shape:
+    shape = ARCHS[cfg["arch"]].input_shape
+    if ds.images.shape[1:] != shape:
         raise ConfigError(
             f"dataset {cfg['dataset']} has images of shape {ds.images.shape[1:]}, "
-            f"but arch {cfg['arch']} takes {spec.input_shape}"
+            f"but arch {cfg['arch']} takes {shape}"
         )
     return ds
 

@@ -141,7 +141,7 @@ def label_inference_accuracy(
                                 attacker_seed(seed, "label-clone", step))
         smashed = prefix.forward(Tensor(ds.images[int(i) : int(i) + 1])).data
         sent = tail_param_gradients(true_tail, smashed, int(ds.labels[int(i)]))
-        result = infer_label(sent, smashed, clone, model.num_classes)
+        result = infer_label(sent, smashed, clone)
         hits += int(result.label == int(ds.labels[int(i)]))
     return hits / n_samples
 

@@ -115,12 +115,5 @@ class LayerStack:
             out.extend(layer.params())
         return out
 
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for i, layer in enumerate(self.layers):
-            for name, p in zip(("weight", "bias"), layer.params()):
-                out.append((f"{i}.{name}", p))
-        return out
-
     def __len__(self) -> int:
         return len(self.layers)

@@ -48,10 +48,6 @@ class SplitModel(LayerStack):
         self.index = list(range(len(self.layers)) if index is None else index)
         self.step_count = 0
 
-    @property
-    def num_classes(self) -> int:
-        return ARCHS[self.arch].num_classes
-
     def named_params(self) -> list[tuple[str, Tensor]]:
         """Parameters named ``<net index>.weight`` / ``<net index>.bias``."""
         return [(f"{i}.{name}", p) for i, layer in zip(self.index, self.layers)
@@ -122,13 +118,12 @@ def _tiny8_layers() -> list[Layer]:
 class ArchSpec:
     builder: object
     input_shape: tuple[int, int, int]  # (C, H, W)
-    num_classes: int
 
 
 ARCHS: dict[str, ArchSpec] = {
-    "mnist": ArchSpec(_mnist_layers, (1, 28, 28), 10),
-    "cifar": ArchSpec(_cifar_layers, (3, 32, 32), 10),
-    "tiny8": ArchSpec(_tiny8_layers, (1, 8, 8), 10),
+    "mnist": ArchSpec(_mnist_layers, (1, 28, 28)),
+    "cifar": ArchSpec(_cifar_layers, (3, 32, 32)),
+    "tiny8": ArchSpec(_tiny8_layers, (1, 8, 8)),
 }
 
 

@@ -113,14 +113,9 @@ class ServerTap:
 # ---------------------------------------------------------------------------
 # shared step arithmetic
 
-def part_forward(part: LayerStack, x: np.ndarray) -> Tensor:
-    """Forward through a model part, keeping the graph for backprop."""
-    return part.forward(Tensor(x))
-
-
 def loss_forward_backward(
     part: LayerStack, smashed: np.ndarray, labels: np.ndarray,
-    opt: Optimizer | None, collect_param_grads: bool = False,
+    opt: Optimizer, collect_param_grads: bool = False,
 ) -> tuple[float, np.ndarray, list[np.ndarray]]:
     """Run the loss-owning part: forward from the cut, cross-entropy,
     backward, optimizer update. Returns (loss, grad at cut, param grads)."""
@@ -138,13 +133,12 @@ def loss_forward_backward(
     param_grads = (
         [p.grad.copy() for p in part.params()] if collect_param_grads else []
     )
-    if opt is not None:
-        opt.step()
+    opt.step()
     return float(loss.data), sm.grad.copy(), param_grads
 
 
 def backprop_part(part: LayerStack, out: Tensor, grad_out: np.ndarray,
-                  opt: Optimizer | None) -> None:
+                  opt: Optimizer) -> None:
     """Backprop a received cut gradient through a part and update it."""
     if grad_out.shape != out.data.shape:
         raise ProtocolError(
@@ -153,8 +147,7 @@ def backprop_part(part: LayerStack, out: Tensor, grad_out: np.ndarray,
     for p in part.params():
         p.grad = None
     backward(out, seed_grad=grad_out)
-    if opt is not None:
-        opt.step()
+    opt.step()
 
 
 @dataclass
@@ -234,6 +227,13 @@ def _check_rows(smashed: np.ndarray, rows: tuple[int, ...]) -> np.ndarray:
     return smashed
 
 
+def _cut_grad(grads: list[np.ndarray]) -> np.ndarray:
+    """The one tensor of a GRAD that carries only a cut gradient."""
+    if len(grads) != 1:
+        raise ProtocolError(f"GRAD of {len(grads)} tensors, expected 1 (the cut gradient)")
+    return grads[0]
+
+
 # ---------------------------------------------------------------------------
 # role programs: each topology's step, written once
 #
@@ -241,10 +241,10 @@ def _check_rows(smashed: np.ndarray, rows: tuple[int, ...]) -> np.ndarray:
 # program (state, examples or None); both return the step's loss.
 
 def _label_sharing_client(client: ClientState, x, y):
-    smashed = part_forward(client.head, x)
+    smashed = client.head.forward(Tensor(x))
     yield MsgType.SMASHED, smashed.data
     yield MsgType.LABELS, y
-    (gcut,) = yield MsgType.GRAD
+    gcut = _cut_grad((yield MsgType.GRAD))
     loss = yield MsgType.LOSS
     backprop_part(client.head, smashed, gcut, client.head_opt)
     return loss
@@ -271,7 +271,7 @@ def _server_data_client(client: ClientState, x, y):
 
 
 def _server_data_server(server: ServerState, x):
-    smashed = part_forward(server.part, x)
+    smashed = server.part.forward(Tensor(x))
     yield MsgType.SMASHED, smashed.data
     grads = yield MsgType.GRAD
     loss = yield MsgType.LOSS
@@ -281,7 +281,7 @@ def _server_data_server(server: ServerState, x):
 
 
 def _client_labels_client(client: ClientState, x, y):
-    a1 = part_forward(client.head, x)
+    a1 = client.head.forward(Tensor(x))
     yield MsgType.SMASHED, a1.data
     a2 = _check_rows((yield MsgType.SMASHED), client.rows)
     loss, g2, pgrads = loss_forward_backward(
@@ -289,7 +289,7 @@ def _client_labels_client(client: ClientState, x, y):
     )
     yield MsgType.GRAD, [g2, *pgrads]
     yield MsgType.LOSS, loss
-    (g1,) = yield MsgType.GRAD
+    g1 = _cut_grad((yield MsgType.GRAD))
     backprop_part(client.head, a1, g1, client.head_opt)
     return loss
 

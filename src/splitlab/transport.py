@@ -1,6 +1,6 @@
 """Framed byte streams over sockets.
 
-Every session runs on one class, ``SocketTransport``. ``inproc_pair``
+Every session runs on one class, ``Transport``. ``inproc_pair``
 returns the two ends of a ``socket.socketpair()`` for roles in one
 process; ``tcp_listen`` and ``tcp_connect`` return one end of a TCP
 connection. In-process and TCP runs therefore share the framing, the
@@ -21,9 +21,12 @@ from .wire import HEADER, MsgType, decode_header, encode_frame
 
 
 class Transport:
-    """One endpoint of a reliable, ordered frame stream."""
+    """One endpoint of a reliable, ordered frame stream over a socket."""
 
-    def __init__(self, record_transcript: bool = False):
+    RECV_CHUNK = 1 << 20  # largest single recv: memory grows with bytes received
+
+    def __init__(self, sock: socket.socket, record_transcript: bool = False):
+        self._sock = sock
         self.transcript: list[tuple[str, bytes]] | None = (
             [] if record_transcript else None
         )
@@ -41,29 +44,6 @@ class Transport:
         if self.transcript is not None:
             self.transcript.append(("recv", head + payload))
         return mtype, payload
-
-    def _send_bytes(self, data: bytes) -> None:
-        raise NotImplementedError
-
-    def _recv_bytes(self, n: int) -> bytes:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class SocketTransport(Transport):
-    RECV_CHUNK = 1 << 20  # largest single recv: memory grows with bytes received
-
-    def __init__(self, sock: socket.socket, record_transcript: bool = False):
-        super().__init__(record_transcript)
-        self._sock = sock
 
     def _send_bytes(self, data: bytes) -> None:
         try:
@@ -91,9 +71,15 @@ class SocketTransport(Transport):
         except OSError:
             pass
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
 
 def inproc_pair(record_transcript: bool = False,
-                timeout: float = 60.0) -> tuple[SocketTransport, SocketTransport]:
+                timeout: float = 60.0) -> tuple[Transport, Transport]:
     """Both ends of a connected local socket pair; the caller closes both.
 
     A frame larger than the socket buffer blocks its sender until the
@@ -102,11 +88,11 @@ def inproc_pair(record_transcript: bool = False,
     ends = socket.socketpair()
     for sock in ends:
         sock.settimeout(timeout)
-    return tuple(SocketTransport(sock, record_transcript) for sock in ends)
+    return tuple(Transport(sock, record_transcript) for sock in ends)
 
 
 def tcp_listen(host: str, port: int, record_transcript: bool = False,
-               timeout: float = 60.0) -> SocketTransport:
+               timeout: float = 60.0) -> Transport:
     """Accept exactly one peer connection."""
     srv = socket.create_server((host, port))
     srv.settimeout(timeout)
@@ -118,11 +104,11 @@ def tcp_listen(host: str, port: int, record_transcript: bool = False,
         srv.close()
     conn.settimeout(timeout)
     conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return SocketTransport(conn, record_transcript)
+    return Transport(conn, record_transcript)
 
 
 def tcp_connect(host: str, port: int, record_transcript: bool = False,
-                timeout: float = 60.0, retry_for: float = 10.0) -> SocketTransport:
+                timeout: float = 60.0, retry_for: float = 10.0) -> Transport:
     deadline = time.monotonic() + retry_for
     while True:
         try:
@@ -133,4 +119,4 @@ def tcp_connect(host: str, port: int, record_transcript: bool = False,
                 raise ProtocolError(f"could not connect to {host}:{port}") from None
             time.sleep(0.05)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return SocketTransport(sock, record_transcript)
+    return Transport(sock, record_transcript)

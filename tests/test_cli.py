@@ -5,13 +5,13 @@ import argparse
 import csv
 import json
 import os
+import struct
 import threading
 from pathlib import Path
 
 import pytest
 
-from splitlab.cli import DEFAULTS, build_parser, effective_config, load_dataset, main
-from splitlab.errors import ConfigError
+from splitlab.cli import DEFAULTS, build_parser, effective_config, main
 
 from helpers import parse_pnm
 
@@ -206,18 +206,18 @@ class TestConfigHandling:
     @pytest.mark.parametrize("depth", ["1", "4"])
     def test_dataset_that_does_not_fit_the_arch_is_config_error(self, tmp_path, capsys,
                                                                  depth):
-        # synth's 8x8 images cannot feed the 28x28 mnist net.
+        # 8x8 IDX files under --dataset mnist cannot feed the 28x28 mnist net.
+        sub = tmp_path / "data" / "mnist"
+        sub.mkdir(parents=True)
+        (sub / "train-images-idx3-ubyte").write_bytes(
+            struct.pack(">IIII", 0x803, 4, 8, 8) + bytes(4 * 8 * 8))
+        (sub / "train-labels-idx1-ubyte").write_bytes(struct.pack(">II", 0x801, 4) + bytes(4))
         out = tmp_path / "out"
-        assert run(["train", "--dataset", "synth", "--arch", "mnist",
+        assert run(["train", "--dataset", "mnist", "--data-dir", str(tmp_path / "data"),
                     "--split-depth", depth, "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert "(1, 8, 8)" in err and "(1, 28, 28)" in err
         assert not any(out.iterdir())  # no session ran, so nothing was written
-
-    def test_unknown_arch_is_config_error(self):
-        cfg = {"dataset": "synth", "arch": "resnet", "data_dir": "", "seed": 0}
-        with pytest.raises(ConfigError, match="resnet"):
-            load_dataset(cfg, "train")
 
     def test_missing_dataset_files_is_io_error(self, tmp_path):
         assert run(["train", "--dataset", "mnist",
@@ -237,6 +237,19 @@ class TestAttackLabels:
             rec = json.load(fh)
         assert rec["accuracy"] == 1.0
         assert rec["tail_depth"] == 1 and rec["samples"] == 20
+
+    def test_from_training_checkpoint(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert run(train_args(out)) == 0
+        labels = ["attack-labels", "--dataset", "synth", "--topology", "server_data",
+                  "--batch-size", "1", "--samples", "5", "--out-dir", out]
+        assert run([*labels, "--checkpoint", os.path.join(out, "model.ckpt")]) == 0
+        with open(os.path.join(out, "label_inference.json")) as fh:
+            assert json.load(fh)["samples"] == 5
+        capsys.readouterr()
+        # The client's part alone cannot stand in for the whole net.
+        assert run([*labels, "--checkpoint", os.path.join(out, "client.ckpt")]) == 2
+        assert "parts hold layers [0]," in capsys.readouterr().err
 
     def test_refuses_label_sharing_topology(self, tmp_path):
         rc = run(["attack-labels", "--dataset", "synth",
@@ -309,8 +322,6 @@ class TestAttackInvert:
 
     @pytest.mark.parametrize("index", [[0, 8], [0, 0], [1, 0]])
     def test_bad_layer_index_is_io_error(self, tmp_path, capsys, index):
-        import struct
-
         from splitlab.models import build_part, save_checkpoint
 
         path = str(tmp_path / "bad.ckpt")
@@ -354,7 +365,6 @@ OPTIONS = [
     ("--config", "config", str, None),
     ("--dataset", "dataset", str, ["cifar", "fmnist", "mnist", "synth"]),
     ("--data-dir", "data_dir", str, None),
-    ("--arch", "arch", str, None),
     ("--split-depth", "split_depth", int, None),
     ("--topology", "topology", str, ["label_sharing", "server_data", "client_labels"]),
     ("--transport", "transport", str, None),

@@ -27,7 +27,6 @@ from splitlab.protocol import (
     build_parts,
     epoch_order,
     loss_forward_backward,
-    part_forward,
     run_client,
     run_server,
     run_session,
@@ -90,7 +89,7 @@ class TestStepArithmetic:
             pre = f2.layers[0].forward(Tensor(smashed)).data
             if np.min(np.abs(pre)) > 0.03:
                 break
-        _, gcut, _ = loss_forward_backward(f2, smashed, y, opt=None)
+        _, gcut, _ = loss_forward_backward(f2, smashed, y, SGD(f2.params(), lr=0.0))
 
         def f(t):
             return ag.cross_entropy(f2.forward(t), y)
@@ -103,7 +102,7 @@ class TestStepArithmetic:
         f1, _ = split_at(model, 2)
         opt = SGD(f1.params(), lr=0.1)
         before = [p.data.copy() for p in f1.params()]
-        out = part_forward(f1, synth.images[:4])
+        out = f1.forward(Tensor(synth.images[:4]))
         backprop_part(f1, out, np.zeros_like(out.data), opt)
         for p, b in zip(f1.params(), before):
             np.testing.assert_array_equal(p.data, b)
@@ -111,9 +110,10 @@ class TestStepArithmetic:
     def test_cut_grad_shape_mismatch(self, synth):
         model = build_net("tiny8", seed=1)
         f1, _ = split_at(model, 2)
-        out = part_forward(f1, synth.images[:4])
+        out = f1.forward(Tensor(synth.images[:4]))
         with pytest.raises(ProtocolError):
-            backprop_part(f1, out, np.zeros((1, 2), dtype=np.float32), None)
+            backprop_part(f1, out, np.zeros((1, 2), dtype=np.float32),
+                          SGD(f1.params(), lr=0.1))
 
     def test_descent_direction_small_lr(self, synth):
         cfg = small_cfg(optimizer="sgd", lr=0.05)
@@ -304,6 +304,25 @@ class TestEquivalence:
         assert params_equal(plain, tapped)
 
 
+class TestLockstep:
+    def test_out_of_order_message(self):
+        def sender():
+            yield MsgType.LABELS, np.array([1])
+
+        def receiver():
+            yield MsgType.SMASHED
+
+        with pytest.raises(ProtocolError, match="^unexpected LABELS, expected SMASHED$"):
+            protocol._lockstep(sender(), receiver())
+
+    def test_programs_waiting_on_each_other(self):
+        def waiter():
+            yield MsgType.GRAD
+
+        with pytest.raises(ProtocolError, match="^role programs wait on each other$"):
+            protocol._lockstep(waiter(), waiter())
+
+
 class TestWireSessions:
     @pytest.mark.parametrize("topology", ["label_sharing", "server_data",
                                           "client_labels"])
@@ -405,27 +424,48 @@ class TestWireSessions:
     def test_out_of_order_message_aborts(self):
         cfg = small_cfg()
         ct, st = inproc_pair()
-        errors = {}
 
         def rogue_client():
-            from splitlab import wire
-
-            try:
-                ct.send(MsgType.HELLO, wire.encode_hello())
-                ct.recv()  # HELLO back
-                ct.send(MsgType.CONFIG, wire.encode_json(cfg.to_dict()))
-                ct.recv()  # ACK
-                # Labels before smashed data: out of order.
-                ct.send(MsgType.LABELS, wire.encode_labels(np.array([1])))
-            except ProtocolError as exc:
-                errors["client"] = exc
+            ct.send(MsgType.HELLO, wire.encode_hello())
+            ct.recv()  # HELLO back
+            ct.send(MsgType.CONFIG, wire.encode_json({**cfg.to_dict(), "examples": 8}))
+            ct.recv()  # ACK
+            # Labels before smashed data: out of order.
+            ct.send(MsgType.LABELS, wire.encode_labels(np.array([1])))
 
         th = threading.Thread(target=rogue_client, daemon=True)
         with ct, st:
             th.start()
-            with pytest.raises(ProtocolError):
+            with pytest.raises(ProtocolError, match="^unexpected LABELS, expected SMASHED$"):
                 run_server(st, cfg)
             th.join(timeout=5)
+        assert not th.is_alive()
+
+    @pytest.mark.parametrize("topology", ["label_sharing", "client_labels"])
+    def test_cut_grad_with_extra_tensor_is_protocol_error(self, synth, topology):
+        cfg = small_cfg(topology=topology)
+        ct, st = inproc_pair(timeout=5)
+        g = np.zeros((8, 4, 4, 4), dtype=np.float32)
+
+        def rogue_server():  # honest handshake, then a cut GRAD of two tensors
+            st.recv()  # HELLO
+            st.send(MsgType.HELLO, wire.encode_hello())
+            st.recv()  # CONFIG
+            st.send(MsgType.ACK)
+            st.recv()  # SMASHED
+            if topology == "client_labels":
+                st.send(MsgType.SMASHED, wire.encode_tensor(np.zeros((8, 32), np.float32)))
+                st.recv()  # the tail's GRAD
+            st.recv()  # LABELS, or the tail's LOSS
+            st.send(MsgType.GRAD, wire.encode_tensor_list([g, g]))
+
+        th = threading.Thread(target=rogue_server, daemon=True)
+        with ct, st:
+            th.start()
+            with pytest.raises(ProtocolError, match="^GRAD of 2 tensors, expected 1"):
+                run_client(ct, cfg, synth.images[:8], synth.labels[:8])
+            th.join(timeout=5)
+        assert not th.is_alive()
 
     def test_out_of_range_labels_are_protocol_error(self, synth):
         cfg = small_cfg()

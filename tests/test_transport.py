@@ -10,7 +10,7 @@ import pytest
 
 from splitlab import wire
 from splitlab.errors import ProtocolError
-from splitlab.transport import SocketTransport, inproc_pair, tcp_connect, tcp_listen
+from splitlab.transport import Transport, inproc_pair, tcp_connect, tcp_listen
 from splitlab.wire import MsgType
 
 
@@ -139,10 +139,10 @@ class TestTcp:
                          + b"x" * 64)
         tracemalloc.start()
         try:
-            with SocketTransport(conn) as receiver, \
+            with Transport(conn) as receiver, \
                     pytest.raises(ProtocolError, match="closed mid-frame"):
                 receiver.recv()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * SocketTransport.RECV_CHUNK
+        assert peak < 8 * Transport.RECV_CHUNK
