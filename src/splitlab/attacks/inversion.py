@@ -28,7 +28,7 @@ from ..autograd import (
     tv_penalty,
 )
 from ..errors import ConfigError, NumericError
-from ..layers import LayerStack
+from ..layers import LayerStack, _uniform_f32
 from ..models import ARCHS, build_layers
 from ..optim import Adam
 from . import attacker_seed
@@ -111,10 +111,7 @@ def invert(
     rng = np.random.default_rng(attacker_seed(cfg.seed, "inversion-input"))
     b = targets.shape[0]
     lo, hi = CLAMP
-    x = Tensor(
-        rng.uniform(lo, hi, size=(b, *input_shape)).astype(np.float32),
-        requires_grad=True,
-    )
+    x = Tensor(_uniform_f32(rng, lo, hi, (b, *input_shape)), requires_grad=True)
     target_t = Tensor(targets)
     opt_x = OPTIMIZER([x], INPUT_LR)
     opt_m = OPTIMIZER(clone.params(), MODEL_LR)

@@ -66,11 +66,11 @@ def _fc_distances(d: np.ndarray, a: np.ndarray, gw: np.ndarray,
                   gb: np.ndarray) -> np.ndarray:
     """Per candidate row of ``d``, the float64 squared distance from the fc
     gradients ``(outer(d, a), d)`` to the received ``(gw, gb)``."""
-    d64, a64 = d.astype(np.float64), a.astype(np.float64)
-    ga = np.einsum("ud,d->u", gw, a, dtype=np.float64)
+    d64, a64, gw64 = d.astype(np.float64), a.astype(np.float64), gw.astype(np.float64)
+    flat = gw64.ravel()
     return ((d64 * d64).sum(axis=1) * (a64 @ a64)
-            - 2.0 * (d64 @ ga)
-            + np.einsum("ud,ud->", gw, gw, dtype=np.float64)
+            - 2.0 * (d64 @ (gw64 @ a64))
+            + flat @ flat
             + ((d64 - gb) ** 2).sum(axis=1))
 
 

@@ -236,10 +236,21 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
+def _attack_checkpoint(cfg: dict) -> SplitModel:
+    """The ``--checkpoint`` model, if it is of the arch ``--dataset`` selects."""
+    model = load_checkpoint(cfg["checkpoint"])
+    if model.arch != cfg["arch"]:
+        raise ConfigError(
+            f"checkpoint {cfg['checkpoint']} holds a {model.arch!r} net, but "
+            f"dataset {cfg['dataset']!r} needs {cfg['arch']!r}"
+        )
+    return model
+
+
 def cmd_attack_invert(cfg: dict) -> int:
     if not cfg["checkpoint"]:
         raise ConfigError("attack-invert requires --checkpoint from a training run")
-    model = load_checkpoint(cfg["checkpoint"])
+    model = _attack_checkpoint(cfg)
     depth = cfg["split_depth"]
     f1, _ = split_at(model, depth)
     test = load_dataset(cfg, "test")
@@ -278,7 +289,7 @@ def cmd_attack_labels(cfg: dict) -> int:
         )
     if cfg["checkpoint"]:
         # The attack simulates the client's tail, so it needs the whole net.
-        model = merge(load_checkpoint(cfg["checkpoint"]))
+        model = merge(_attack_checkpoint(cfg))
     else:
         model = build_net(cfg["arch"], seed=cfg["seed"])
     ds = load_dataset(cfg, "train")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
@@ -54,76 +55,65 @@ class SplitModel(LayerStack):
                 for name, p in zip(("weight", "bias"), layer.params())]
 
 
-def _mnist_layers() -> list[Layer]:
-    return [
-        Conv2d(1, 8, 3),
-        MaxPool2x2(),
-        ReLU(),
-        Conv2d(8, 16, 3),
-        MaxPool2x2(),
-        ReLU(),
-        Flatten(),
-        FullyConnected(16 * 7 * 7, 256),
-        ReLU(),
-        FullyConnected(256, 128),
-        ReLU(),
-        FullyConnected(128, 10),
-        Softmax(),
-    ]
+_MNIST = (
+    partial(Conv2d, 1, 8, 3),
+    MaxPool2x2,
+    ReLU,
+    partial(Conv2d, 8, 16, 3),
+    MaxPool2x2,
+    ReLU,
+    Flatten,
+    partial(FullyConnected, 16 * 7 * 7, 256),
+    ReLU,
+    partial(FullyConnected, 256, 128),
+    ReLU,
+    partial(FullyConnected, 128, 10),
+    Softmax,
+)
 
+_CIFAR = (
+    partial(Conv2d, 3, 64, 3),
+    ReLU,
+    partial(Conv2d, 64, 64, 3),
+    ReLU,
+    MaxPool2x2,
+    *(make for in_ch in (64, 128) for make in (
+        partial(Conv2d, in_ch, 128, 3),
+        ReLU,
+        partial(Conv2d, 128, 128, 3),
+        ReLU,
+        MaxPool2x2,
+    )),
+    Flatten,
+    partial(FullyConnected, 128 * 4 * 4, 256),
+    Sigmoid,
+    partial(FullyConnected, 256, 10),
+    Softmax,
+)
 
-def _cifar_layers() -> list[Layer]:
-    layers: list[Layer] = [
-        Conv2d(3, 64, 3),
-        ReLU(),
-        Conv2d(64, 64, 3),
-        ReLU(),
-        MaxPool2x2(),
-    ]
-    in_ch = 64
-    for _ in range(2):
-        layers += [
-            Conv2d(in_ch, 128, 3),
-            ReLU(),
-            Conv2d(128, 128, 3),
-            ReLU(),
-            MaxPool2x2(),
-        ]
-        in_ch = 128
-    layers += [
-        Flatten(),
-        FullyConnected(128 * 4 * 4, 256),
-        Sigmoid(),
-        FullyConnected(256, 10),
-        Softmax(),
-    ]
-    return layers
-
-
-def _tiny8_layers() -> list[Layer]:
-    # Shrunk single-channel net for CI: 8x8 input, one conv block, two fc.
-    return [
-        Conv2d(1, 4, 3),
-        MaxPool2x2(),
-        ReLU(),
-        Flatten(),
-        FullyConnected(4 * 4 * 4, 32),
-        ReLU(),
-        FullyConnected(32, 10),
-        Softmax(),
-    ]
+# Shrunk single-channel net for CI: 8x8 input, one conv block, two fc.
+_TINY8 = (
+    partial(Conv2d, 1, 4, 3),
+    MaxPool2x2,
+    ReLU,
+    Flatten,
+    partial(FullyConnected, 4 * 4 * 4, 32),
+    ReLU,
+    partial(FullyConnected, 32, 10),
+    Softmax,
+)
 
 
 @dataclass(frozen=True)
 class ArchSpec:
-    builder: object
+    layers: tuple  # one constructor per layer, in net order
     input_shape: tuple[int, int, int]  # (C, H, W)
 
 
 ARCHS: dict[str, ArchSpec] = {
-    "mnist": ArchSpec(_mnist_layers, (1, 28, 28)),
-    "cifar": ArchSpec(_cifar_layers, (3, 32, 32)),
-    "tiny8": ArchSpec(_tiny8_layers, (1, 8, 8)),
+    "mnist": ArchSpec(_MNIST, (1, 28, 28)),
+    "cifar": ArchSpec(_CIFAR, (3, 32, 32)),
+    "tiny8": ArchSpec(_TINY8, (1, 8, 8)),
 }
 
 
@@ -131,29 +121,60 @@ def arch_layers(arch: str) -> list[Layer]:
     """Fresh, uninitialized layers of a registered architecture."""
     if arch not in ARCHS:
         raise ConfigError(f"unknown architecture {arch!r}; known: {sorted(ARCHS)}")
-    return ARCHS[arch].builder()
+    return [make() for make in ARCHS[arch].layers]
+
+
+@dataclass(frozen=True)
+class Layout:
+    """What a net is, read without building it: the indices of its
+    fully-connected layers, each layer's parameter element count, and the
+    per-example shape of each layer's input (``shapes[-1]`` is the net's
+    output)."""
+    fc: tuple[int, ...]
+    sizes: tuple[int, ...]
+    shapes: tuple[tuple[int, ...], ...]
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+
+@cache
+def layout(arch: str) -> Layout:
+    """The layout of a registered architecture, worked out once per process
+    from one unseeded build and a zero-row forward."""
+    layers = arch_layers(arch)
+    x = Tensor(np.zeros((0, *ARCHS[arch].input_shape), np.float32))
+    shapes = [x.data.shape[1:]]
+    for layer in layers:
+        x = layer.forward(x)
+        shapes.append(x.data.shape[1:])
+    return Layout(
+        tuple(i for i, layer in enumerate(layers) if isinstance(layer, FullyConnected)),
+        tuple(sum(p.data.size for p in layer.params()) for layer in layers),
+        tuple(shapes),
+    )
 
 
 def build_layers(arch: str, seed: int | list[int] = 0, start: int = 0,
                  stop: int | None = None) -> list[Layer]:
     """Layers [start, stop) of an architecture, initialized bit-identically
-    to the same layers of ``build_net(arch, seed)``.
+    to the same layers of ``build_net(arch, seed)``; no other layer is
+    constructed.
 
     Every layer draws from one ``default_rng(seed)`` stream in order, one
     64-bit draw per parameter element, so the layers before ``start`` are
     skipped by advancing the stream by their element count.
     """
-    layers = arch_layers(arch)
-    stop = len(layers) if stop is None else stop
-    if not 0 <= start < stop <= len(layers):
+    net = layout(arch)
+    stop = len(net) if stop is None else stop
+    if not 0 <= start < stop <= len(net):
         raise ConfigError(
             f"layer range [{start}, {stop}) out of range for {arch!r} "
-            f"({len(layers)} layers)"
+            f"({len(net)} layers)"
         )
     rng = np.random.default_rng(seed)
-    rng.bit_generator.advance(
-        sum(p.data.size for layer in layers[:start] for p in layer.params()))
-    layers = layers[start:stop]
+    rng.bit_generator.advance(sum(net.sizes[:start]))
+    layers = [make() for make in ARCHS[arch].layers[start:stop]]
     for layer in layers:
         layer.init(rng)
     return layers
@@ -178,7 +199,7 @@ def merge(*parts: SplitModel) -> SplitModel:
     tile the whole net exactly. Layers are shared, not copied; the
     metadata and step count are the first part's."""
     first = parts[0]
-    n = len(arch_layers(first.arch))
+    n = len(layout(first.arch))
     held = sorted(((i, layer) for part in parts for i, layer in zip(part.index, part.layers)),
                   key=lambda pair: pair[0])
     index = [i for i, _ in held]
@@ -198,7 +219,7 @@ def split_at(model: SplitModel, depth: int) -> tuple[LayerStack, LayerStack]:
     The halves share the model's layer objects, so parameters are views,
     not copies.
     """
-    n = len(arch_layers(model.arch))
+    n = len(layout(model.arch))
     if not 1 <= depth < n:
         raise ConfigError(f"split depth {depth} out of range [1, {n - 1}]")
     missing = set(range(depth)) - set(model.index)
@@ -213,16 +234,12 @@ def split_at(model: SplitModel, depth: int) -> tuple[LayerStack, LayerStack]:
 def tail_start_index(arch: str, tail_depth: int) -> int:
     """Index where a client tail holding the last ``tail_depth`` fully-connected
     layers of an architecture (plus everything after them) begins."""
-    layers = arch_layers(arch)
-    seen = 0
-    for i in range(len(layers) - 1, -1, -1):
-        if isinstance(layers[i], FullyConnected):
-            seen += 1
-            if seen == tail_depth:
-                return i
-    raise ConfigError(
-        f"{arch!r} has only {seen} fully-connected layers, need {tail_depth}"
-    )
+    fc = layout(arch).fc
+    if not 1 <= tail_depth <= len(fc):
+        raise ConfigError(
+            f"{arch!r} has only {len(fc)} fully-connected layers, need {tail_depth}"
+        )
+    return fc[-tail_depth]
 
 
 # ---------------------------------------------------------------------------
@@ -294,19 +311,20 @@ def load_checkpoint(path: str) -> SplitModel:
     if arch not in ARCHS:
         raise CheckpointError(f"{path}: unknown architecture id {arch!r}")
     split_depth, seed, step_count = r.unpack("<IQQ")
-    layers = arch_layers(arch)
+    n = len(layout(arch))
     (held,) = r.unpack("<I")
-    if not 1 <= held <= len(layers):
-        raise CheckpointError(f"{path}: {held} layers listed, {arch!r} has {len(layers)}")
+    if not 1 <= held <= n:
+        raise CheckpointError(f"{path}: {held} layers listed, {arch!r} has {n}")
     index = list(r.unpack(f"<{held}I"))
-    if any(i >= j for i, j in zip(index, index[1:])) or index[-1] >= len(layers):
+    if any(i >= j for i, j in zip(index, index[1:])) or index[-1] >= n:
         raise CheckpointError(
             f"{path}: layer indices {index} are not ascending, distinct and "
-            f"below {len(layers)}"
+            f"below {n}"
         )
     (count,) = r.unpack("<I")
 
-    model = SplitModel([layers[i] for i in index], arch, int(seed), int(split_depth), index)
+    model = SplitModel([ARCHS[arch].layers[i]() for i in index], arch, int(seed),
+                       int(split_depth), index)
     model.step_count = int(step_count)
     expected = dict(model.named_params())
     if count != len(expected):

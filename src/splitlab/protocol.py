@@ -38,7 +38,7 @@ from .autograd import Tensor, backward, cross_entropy
 from .data import epoch_batches, epoch_order  # noqa: F401  (re-exported)
 from .errors import ConfigError, ProtocolError
 from .layers import LayerStack
-from .models import ARCHS, SplitModel, arch_layers, build_part, merge, tail_start_index
+from .models import ARCHS, SplitModel, build_part, layout, merge, tail_start_index
 from .optim import OPTIMIZERS, Optimizer, make_optimizer
 from .transport import Transport
 from .wire import MsgType
@@ -182,7 +182,7 @@ def cut(cfg: SessionConfig) -> tuple[int, int, int]:
     label_sharing). The client's head is layers [0, a), the server's part
     [a, b) and the client's tail [b, n)."""
     cfg.validate()
-    n = len(arch_layers(cfg.arch))
+    n = len(layout(cfg.arch))
     a = 0 if cfg.topology == "server_data" else cfg.split_depth
     b = n if cfg.topology == "label_sharing" else tail_start_index(cfg.arch, cfg.tail_depth)
     if not (cfg.topology == "server_data" or 1 <= a < b):
@@ -194,14 +194,10 @@ def build_parts(cfg: SessionConfig, roles=("client", "server")) -> tuple:
     """The state of each of ``roles``, in order. A role builds only its own
     layers of the net cut at ``cut(cfg)``, each initialized as the same
     layer of ``build_net(cfg.arch, cfg.seed)``; an empty part is None. A
-    role that receives SMASHED gets its cut's row shape, from a zero-row
-    forward through unseeded layers as deep as that cut."""
+    role that receives SMASHED gets its cut's row shape, read from the
+    net's layout."""
     a, b, n = cut(cfg)
-    layers = arch_layers(cfg.arch)
-
-    def rows(depth: int) -> tuple[int, ...]:
-        x = Tensor(np.zeros((0, *ARCHS[cfg.arch].input_shape), np.float32))
-        return LayerStack(layers[:depth]).forward(x).data.shape[1:]
+    rows = layout(cfg.arch).shapes
 
     def opt(stack: LayerStack | None) -> Optimizer | None:
         return None if stack is None else make_optimizer(cfg.optimizer, stack.params(), cfg.lr)
@@ -213,10 +209,10 @@ def build_parts(cfg: SessionConfig, roles=("client", "server")) -> tuple:
             head = LayerStack(model.layers[:a]) if a else None
             tail = LayerStack(model.layers[a:]) if b < n else None
             states.append(ClientState(model, head, tail, opt(head), opt(tail),
-                                      None if tail is None else rows(b)))
+                                      None if tail is None else rows[b]))
         else:
             part = build_part(cfg.arch, cfg.seed, ((a, b),), cfg.split_depth)
-            states.append(ServerState(part, opt(part), rows=rows(a) if a else None))
+            states.append(ServerState(part, opt(part), rows=rows[a] if a else None))
     return tuple(states)
 
 

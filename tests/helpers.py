@@ -1,15 +1,18 @@
 """Shared test utilities: the oracles the library is checked against
 (central finite differences, an unsplit trainer, per-candidate label
-probing, argmax pooling, whole-batch convolution), kink-aware input
-sampling, and tiny PGM/PPM parsing."""
+probing, einsum fc distances, uniform draws, argmax pooling, whole-batch
+convolution), a layer-construction counter, kink-aware input sampling,
+and tiny PGM/PPM parsing."""
 
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import numpy as np
 
 from splitlab import autograd as ag
+from splitlab import models
 from splitlab.attacks.labels import tail_param_gradients
 from splitlab.autograd import Tensor
 from splitlab.models import build_net
@@ -72,6 +75,41 @@ def probe_distances(grad_received, smashed: np.ndarray, clone,
         np.mean((concat(tail_param_gradients(clone, smashed, c)) - ref) ** 2)
         for c in range(num_classes)
     ], dtype=np.float64)
+
+
+def fc_distances_oracle(d: np.ndarray, a: np.ndarray, gw: np.ndarray,
+                        gb: np.ndarray) -> np.ndarray:
+    """``labels._fc_distances`` with float64 ``einsum`` over the float32
+    received weight gradient ``gw`` in place of BLAS products."""
+    d64, a64 = d.astype(np.float64), a.astype(np.float64)
+    ga = np.einsum("ud,d->u", gw, a, dtype=np.float64)
+    return ((d64 * d64).sum(axis=1) * (a64 @ a64)
+            - 2.0 * (d64 @ ga)
+            + np.einsum("ud,ud->", gw, gw, dtype=np.float64)
+            + ((d64 - gb) ** 2).sum(axis=1))
+
+
+def uniform_oracle(rng: np.random.Generator, low: float, high: float,
+                   size) -> np.ndarray:
+    """Uniform float32 draws the direct way."""
+    return rng.uniform(low, high, size).astype(np.float32)
+
+
+def count_constructions(monkeypatch, arch: str) -> list[int]:
+    """Net indices of the layers of ``arch`` constructed from now on, in
+    order, counted through the arch's per-layer constructors."""
+    made: list[int] = []
+    spec = models.ARCHS[arch]
+
+    def counted(i, make):
+        def construct():
+            made.append(i)
+            return make()
+        return construct
+
+    monkeypatch.setitem(models.ARCHS, arch, replace(
+        spec, layers=tuple(counted(i, make) for i, make in enumerate(spec.layers))))
+    return made
 
 
 def relu_oracle(x: np.ndarray) -> np.ndarray:

@@ -12,9 +12,12 @@ from splitlab.models import (
     CHECKPOINT_MAGIC,
     build_net,
     build_part,
+    layout,
     load_checkpoint,
     save_checkpoint,
 )
+
+from helpers import count_constructions
 
 
 @pytest.fixture
@@ -78,6 +81,13 @@ def test_part_round_trip_keeps_net_indices(ckpt):
     for (na, pa), (nb, pb) in zip(part.named_params(), loaded.named_params()):
         assert na == nb
         np.testing.assert_array_equal(pa.data, pb.data)
+
+
+def test_load_constructs_only_the_held_layers(ckpt, monkeypatch):
+    save_checkpoint(build_part("mnist", 0, [(0, 2), (7, 13)]), ckpt)
+    layout("mnist")
+    made = count_constructions(monkeypatch, "mnist")
+    assert load_checkpoint(ckpt).index == made == [0, 1, *range(7, 13)]
 
 
 def _index_offset(model) -> int:

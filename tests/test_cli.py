@@ -251,6 +251,18 @@ class TestAttackLabels:
         assert run([*labels, "--checkpoint", os.path.join(out, "client.ckpt")]) == 2
         assert "parts hold layers [0]," in capsys.readouterr().err
 
+    def test_checkpoint_of_another_arch_is_config_error(self, tmp_path, capsys):
+        from splitlab.models import build_net, save_checkpoint
+
+        path = str(tmp_path / "mnist.ckpt")
+        save_checkpoint(build_net("mnist"), path)
+        capsys.readouterr()
+        assert run(["attack-labels", "--dataset", "synth", "--topology", "server_data",
+                    "--batch-size", "1", "--samples", "2", "--checkpoint", path,
+                    "--out-dir", str(tmp_path)]) == 2
+        assert "holds a 'mnist' net, but dataset 'synth' needs 'tiny8'" in \
+            capsys.readouterr().err
+
     def test_refuses_label_sharing_topology(self, tmp_path):
         rc = run(["attack-labels", "--dataset", "synth",
                   "--batch-size", "1", "--out-dir", str(tmp_path)])
@@ -305,6 +317,17 @@ class TestAttackInvert:
                   "--split-depth", str(depth), "--out-dir", out])
         assert rc == 2
         assert "not layer 0 of the client part" in capsys.readouterr().err
+
+    def test_checkpoint_of_another_arch_is_config_error(self, tmp_path, capsys):
+        from splitlab.models import build_net, save_checkpoint
+
+        path = str(tmp_path / "mnist.ckpt")
+        save_checkpoint(build_net("mnist"), path)
+        capsys.readouterr()
+        assert run(["attack-invert", "--dataset", "synth", "--checkpoint", path,
+                    "--rounds", "1", "--out-dir", str(tmp_path)]) == 2
+        assert "holds a 'mnist' net, but dataset 'synth' needs 'tiny8'" in \
+            capsys.readouterr().err
 
     def test_client_checkpoint_serves_its_depth(self, tmp_path):
         """client.ckpt holds only the head [0, 1), which is all the attack

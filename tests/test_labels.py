@@ -5,6 +5,7 @@ failure modes, and the clone-training (Fig. 5 analogue) curves."""
 import numpy as np
 import pytest
 
+from splitlab.attacks import labels as label_attack
 from splitlab.attacks.labels import (
     infer_from_tap_entry,
     infer_label,
@@ -22,7 +23,7 @@ from splitlab.optim import Adam, fit_epoch
 from splitlab.protocol import ServerTap, SessionConfig, epoch_order, run_session, train_local
 from splitlab.transport import inproc_pair
 
-from helpers import probe_distances
+from helpers import fc_distances_oracle, probe_distances
 
 
 def smashed_for(arch, tail_depth, images):
@@ -108,6 +109,28 @@ class TestClosedFormAgainstProbing:
                 p = np.sort(clone.forward(Tensor(sm)).data[0])
                 assert 0.0 < p[0] < 1e-12 <= p[1]
                 self.assert_same_inference(ref, sm, clone)
+
+
+class TestBlasDistancesAgainstEinsum:
+    """The closed form on BLAS products against the float64 einsum form it
+    replaced: only the distances' low bits may differ."""
+
+    @pytest.mark.parametrize("tail_depth", [1, 2, 3])
+    def test_mnist_tails(self, monkeypatch, tail_depth):
+        ds = synth_dataset(4, ARCH_SHAPES["mnist"], seed=tail_depth)
+        sms = smashed_for("mnist", tail_depth, ds.images)
+        sender = make_tail_clone("mnist", tail_depth, seed=1)
+        for j, y in enumerate((0, 3, 7, 9)):
+            sm = sms[j : j + 1]
+            ref = tail_param_gradients(sender, sm, y)
+            for seed in (11, 12, 13):
+                clone = make_tail_clone("mnist", tail_depth, seed=seed)
+                got = infer_label(ref, sm, clone)
+                with monkeypatch.context() as m:
+                    m.setattr(label_attack, "_fc_distances", fc_distances_oracle)
+                    want = infer_label(ref, sm, clone)
+                np.testing.assert_allclose(got.distances, want.distances, rtol=1e-12)
+                assert (got.label, got.tie) == (want.label, want.tie)
 
 
 class TestInferLabel:

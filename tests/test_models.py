@@ -5,16 +5,21 @@ import pytest
 
 from splitlab.autograd import Tensor
 from splitlab.errors import ConfigError
-from splitlab.layers import Conv2d, FullyConnected, LayerStack, MaxPool2x2
+from splitlab.layers import (Conv2d, FullyConnected, LayerStack, MaxPool2x2,
+                             _uniform_f32)
 from splitlab.models import (
     ARCHS,
     build_layers,
     build_net,
     build_part,
+    layout,
     merge,
     split_at,
     tail_start_index,
 )
+from splitlab.protocol import TOPOLOGIES, SessionConfig, cut
+
+from helpers import count_constructions, uniform_oracle
 
 MNIST_PARAM_COUNT = 236_394
 
@@ -183,13 +188,36 @@ class TestBuildLayers:
     seed's stream, which relies on one 64-bit draw per parameter element."""
 
     def test_advance_matches_uniform_draws(self):
-        # A numpy whose float64 uniform stops taking one draw per element
-        # fails here first.
-        for n in (1, 7, 2100):
-            drawn, skipped = np.random.default_rng(5), np.random.default_rng(5)
-            drawn.uniform(-0.5, 0.5, size=n)
-            skipped.bit_generator.advance(n)
-            np.testing.assert_array_equal(drawn.uniform(size=4), skipped.uniform(size=4))
+        # A numpy whose float64 uniform or random (which the weights are
+        # drawn from) stops taking one draw per element fails here first.
+        for draw in ("uniform", "random"):
+            for n in (1, 7, 2100):
+                drawn, skipped = np.random.default_rng(5), np.random.default_rng(5)
+                if draw == "uniform":
+                    drawn.uniform(-0.5, 0.5, size=n)
+                else:
+                    drawn.random(n)
+                skipped.bit_generator.advance(n)
+                np.testing.assert_array_equal(drawn.uniform(size=4),
+                                              skipped.uniform(size=4))
+
+    def test_draw_rule_matches_uniform_oracle(self):
+        # Empty, 1-D bias, fc and 4-D conv weight shapes, at a weight bound
+        # and at the inversion's [0, 1).
+        shapes = [(0,), (1,), (128,), (10, 128), (256, 784), (0, 3, 3, 3),
+                  (8, 1, 3, 3), (64, 3, 3, 3)]
+        for seed in range(120):
+            for shape in shapes:
+                fan_in = int(np.prod(shape[1:], dtype=np.int64)) or 1
+                for low, high in ((-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in)),
+                                  (0.0, 1.0)):
+                    want_rng, got_rng = (np.random.default_rng(seed),
+                                         np.random.default_rng(seed))
+                    want = uniform_oracle(want_rng, low, high, shape)
+                    got = _uniform_f32(got_rng, low, high, shape)
+                    assert got.dtype == np.float32 and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (seed, shape, low)
+                    assert got_rng.random() == want_rng.random()  # same draws taken
 
     @pytest.mark.parametrize("arch", sorted(ARCHS))
     def test_every_range_equals_slice_of_full_build(self, arch):
@@ -209,3 +237,47 @@ class TestBuildLayers:
     def test_bad_range_rejected(self, start, stop):
         with pytest.raises(ConfigError):
             build_layers("tiny8", 0, start, stop)
+
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_constructs_only_its_range(self, monkeypatch, arch):
+        n = len(layout(arch))
+        made = count_constructions(monkeypatch, arch)
+        for start in range(n):
+            for stop in range(start + 1, n + 1):
+                made.clear()
+                build_layers(arch, 3, start, stop)
+                assert made == list(range(start, stop))
+
+
+class TestLayout:
+    """A net's layout is worked out once per arch; what reads only the
+    layout constructs no layer."""
+
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_matches_a_full_build(self, arch):
+        net = build_net(arch, seed=0)
+        lay = layout(arch)
+        assert len(lay) == len(net.layers)
+        assert lay.fc == tuple(i for i, layer in enumerate(net.layers)
+                               if isinstance(layer, FullyConnected))
+        assert lay.sizes == tuple(sum(p.data.size for p in layer.params())
+                                  for layer in net.layers)
+        x = Tensor(np.zeros((1, *ARCHS[arch].input_shape), np.float32))
+        for layer, shape in zip([None, *net.layers], lay.shapes):
+            x = x if layer is None else layer.forward(x)
+            assert x.data.shape[1:] == shape
+
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_warm_layout_readers_construct_nothing(self, monkeypatch, arch):
+        net = build_net(arch, seed=0)
+        k = tail_start_index(arch, 1)
+        head, tail = build_part(arch, 0, [(0, k)]), build_part(arch, 0, [(k, len(net))])
+        made = count_constructions(monkeypatch, arch)
+        for tail_depth in (1, 2):
+            tail_start_index(arch, tail_depth)
+        for depth in range(1, len(net)):
+            split_at(net, depth)
+        merge(head, tail)
+        for topology in TOPOLOGIES:
+            cut(SessionConfig(arch=arch, topology=topology, split_depth=1))
+        assert made == []
