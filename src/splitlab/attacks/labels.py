@@ -27,6 +27,8 @@ from ..errors import ConfigError, TieError
 from ..layers import LayerStack
 from ..models import build_layers, tail_start_index
 
+_EVAL_BATCH = 256  # rows per forward when tail_accuracy scores a set
+
 
 @dataclass
 class LabelInferenceResult:
@@ -44,13 +46,13 @@ def make_tail_clone(arch: str, tail_depth: int, seed: int | list[int]) -> LayerS
 
 def tail_param_gradients(tail: LayerStack, smashed: np.ndarray,
                          label: int) -> list[np.ndarray]:
-    """Parameter gradients of one stochastic cross-entropy step on a tail."""
+    """Parameter gradients of one stochastic cross-entropy step on a tail, as stored."""
     probs = tail.forward(Tensor(smashed))
     loss = cross_entropy(probs, np.array([label], dtype=np.int64))
     for p in tail.params():
         p.grad = None
     backward(loss)
-    return [p.grad.copy() for p in tail.params()]
+    return [p.grad for p in tail.params()]
 
 
 # How each kind of tail layer carries the candidate rows ``d`` (gradients
@@ -156,12 +158,11 @@ def infer_from_tap_entry(entry, clone_tail: LayerStack) -> LabelInferenceResult:
     return infer_label(entry.grad[1:], entry.tail_input, clone_tail)
 
 
-def tail_accuracy(tail: LayerStack, smashed: np.ndarray, labels: np.ndarray,
-                  batch_size: int = 256) -> float:
+def tail_accuracy(tail: LayerStack, smashed: np.ndarray, labels: np.ndarray) -> float:
     hits = 0
-    for start in range(0, smashed.shape[0], batch_size):
-        probs = tail.forward(Tensor(smashed[start : start + batch_size]))
+    for start in range(0, smashed.shape[0], _EVAL_BATCH):
+        probs = tail.forward(Tensor(smashed[start : start + _EVAL_BATCH]))
         hits += int(
-            (probs.data.argmax(axis=1) == labels[start : start + batch_size]).sum()
+            (probs.data.argmax(axis=1) == labels[start : start + _EVAL_BATCH]).sum()
         )
     return hits / max(1, smashed.shape[0])

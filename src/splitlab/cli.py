@@ -42,8 +42,8 @@ from .harness import (
 from .models import (ARCHS, SplitModel, build_net, load_checkpoint, merge,
                      save_checkpoint, split_at)
 from .optim import OPTIMIZERS
-from .protocol import (TOPOLOGIES, SessionConfig, held_examples, run_client, run_server,
-                       run_session)
+from .protocol import (TOPOLOGIES, SessionConfig, _apply_malloc_policy, held_examples,
+                       run_client, run_server, run_session)
 from .transport import inproc_pair, tcp_connect, tcp_listen
 
 # Each dataset's images fit exactly one arch, so the arch is not a knob.
@@ -348,6 +348,7 @@ COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _apply_malloc_policy()  # every command, the attacks' clone loops too
     try:
         cfg = effective_config(args)
         print(f"config: {json.dumps(cfg, sort_keys=True)}")

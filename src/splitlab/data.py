@@ -9,6 +9,7 @@ augmentation is applied.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -51,38 +52,32 @@ def _read_file(path: str) -> bytes:
         return fh.read()
 
 
+def _read_idx(path: str, magic: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """An IDX file's u8 elements and dims. The magic's low byte is the dim
+    count; the length is checked against the dims before any allocation."""
+    raw = _read_file(path)
+    head = 4 * (1 + (magic & 0xFF))
+    if len(raw) < head:
+        raise DataError(f"{path}: truncated IDX header")
+    found, *dims = struct.unpack(f">{head // 4}I", raw[:head])
+    if found != magic:
+        raise DataError(f"{path}: bad IDX magic {found:#010x}, expected {magic:#010x}")
+    if len(raw) != head + math.prod(dims):
+        raise DataError(f"{path}: expected {head + math.prod(dims)} bytes, got {len(raw)}")
+    return np.frombuffer(raw, dtype=np.uint8, offset=head), tuple(dims)
+
+
 def load_idx(images_path: str, labels_path: str, name: str = "idx",
              split: str = "train") -> Dataset:
     """Load an IDX image/label file pair (big-endian, u8 pixels)."""
-    raw = _read_file(images_path)
-    if len(raw) < 16:
-        raise DataError(f"{images_path}: truncated IDX header")
-    magic, n, h, w = struct.unpack(">IIII", raw[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise DataError(f"{images_path}: bad IDX image magic {magic:#010x}")
-    if len(raw) != 16 + n * h * w:
-        raise DataError(
-            f"{images_path}: expected {16 + n * h * w} bytes, got {len(raw)}"
-        )
-    images = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(n, 1, h, w)
-
-    raw = _read_file(labels_path)
-    if len(raw) < 8:
-        raise DataError(f"{labels_path}: truncated IDX header")
-    magic, nl = struct.unpack(">II", raw[:8])
-    if magic != IDX_LABELS_MAGIC:
-        raise DataError(f"{labels_path}: bad IDX label magic {magic:#010x}")
-    if len(raw) != 8 + nl:
-        raise DataError(f"{labels_path}: expected {8 + nl} bytes, got {len(raw)}")
-    labels = np.frombuffer(raw, dtype=np.uint8, offset=8)
+    pixels, (n, h, w) = _read_idx(images_path, IDX_IMAGES_MAGIC)
+    labels, (nl,) = _read_idx(labels_path, IDX_LABELS_MAGIC)
     if nl != n:
         raise DataError(f"IDX pair mismatch: {n} images vs {nl} labels")
     if labels.size and labels.max() > 9:
         raise DataError(f"{labels_path}: label {labels.max()} out of range [0,10)")
-
-    return Dataset(
-        (images.astype(np.float32) / 255.0), labels.copy(), name, split
-    )
+    images = pixels.reshape(n, 1, h, w).astype(np.float32) / 255.0
+    return Dataset(images, labels.copy(), name, split)
 
 
 def load_cifar_bin(paths: list[str], name: str = "cifar",

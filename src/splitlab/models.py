@@ -117,13 +117,6 @@ ARCHS: dict[str, ArchSpec] = {
 }
 
 
-def arch_layers(arch: str) -> list[Layer]:
-    """Fresh, uninitialized layers of a registered architecture."""
-    if arch not in ARCHS:
-        raise ConfigError(f"unknown architecture {arch!r}; known: {sorted(ARCHS)}")
-    return [make() for make in ARCHS[arch].layers]
-
-
 @dataclass(frozen=True)
 class Layout:
     """What a net is, read without building it: the indices of its
@@ -142,7 +135,9 @@ class Layout:
 def layout(arch: str) -> Layout:
     """The layout of a registered architecture, worked out once per process
     from one unseeded build and a zero-row forward."""
-    layers = arch_layers(arch)
+    if arch not in ARCHS:
+        raise ConfigError(f"unknown architecture {arch!r}; known: {sorted(ARCHS)}")
+    layers = [make() for make in ARCHS[arch].layers]
     x = Tensor(np.zeros((0, *ARCHS[arch].input_shape), np.float32))
     shapes = [x.data.shape[1:]]
     for layer in layers:

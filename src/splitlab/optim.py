@@ -40,20 +40,12 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Bias-corrected Adam with the usual defaults."""
+    """Bias-corrected Adam with the usual betas and epsilon."""
 
-    def __init__(
-        self,
-        params: list[Tensor],
-        lr: float = 0.001,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float):
         super().__init__(params, lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
@@ -61,10 +53,10 @@ class Adam(Optimizer):
         grads = self._grads()
         self.step_count += 1
         t = self.step_count
-        b1, b2 = np.float32(self.beta1), np.float32(self.beta2)
-        c1 = np.float32(1.0 - self.beta1**t)
-        c2 = np.float32(1.0 - self.beta2**t)
-        lr, eps = np.float32(self.lr), np.float32(self.eps)
+        b1, b2 = np.float32(self.BETA1), np.float32(self.BETA2)
+        c1 = np.float32(1.0 - self.BETA1**t)
+        c2 = np.float32(1.0 - self.BETA2**t)
+        lr, eps = np.float32(self.lr), np.float32(self.EPS)
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
             m *= b1
             m += (1 - b1) * g

@@ -90,13 +90,13 @@ class ServerTap:
     def __init__(self):
         self.entries: list[TapEntry] = []
 
-    def record(self, step: int, smashed: np.ndarray,
-               labels: np.ndarray | None, grad: list[np.ndarray],
-               tail_input: np.ndarray | None = None) -> None:
+    def record(self, smashed: np.ndarray, labels: np.ndarray | None,
+               grad: list[np.ndarray], tail_input: np.ndarray | None = None) -> None:
+        """Log one step's observations, copied; entries are numbered from 1."""
         kept = np.array(smashed, copy=True)
         self.entries.append(
             TapEntry(
-                step,
+                len(self.entries) + 1,
                 kept,
                 None if labels is None else np.array(labels, copy=True),
                 [np.array(g, copy=True) for g in grad],
@@ -114,11 +114,11 @@ class ServerTap:
 # shared step arithmetic
 
 def loss_forward_backward(
-    part: LayerStack, smashed: np.ndarray, labels: np.ndarray,
-    opt: Optimizer, collect_param_grads: bool = False,
+    part: LayerStack, smashed: np.ndarray, labels: np.ndarray, opt: Optimizer,
 ) -> tuple[float, np.ndarray, list[np.ndarray]]:
     """Run the loss-owning part: forward from the cut, cross-entropy,
-    backward, optimizer update. Returns (loss, grad at cut, param grads)."""
+    backward, update by ``opt`` (over ``part.params()``). Returns (loss,
+    grad at cut, param grads), as the arrays ``backward`` stored."""
     labels = np.asarray(labels, dtype=np.int64)
     if np.shape(smashed)[:1] != labels.shape:
         raise ProtocolError(f"activations {np.shape(smashed)} for {labels.size} labels")
@@ -127,14 +127,10 @@ def loss_forward_backward(
     if labels.max(initial=0) >= probs.data.shape[1]:
         raise ProtocolError(f"label {labels.max()} for {probs.data.shape[1]} classes")
     loss = cross_entropy(probs, labels)
-    for p in part.params():
-        p.grad = None
+    opt.zero_grad()
     backward(loss)
-    param_grads = (
-        [p.grad.copy() for p in part.params()] if collect_param_grads else []
-    )
     opt.step()
-    return float(loss.data), sm.grad.copy(), param_grads
+    return float(loss.data), sm.grad, [p.grad for p in part.params()]
 
 
 def backprop_part(part: LayerStack, out: Tensor, grad_out: np.ndarray,
@@ -144,8 +140,7 @@ def backprop_part(part: LayerStack, out: Tensor, grad_out: np.ndarray,
         raise ProtocolError(
             f"cut gradient shape {grad_out.shape} != activation {out.data.shape}"
         )
-    for p in part.params():
-        p.grad = None
+    opt.zero_grad()
     backward(out, seed_grad=grad_out)
     opt.step()
 
@@ -165,15 +160,13 @@ class ServerState:
     part: SplitModel  # the server's own layers
     opt: Optimizer | None = None
     tap: ServerTap | None = None
-    step: int = 0
     rows: tuple[int, ...] | None = None  # row shape of the SMASHED it receives
 
     def observe(self, smashed: np.ndarray, labels: np.ndarray | None,
                 grad: list[np.ndarray], tail_input: np.ndarray | None = None) -> None:
-        """Count a step and log what the server saw in it."""
-        self.step += 1
+        """Log what the server saw in a step."""
         if self.tap is not None:
-            self.tap.record(self.step, smashed, labels, grad, tail_input)
+            self.tap.record(smashed, labels, grad, tail_input)
 
 
 def cut(cfg: SessionConfig) -> tuple[int, int, int]:
@@ -258,9 +251,7 @@ def _label_sharing_server(server: ServerState, x):
 
 def _server_data_client(client: ClientState, x, y):
     smashed = _check_rows((yield MsgType.SMASHED), client.rows)
-    loss, gcut, pgrads = loss_forward_backward(
-        client.tail, smashed, y, client.tail_opt, collect_param_grads=True
-    )
+    loss, gcut, pgrads = loss_forward_backward(client.tail, smashed, y, client.tail_opt)
     yield MsgType.GRAD, [gcut, *pgrads]
     yield MsgType.LOSS, loss
     return loss
@@ -280,9 +271,7 @@ def _client_labels_client(client: ClientState, x, y):
     a1 = client.head.forward(Tensor(x))
     yield MsgType.SMASHED, a1.data
     a2 = _check_rows((yield MsgType.SMASHED), client.rows)
-    loss, g2, pgrads = loss_forward_backward(
-        client.tail, a2, y, client.tail_opt, collect_param_grads=True
-    )
+    loss, g2, pgrads = loss_forward_backward(client.tail, a2, y, client.tail_opt)
     yield MsgType.GRAD, [g2, *pgrads]
     yield MsgType.LOSS, loss
     g1 = _cut_grad((yield MsgType.GRAD))
@@ -385,7 +374,7 @@ def train_local(cfg: SessionConfig, images: np.ndarray, labels: np.ndarray,
 # wire-driven roles
 
 CODECS = {  # message type -> (encode, decode), each looked up in wire per call
-    MsgType.SMASHED: (lambda a: wire.encode_tensor(a), lambda b: wire.decode_tensor(b)[0]),
+    MsgType.SMASHED: (lambda a: wire.encode_tensor(a), lambda b: wire.decode_one_tensor(b)),
     MsgType.LABELS: (lambda y: wire.encode_labels(y), lambda b: wire.decode_labels(b)),
     MsgType.GRAD: (lambda g: wire.encode_tensor_list(g), lambda b: wire.decode_tensor_list(b)),
     MsgType.LOSS: (lambda v: wire.encode_scalar(v), lambda b: wire.decode_scalar(b)),
@@ -504,7 +493,7 @@ def run_server(transport: Transport, cfg: SessionConfig,
     return RoleResult(losses=losses, model=server.part, server=server)
 
 
-# glibc's mallopt parameter numbers, and the values every role process sets.
+# glibc's mallopt parameters, and the values every role and CLI command sets.
 _M_ARENA_MAX, _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -8, -1, -3
 _MALLOC_POLICY = ((_M_ARENA_MAX, 1), (_M_TRIM_THRESHOLD, 1 << 30),
                   (_M_MMAP_THRESHOLD, 32 << 20))

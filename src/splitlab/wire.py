@@ -10,7 +10,8 @@ Tensor payload encoding, used by SMASHED / LABELS / GRAD / LOSS:
 
 Tensors are self-delimiting, so a payload may carry several back to back
 (a GRAD message carries the cut gradient first, optionally followed by
-client-side parameter gradients). Decoding is exact: the f32 bits on the
+client-side parameter gradients); SMASHED, LABELS and LOSS carry exactly
+one and nothing after it. Decoding is exact: the f32 bits on the
 wire are the f32 bits in memory. A peer's NaN or infinity is rejected at
 decode, before it reaches any arithmetic.
 """
@@ -110,6 +111,14 @@ def decode_tensor(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     return arr.reshape(dims).copy(), offset
 
 
+def decode_one_tensor(buf: bytes) -> np.ndarray:
+    """The one tensor a payload carries; rejects bytes after it."""
+    arr, offset = decode_tensor(buf)
+    if offset != len(buf):
+        raise ProtocolError(f"{len(buf) - offset} bytes after the payload's tensor")
+    return arr
+
+
 def encode_tensor_list(arrays) -> bytes:
     return b"".join(encode_tensor(a) for a in arrays)
 
@@ -129,8 +138,8 @@ def encode_labels(labels: np.ndarray) -> bytes:
 
 
 def decode_labels(buf: bytes) -> np.ndarray:
-    arr, offset = decode_tensor(buf)
-    if offset != len(buf) or arr.ndim != 1:
+    arr = decode_one_tensor(buf)
+    if arr.ndim != 1:
         raise ProtocolError("malformed labels payload")
     # Checked before any cast: NaN, inf and huge values do not cast cleanly.
     if not np.all((arr >= 0) & (arr < 2**24) & (arr == np.floor(arr))):
@@ -143,8 +152,8 @@ def encode_scalar(value: float) -> bytes:
 
 
 def decode_scalar(buf: bytes) -> float:
-    arr, offset = decode_tensor(buf)
-    if offset != len(buf) or arr.size != 1:
+    arr = decode_one_tensor(buf)
+    if arr.size != 1:
         raise ProtocolError("malformed scalar payload")
     return float(arr.reshape(()))
 

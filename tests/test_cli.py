@@ -114,38 +114,56 @@ class TestTrain:
         assert rc == {"server": 3, "client": 3}
 
     def test_tcp_server_facing_wrong_shape_smashed_exits_3(self, tmp_path):
-        import socket
-
         import numpy as np
 
         from splitlab import wire
-        from splitlab.protocol import SessionConfig
-        from splitlab.transport import tcp_connect
-        from splitlab.wire import MsgType
 
-        with socket.socket() as s:
-            s.bind(("127.0.0.1", 0))
-            port = s.getsockname()[1]
-        rc = {}
+        # SMASHED rows of (3,) where tiny8's depth-1 cut makes (4, 8, 8).
+        payload = wire.encode_tensor(np.ones((16, 3)))
+        assert server_facing_smashed(tmp_path, payload) == {"server": 3}
 
-        def serve():
-            rc["server"] = run(train_args(str(tmp_path / "s"),
-                                          ["--transport", f"tcp:127.0.0.1:{port}",
-                                           "--role", "server"]))
+    def test_tcp_server_facing_smashed_with_trailing_bytes_exits_3(self, tmp_path):
+        import numpy as np
 
-        th = threading.Thread(target=serve, daemon=True)
-        th.start()
-        # A rogue client: the server's own config, then SMASHED rows of (3,)
-        # where tiny8's depth-1 cut makes (4, 8, 8).
-        cfg = SessionConfig(arch="tiny8", batch_size=16, epochs=1).to_dict()
-        with tcp_connect("127.0.0.1", port, timeout=10) as ct:
-            ct.send(MsgType.HELLO, wire.encode_hello())
-            ct.recv()  # HELLO back
-            ct.send(MsgType.CONFIG, wire.encode_json({**cfg, "examples": 64}))
-            assert ct.recv()[0] == MsgType.ACK
-            ct.send(MsgType.SMASHED, wire.encode_tensor(np.ones((16, 3))))
-            th.join(timeout=30)
-        assert rc == {"server": 3}
+        from splitlab import wire
+
+        # The cut's shape, one byte after the tensor: the server hangs up
+        # rather than wait for the LABELS that would follow.
+        payload = wire.encode_tensor(np.ones((16, 4, 8, 8))) + b"\0"
+        assert server_facing_smashed(tmp_path, payload) == {"server": 3}
+
+
+def server_facing_smashed(tmp_path, payload: bytes) -> dict:
+    """Exit code of ``train --role server`` over TCP facing a rogue client
+    that sends the server's own config, then ``payload`` as SMASHED."""
+    import socket
+
+    from splitlab import wire
+    from splitlab.protocol import SessionConfig
+    from splitlab.transport import tcp_connect
+    from splitlab.wire import MsgType
+
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    rc = {}
+
+    def serve():
+        rc["server"] = run(train_args(str(tmp_path / "s"),
+                                      ["--transport", f"tcp:127.0.0.1:{port}",
+                                       "--role", "server"]))
+
+    th = threading.Thread(target=serve, daemon=True)
+    th.start()
+    cfg = SessionConfig(arch="tiny8", batch_size=16, epochs=1).to_dict()
+    with tcp_connect("127.0.0.1", port, timeout=10) as ct:
+        ct.send(MsgType.HELLO, wire.encode_hello())
+        ct.recv()  # HELLO back
+        ct.send(MsgType.CONFIG, wire.encode_json({**cfg, "examples": 64}))
+        assert ct.recv()[0] == MsgType.ACK
+        ct.send(MsgType.SMASHED, payload)
+        th.join(timeout=30)
+    return rc
 
 
 class TestConfigHandling:
@@ -420,3 +438,16 @@ def test_parser_surface_pinned():
                 None if a.choices is None else list(a.choices))
                for a in parser._actions if a.dest != "help"]
         assert got == OPTIONS, name
+
+
+@pytest.mark.parametrize("command", ["train", "attack-invert", "attack-labels", "report"])
+def test_every_command_runs_under_the_malloc_policy(monkeypatch, command):
+    """main sets the role processes' malloc policy before any command runs,
+    so the attacks' clone loops reuse freed pages as a session does."""
+    from splitlab import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "_apply_malloc_policy", lambda: calls.append("policy"))
+    monkeypatch.setitem(cli.COMMANDS, command, lambda cfg: calls.append(command) or 0)
+    assert main([command]) == 0
+    assert calls == ["policy", command]

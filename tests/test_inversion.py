@@ -19,7 +19,7 @@ from splitlab.autograd import Tensor
 from splitlab.data import synth_dataset
 from splitlab.errors import ConfigError, NumericError
 from splitlab.layers import LayerStack
-from splitlab.models import ARCHS, arch_layers, build_layers, build_net, split_at
+from splitlab.models import ARCHS, build_layers, build_net, layout, split_at
 from splitlab.optim import make_optimizer
 from splitlab.protocol import ServerTap, SessionConfig, TapEntry, train_local
 
@@ -270,7 +270,7 @@ class TestAttackerSeeds:
         monkeypatch.setattr(inversion, "invert", capture)
         inv = cli.inversion_config({**cli.DEFAULTS, "seed": seed})
         entry = TapEntry(1, np.zeros((1, 1), np.float32), None, [])
-        for depth in range(1, len(arch_layers(arch))):
+        for depth in range(1, len(layout(arch))):
             with pytest.raises(Started):
                 unsplit_invert([entry], arch, depth, inv)
             client = LayerStack(build_layers(arch, seed, 0, depth)).params()

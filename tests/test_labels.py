@@ -301,6 +301,19 @@ class TestCloneTraining:
         assert 0.0 <= acc <= 1.0
 
 
+class TestProbeGradients:
+    def test_gradients_keep_their_bytes_across_calls(self):
+        """tail_param_gradients hands out the arrays backward stored; the
+        next call on the same tail stores new ones."""
+        tail = make_tail_clone("tiny8", 2, seed=0)
+        sm = np.random.default_rng(1).uniform(0, 1, (1, 64)).astype(np.float32)
+        first = tail_param_gradients(tail, sm, 3)
+        kept = [g.tobytes() for g in first]
+        second = tail_param_gradients(tail, sm, 7)
+        assert [g.tobytes() for g in first] == kept
+        assert [g.tobytes() for g in second] != kept
+
+
 class TestClientLabelsTap:
     def test_tap_entries_recover_epoch_labels(self):
         """client_labels session at batch size 1 and tail depth 1: the

@@ -18,7 +18,7 @@ from splitlab.data import load_idx, synth_dataset
 from splitlab.errors import ConfigError, ProtocolError
 from splitlab.layers import FullyConnected, LayerStack
 from splitlab.models import ARCHS, build_layers, build_net, merge, split_at
-from splitlab.optim import SGD
+from splitlab.optim import SGD, make_optimizer
 from splitlab.protocol import (
     TOPOLOGIES,
     ServerTap,
@@ -96,6 +96,19 @@ class TestStepArithmetic:
 
         want = finite_diff_grad(f, Tensor(smashed), h=1e-2).data
         np.testing.assert_allclose(gcut, want, rtol=1e-3, atol=1e-4)
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_returned_gradients_keep_their_bytes(self, synth, optimizer):
+        """The arrays loss_forward_backward returns are the ones backward
+        stored: neither its own update nor the part's next step writes into
+        them."""
+        _, f2 = split_at(build_net("tiny8", seed=2), 4)
+        opt = make_optimizer(optimizer, f2.params(), 0.01)
+        smashed = np.random.default_rng(0).uniform(0, 1, (8, 64)).astype(np.float32)
+        _, gcut, pgrads = loss_forward_backward(f2, smashed, synth.labels[:8], opt)
+        kept = [g.tobytes() for g in (gcut, *pgrads)]
+        loss_forward_backward(f2, smashed[::-1].copy(), synth.labels[8:16], opt)
+        assert [g.tobytes() for g in (gcut, *pgrads)] == kept
 
     def test_zero_cut_grad_sgd_no_client_update(self, synth):
         model = build_net("tiny8", seed=1)

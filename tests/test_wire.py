@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from splitlab import wire
 from splitlab.errors import ProtocolError
+from splitlab.protocol import CODECS
 from splitlab.wire import MsgType
 
 
@@ -138,6 +139,19 @@ class TestScalarAndLabels:
         buf = wire.encode_tensor(np.zeros((2, 2), dtype=np.float32))
         with pytest.raises(ProtocolError):
             wire.decode_labels(buf)
+
+    @pytest.mark.parametrize("mtype, value", [
+        (MsgType.SMASHED, np.ones((2, 3), np.float32)),
+        (MsgType.LABELS, np.array([0, 3, 9])),
+        (MsgType.LOSS, 1.5),
+    ])
+    def test_one_tensor_payloads_reject_trailing_bytes(self, mtype, value):
+        """SMASHED, LABELS and LOSS carry one tensor and nothing after it."""
+        encode, decode = CODECS[mtype]
+        buf = encode(value)
+        decode(buf)
+        with pytest.raises(ProtocolError, match="1 bytes after"):
+            decode(buf + b"\0")
 
     def test_json_round_trip(self):
         obj = {"arch": "mnist", "depth": 3, "lr": 0.001}
