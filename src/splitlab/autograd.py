@@ -7,15 +7,23 @@ total-variation penalty. Gradients flow to any leaf tensor marked
 ``requires_grad``, including network inputs, which is what the inversion
 attack relies on.
 
-Graphs are built implicitly: every op records its parents and a
-vector-Jacobian closure on the output tensor. ``backward`` walks the graph
-once in reverse topological order, marking each node consumed and dropping
-its closure and parents as soon as its gradient has passed through.
+Graphs are built implicitly and kept apart from the data. Every op output
+that needs a gradient gets a ``_Node``: its vector-Jacobian closure, its
+parents' nodes and a consumed flag. A leaf tensor that requires grad gets
+a node on first use, holding only a weak link back to the tensor so that
+``backward`` can set its ``grad``. The graph holds no ``Tensor``: each
+closure saves just the arrays its VJP reads (a ReLU mask, pooling masks,
+conv patches or input, a linear layer's input), so an activation that no
+VJP saves is freed as soon as the forward pass drops its tensor.
+``backward`` walks the nodes once in reverse topological order, marking
+each consumed and dropping its closure and parents as soon as its
+gradient has passed through.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Callable
 
 import numpy as np
@@ -42,38 +50,75 @@ __all__ = [
 ]
 
 
-class Tensor:
-    """A dense float32 array, optionally a node in a computation graph.
+class _Node:
+    """One vertex of a graph. An op output's node holds the VJP closure and
+    its parents' nodes (``None`` for a parent that needs no gradient); a
+    leaf's node holds a weak reference to its tensor instead."""
 
-    Leaf tensors (parameters, inputs) have no parents; op outputs carry a
-    reference to their parents plus a closure computing the parent
-    gradients from the output gradient.
+    __slots__ = ("vjp", "parents", "consumed", "leaf")
+
+    def __init__(self, vjp=None, parents: tuple = (), leaf=None):
+        self.vjp: Callable[[np.ndarray], tuple[np.ndarray | None, ...]] | None = vjp
+        self.parents: tuple[_Node | None, ...] = parents
+        self.consumed = False
+        self.leaf: weakref.ref | None = leaf
+
+
+class Tensor:
+    """A dense float32 array, optionally attached to a computation graph.
+
+    An op output that needs a gradient carries its graph ``_Node``; so does
+    a ``requires_grad`` leaf (a parameter or input) once an op has used it.
+    ``_vjp`` and ``_parents`` read the node (the parents as nodes), and
+    ``_vjp`` can be replaced, to wrap the closure.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_consumed")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float32)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None
-        self._consumed = False
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
+    @property
+    def _vjp(self):
+        return None if self._node is None else self._node.vjp
+
+    @_vjp.setter
+    def _vjp(self, fn) -> None:
+        self._node.vjp = fn
+
+    @property
+    def _parents(self) -> tuple[_Node | None, ...]:
+        return () if self._node is None else self._node.parents
+
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
+def _node_of(t: Tensor) -> _Node | None:
+    """``t``'s graph node, made on first use for a leaf; ``None`` when ``t``
+    needs no gradient."""
+    if not t.requires_grad:
+        return None
+    if t._node is None:
+        t._node = _Node(leaf=weakref.ref(t))
+    return t._node
+
+
+def _output(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
+    """The output tensor of an op. ``vjp`` must close over arrays, never over
+    a ``Tensor``: the graph keeps what the closure holds until backward."""
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
-    if out.requires_grad:
-        out._parents = parents
-        out._vjp = vjp
+    nodes = tuple([_node_of(p) for p in parents])
+    if any(nodes):
+        out.requires_grad = True
+        out._node = _Node(vjp, nodes)
     return out
 
 
@@ -102,7 +147,7 @@ def relu(x: Tensor) -> Tensor:
     def vjp(g):
         return (g * mask,)
 
-    return _node(np.bitwise_and(x.data.view(np.uint32), ones).view(np.float32), (x,), vjp)
+    return _output(np.bitwise_and(x.data.view(np.uint32), ones).view(np.float32), (x,), vjp)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -117,7 +162,7 @@ def sigmoid(x: Tensor) -> Tensor:
     def vjp(g):
         return (g * out * (1.0 - out),)
 
-    return _node(out, (x,), vjp)
+    return _output(out, (x,), vjp)
 
 
 def flatten(x: Tensor) -> Tensor:
@@ -126,7 +171,7 @@ def flatten(x: Tensor) -> Tensor:
     def vjp(g):
         return (g.reshape(shape),)
 
-    return _node(x.data.reshape(shape[0], math.prod(shape[1:])), (x,), vjp)
+    return _output(x.data.reshape(shape[0], math.prod(shape[1:])), (x,), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -135,7 +180,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return (g, g)
 
-    return _node(a.data + b.data, (a, b), vjp)
+    return _output(a.data + b.data, (a, b), vjp)
 
 
 def scale(x: Tensor, s: float) -> Tensor:
@@ -144,7 +189,7 @@ def scale(x: Tensor, s: float) -> Tensor:
     def vjp(g):
         return (g * s,)
 
-    return _node(x.data * s, (x,), vjp)
+    return _output(x.data * s, (x,), vjp)
 
 
 def tsum(x: Tensor) -> Tensor:
@@ -153,7 +198,7 @@ def tsum(x: Tensor) -> Tensor:
     def vjp(g):
         return (np.full(shape, g, dtype=np.float32),)
 
-    return _node(np.float32(x.data.sum()), (x,), vjp)
+    return _output(np.float32(x.data.sum()), (x,), vjp)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -167,7 +212,7 @@ def softmax(x: Tensor) -> Tensor:
         inner = (g * p).sum(axis=1, keepdims=True)
         return (p * (g - inner),)
 
-    return _node(p, (x,), vjp)
+    return _output(p, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +225,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             f"linear: input {x.data.shape} incompatible with weight {w.data.shape}"
         )
 
-    def vjp(g):
-        return (g @ w.data, g.T @ x.data, g.sum(axis=0))
+    xd, wd = x.data, w.data
 
-    return _node(x.data @ w.data.T + b.data, (x, w, b), vjp)
+    def vjp(g):
+        return (g @ wd, g.T @ xd, g.sum(axis=0))
+
+    return _output(xd @ wd.T + b.data, (x, w, b), vjp)
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -195,6 +242,15 @@ def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
         xp, (n, c, kh, kw, h, w), (s0, s1, s2, s3, s2, s3)
     )
     return win.reshape(n, c * kh * kw, h * w)
+
+
+def _patches(x: np.ndarray, p: int, kh: int, kw: int) -> np.ndarray:
+    """The patch matrix of ``x`` (N, C, H, W) zero-padded by ``p``; the
+    padded copy lives only while its patches are gathered."""
+    n, c, hh, ww = x.shape
+    xp = np.zeros((n, c, hh + 2 * p, ww + 2 * p), dtype=np.float32)
+    xp[:, :, p : p + hh, p : p + ww] = x
+    return _im2col(xp, kh, kw)
 
 
 def _col2im(dcols: np.ndarray, dxp: np.ndarray, kh: int, kw: int) -> None:
@@ -210,7 +266,7 @@ def _col2im(dcols: np.ndarray, dxp: np.ndarray, kh: int, kw: int) -> None:
 
 # conv2d never holds more patch matrix than this at once. A batch whose
 # patches fit keeps them for backward; a larger one is lowered a chunk of
-# samples at a time and keeps only its padded input.
+# samples at a time and keeps only its input, padded again in backward.
 _CHUNK_BYTES = 2 << 20
 
 
@@ -218,7 +274,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
     """Stride-1 convolution. x: (N,C,H,W), w: (O,C,kh,kw), b: (O,).
 
     Every product is one GEMM per sample, and ``dw`` adds the samples up
-    in batch order, so the bits do not depend on the chunk size.
+    in batch order, so the bits do not depend on the chunk size. Backward
+    keeps the patches or the input only when the weight needs a gradient.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-d input, got {x.data.shape}")
@@ -226,35 +283,37 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
         raise ShapeError(
             f"conv2d: input channels {x.data.shape} do not match kernel {w.data.shape}"
         )
-    n, _, hh, ww = x.data.shape
-    o, c, kh, kw = w.data.shape
+    n, c, hh, ww = x.data.shape
+    o, _, kh, kw = w.data.shape
     p = padding
-    xp = np.zeros((n, c, hh + 2 * p, ww + 2 * p), dtype=np.float32)
-    xp[:, :, p : p + hh, p : p + ww] = x.data
     ho, wo = hh + 2 * p - kh + 1, ww + 2 * p - kw + 1
     wm = w.data.reshape(o, -1)
     step = max(1, _CHUNK_BYTES // max(1, 4 * c * kh * kw * ho * wo))  # samples
     out = np.empty((n, o, ho * wo), dtype=np.float32)
+    dx_grad, dw_grad, db_grad = x.requires_grad, w.requires_grad, b.requires_grad
+    xd = None
     if n <= step:
-        cols = _im2col(xp, kh, kw)  # (N, C*kh*kw, H*W), kept for backward
+        cols = _patches(x.data, p, kh, kw)  # (N, C*kh*kw, H*W)
         np.matmul(wm, cols, out=out)
     else:
-        cols = None  # rebuilt chunk by chunk in backward
+        cols, xd = None, x.data  # patches rebuilt chunk by chunk in backward
         for s in range(0, n, step):
-            np.matmul(wm, _im2col(xp[s : s + step], kh, kw), out=out[s : s + step])
+            np.matmul(wm, _patches(xd[s : s + step], p, kh, kw), out=out[s : s + step])
+    if not dw_grad:  # only dw reads the patches
+        cols = xd = None
     out = out.reshape(n, o, ho, wo)
     out += b.data.reshape(1, o, 1, 1)
 
     def vjp(g):
         gr = g.reshape(n, o, ho * wo)  # (N, O, H*W)
         # backward drops the gradients of parents that need none
-        db = gr.sum(axis=(0, 2)) if b.requires_grad else None
+        db = gr.sum(axis=(0, 2)) if db_grad else None
         dw = None
-        dxp = np.zeros(xp.shape, dtype=np.float32) if x.requires_grad else None
+        dxp = np.zeros((n, c, hh + 2 * p, ww + 2 * p), dtype=np.float32) if dx_grad else None
         for s in range(0, max(n, 1), step):  # one empty chunk when n == 0
             e = s + step
-            if w.requires_grad:
-                chunk = cols if cols is not None else _im2col(xp[s:e], kh, kw)
+            if dw_grad:
+                chunk = cols if cols is not None else _patches(xd[s:e], p, kh, kw)
                 part = np.matmul(gr[s:e], chunk.transpose(0, 2, 1))  # (chunk, O, C*kh*kw)
                 if dw is None:
                     dw = part.sum(axis=0)
@@ -264,12 +323,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
             if dxp is not None:
                 _col2im(np.matmul(wm.T, gr[s:e]), dxp[s:e], kh, kw)
         if dw is not None:
-            dw = dw.reshape(w.data.shape)
+            dw = dw.reshape(o, c, kh, kw)
         if dxp is not None and p:
             dxp = dxp[:, :, p : p + hh, p : p + ww]
         return (dxp, dw, db)
 
-    return _node(out, (x, w, b), vjp)
+    return _output(out, (x, w, b), vjp)
 
 
 _POOL_SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1))  # window slots, row-major
@@ -284,7 +343,8 @@ def maxpool2x2(x: Tensor) -> Tensor:
     """
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2x2: expected 4-d input, got {x.data.shape}")
-    h, w = x.data.shape[2:]
+    shape = x.data.shape
+    h, w = shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2: spatial dims must be even, got {x.data.shape}")
     # Contiguous copies of the four slots: elementwise ops run several times
@@ -308,13 +368,13 @@ def maxpool2x2(x: Tensor) -> Tensor:
         # ANDing g's bits keeps a routed -0.0 and writes +0.0 to every other
         # slot; g * mask would write -0.0 wherever g < 0.
         gb = np.asarray(g, dtype=np.float32).view(np.uint32)
-        dx = np.empty_like(x.data)
+        dx = np.empty(shape, dtype=np.float32)
         dxb = dx.view(np.uint32)
         for (r, s), mk in zip(_POOL_SLOTS, masks):
             np.bitwise_and(gb, mk, out=dxb[:, :, r::2, s::2])
         return (dx,)
 
-    return _node(bits.view(np.float32), (x,), vjp)
+    return _output(bits.view(np.float32), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +385,14 @@ def mse_loss(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mse_loss")
     diff = a.data - b.data
     n = np.float32(diff.size)
+    a_grad, b_grad = a.requires_grad, b.requires_grad
 
     def vjp(g):
+        # backward drops the gradient of a side that needs none
         ga = g * 2.0 * diff / n
-        return (ga, -ga)
+        return (ga if a_grad else None, -ga if b_grad else None)
 
-    return _node(np.float32(np.mean(diff.astype(np.float64) ** 2)), (a, b), vjp)
+    return _output(np.float32(np.mean(diff.astype(np.float64) ** 2)), (a, b), vjp)
 
 
 def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
@@ -355,11 +417,11 @@ def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
     py = np.clip(probs.data[rows, labels], 1e-12, None)
 
     def vjp(g):
-        dp = np.zeros_like(probs.data)
+        dp = np.zeros((n, k), dtype=np.float32)
         dp[rows, labels] = -g / (n * py)
         return (dp,)
 
-    return _node(np.float32(-np.mean(np.log(py))), (probs,), vjp)
+    return _output(np.float32(-np.mean(np.log(py))), (probs,), vjp)
 
 
 def tv_penalty(x: Tensor, eps: float = 1e-8) -> Tensor:
@@ -384,34 +446,34 @@ def tv_penalty(x: Tensor, eps: float = 1e-8) -> Tensor:
         inv = np.divide(g, r, out=np.zeros_like(r), where=r > 0)
         gdv = inv * dv
         gdh = inv * dh
-        dx = np.zeros_like(x.data)
+        dx = np.zeros_like(dv)
         dx[:, :, 1:, :] += gdv[:, :, :-1, :]
         dx[:, :, :-1, :] -= gdv[:, :, :-1, :]
         dx[:, :, :, 1:] += gdh[:, :, :, :-1]
         dx[:, :, :, :-1] -= gdh[:, :, :, :-1]
         return (dx,)
 
-    return _node(np.float32(r.sum(dtype=np.float64)), (x,), vjp)
+    return _output(np.float32(r.sum(dtype=np.float64)), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
 # backward pass
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+def _toposort(root: _Node) -> list[_Node]:
+    order: list[_Node] = []
+    seen: set[_Node] = set()
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+        for p in node.parents:
+            if p is not None and p not in seen:
                 stack.append((p, False))
     return order
 
@@ -436,31 +498,34 @@ def backward(loss: Tensor, seed_grad: np.ndarray | None = None) -> None:
                 f"backward: seed gradient {seed_grad.shape} does not match "
                 f"loss {loss.data.shape}"
             )
-    if not loss.requires_grad:
+    root = _node_of(loss)
+    if root is None:
         raise GraphError("backward: loss does not depend on any requires_grad tensor")
-    if loss._consumed:
+    if root.consumed:
         raise GraphError("backward: graph already consumed")
 
-    order = _toposort(loss)
-    grads: dict[int, np.ndarray] = {id(loss): seed_grad.reshape(loss.data.shape)}
+    order = _toposort(root)
+    grads: dict[_Node, np.ndarray] = {root: seed_grad.reshape(loss.data.shape)}
     for node in reversed(order):
         # Interior nodes are single-use; leaves live across many graphs.
-        if node._consumed:
+        if node.consumed:
             raise GraphError("backward: graph already consumed")
-        vjp, parents = node._vjp, node._parents
+        vjp, parents = node.vjp, node.parents
         if vjp is not None:
             # Unlinked as the walk reaches it, so the op's saved arrays are
             # freed once its VJP has run rather than when the walk ends.
-            node._consumed = True
-            node._vjp, node._parents = None, ()
-        g = grads.pop(id(node), None)
+            node.consumed = True
+            node.vjp, node.parents = None, ()
+        g = grads.pop(node, None)
         if g is None:
             continue
         if vjp is not None:
             for parent, pg in zip(parents, vjp(g)):
-                if not parent.requires_grad:
+                if parent is None:  # needs no gradient
                     continue
-                acc = grads.get(id(parent))
-                grads[id(parent)] = pg if acc is None else acc + pg
-        elif node.requires_grad:
-            node.grad = g.copy() if node.grad is None else node.grad + g
+                acc = grads.get(parent)
+                grads[parent] = pg if acc is None else acc + pg
+        else:
+            leaf = node.leaf()
+            if leaf is not None:  # else nothing can read its gradient
+                leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g

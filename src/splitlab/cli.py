@@ -2,8 +2,10 @@
 
 Configuration comes from an optional key=value file plus flag overrides
 (flags win). Every run is deterministic given the effective config and
-seed; the effective config is echoed at startup and hashed into report
-rows.
+seed, on one host: the bits also depend on the BLAS thread count (an
+fc forward at batch 64 already differs between one and two OpenBLAS
+threads), which nothing pins yet. The effective config is echoed at
+startup and hashed into report rows.
 
 Exit codes: 0 success, 2 config error, 3 protocol error, 4 numeric
 failure, 5 I/O error.

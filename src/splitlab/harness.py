@@ -62,24 +62,27 @@ def dump_image(x: np.ndarray, path: str) -> None:
             fh.write(pixels.transpose(1, 2, 0).tobytes())
 
 
-def image_grid(rows: list[np.ndarray], gutter: int = 2,
-               gutter_value: float = 1.0) -> np.ndarray:
+GUTTER = 2  # pixels between the images of a grid
+GUTTER_VALUE = 1.0  # white
+
+
+def image_grid(rows: list[np.ndarray]) -> np.ndarray:
     """Assemble row batches (each (B,C,H,W)) into one grid image (C,H',W')."""
     assembled = []
     for batch in rows:
         b, c, h, w = batch.shape
-        row = np.full((c, h, b * w + (b - 1) * gutter), gutter_value, dtype=np.float32)
+        row = np.full((c, h, b * w + (b - 1) * GUTTER), GUTTER_VALUE, dtype=np.float32)
         for i in range(b):
-            row[:, :, i * (w + gutter) : i * (w + gutter) + w] = batch[i]
+            row[:, :, i * (w + GUTTER) : i * (w + GUTTER) + w] = batch[i]
         assembled.append(row)
     c = assembled[0].shape[0]
     width = max(r.shape[2] for r in assembled)
-    total_h = sum(r.shape[1] for r in assembled) + gutter * (len(assembled) - 1)
-    grid = np.full((c, total_h, width), gutter_value, dtype=np.float32)
+    total_h = sum(r.shape[1] for r in assembled) + GUTTER * (len(assembled) - 1)
+    grid = np.full((c, total_h, width), GUTTER_VALUE, dtype=np.float32)
     y = 0
     for row in assembled:
         grid[:, y : y + row.shape[1], : row.shape[2]] = row
-        y += row.shape[1] + gutter
+        y += row.shape[1] + GUTTER
     return grid
 
 

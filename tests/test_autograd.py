@@ -2,6 +2,7 @@
 finite-difference oracle."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from splitlab import autograd as ag
 from splitlab.autograd import Tensor
 from splitlab.errors import GraphError, NumericError, ShapeError
+from splitlab.models import build_layers
 from splitlab.optim import SGD, Adam
 
 from helpers import (conv2d_oracle, fd_check, finite_diff_grad, maxpool_oracle, pool_safe,
@@ -67,6 +69,17 @@ class TestOps:
         a = Tensor([0.0, 0.0], requires_grad=True)
         ag.backward(ag.mse_loss(a, Tensor([2.0, 0.0])))
         np.testing.assert_allclose(a.grad, [-2.0, 0.0])
+
+    @pytest.mark.parametrize("a_grad, b_grad", [(True, False), (False, True),
+                                                (True, True)])
+    def test_mse_vjp_skips_sides_without_grad(self, a_grad, b_grad):
+        a = Tensor([1.0, 4.0], requires_grad=a_grad)
+        b = Tensor([2.0, 0.5], requires_grad=b_grad)
+        ga, gb = ag.mse_loss(a, b)._vjp(np.float32(1.0))
+        assert (ga is None) == (not a_grad) and (gb is None) == (not b_grad)
+        want = np.array([-1.0, 3.5], dtype=np.float32)
+        for got, sign in ((ga, 1), (gb, -1)):
+            assert got is None or got.tobytes() == (sign * want).tobytes()
 
     def test_mse_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -451,6 +464,71 @@ class TestBackwardFreesGraph:
         finally:
             tracemalloc.stop()
         assert peak < 20 * 2**20
+
+
+def _cifar_server_forward(batch, keep_outputs):
+    """Forward the cifar server part (layers 1 onward, split depth 1) from a
+    fixed cut activation. Returns the loss, the part, the input, a (kind,
+    weakref to the output, weakref to its data) per layer, and the outputs
+    themselves if ``keep_outputs``."""
+    rng = np.random.default_rng(25)
+    part = build_layers("cifar", seed=3, start=1)
+    x = Tensor(rng.normal(size=(batch, 64, 32, 32)).astype(np.float32), requires_grad=True)
+    kept, refs = [], []
+    h = x
+    for layer in part:
+        h = layer.forward(h)
+        refs.append((layer.kind, weakref.ref(h), weakref.ref(h.data)))
+        if keep_outputs:
+            kept.append(h)
+    loss = ag.cross_entropy(h, np.arange(batch) % 10)
+    return loss, part, x, refs, kept
+
+
+class TestForwardFreesActivations:
+    def test_unsaved_outputs_die_before_backward(self):
+        loss, part, x, refs, _ = _cifar_server_forward(2, keep_outputs=False)
+        # The graph holds no Tensor at all.
+        assert all(t() is None for _, t, _ in refs)
+        kinds = [kind for kind, _, _ in refs]
+        # No VJP reads a conv or fc output, nor a ReLU output that feeds a
+        # pooling layer: their arrays are gone before backward starts.
+        dead = [i for i, kind in enumerate(kinds) if kind in ("conv2d", "fc")
+                or kind == "relu" and kinds[i + 1] == "maxpool2x2"]
+        assert len(dead) == 10
+        assert [i for i in dead if refs[i][2]() is not None] == []
+        # sigmoid and softmax save their own outputs for backward.
+        assert all(refs[i][2]() is not None for i, kind in enumerate(kinds)
+                   if kind in ("sigmoid", "softmax"))
+
+        loss_kept, part_kept, x_kept, _, kept = _cifar_server_forward(2, keep_outputs=True)
+        assert len(kept) == len(part)
+        assert loss.data.tobytes() == loss_kept.data.tobytes()
+        ag.backward(loss)
+        ag.backward(loss_kept)
+        got = [x.grad] + [p.grad for layer in part for p in layer.params()]
+        want = [x_kept.grad] + [p.grad for layer in part_kept for p in layer.params()]
+        assert len(got) == len(want) == 15
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    def test_live_bytes_after_forward(self):
+        # Bytes live after a batch-8 forward: 21.7 MiB when every output
+        # pinned its inputs and conv kept a padded copy, 9.0 MiB with only
+        # what the VJPs read. One more pinned 2 MiB activation or padded
+        # copy of one crosses the bound.
+        rng = np.random.default_rng(26)
+        part = build_layers("cifar", seed=3, start=1)
+        x = Tensor(rng.normal(size=(8, 64, 32, 32)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            h = x
+            for layer in part:
+                h = layer.forward(h)
+            live, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert h.data.shape == (8, 10)
+        assert live < 10.5 * 2**20
 
 
 class TestFiniteDiff:

@@ -90,16 +90,16 @@ class TestImages:
     def test_grid_geometry(self):
         rows = [np.zeros((10, 1, 8, 8), np.float32),
                 np.zeros((10, 1, 8, 8), np.float32)]
-        grid = image_grid(rows, gutter=2)
+        grid = image_grid(rows)
         assert grid.shape == (1, 8 + 2 + 8, 10 * 8 + 9 * 2)
 
     def test_grid_content_and_gutter(self):
         a = np.full((2, 1, 2, 2), 0.25, np.float32)
-        grid = image_grid([a], gutter=1, gutter_value=1.0)
-        assert grid.shape == (1, 2, 5)
-        np.testing.assert_array_equal(grid[0, :, 2], [1.0, 1.0])
+        grid = image_grid([a])
+        assert grid.shape == (1, 2, 6)
+        np.testing.assert_array_equal(grid[0, :, 2:4], np.ones((2, 2)))
         np.testing.assert_array_equal(grid[0, :, :2], np.full((2, 2), 0.25))
-        np.testing.assert_array_equal(grid[0, :, 3:], np.full((2, 2), 0.25))
+        np.testing.assert_array_equal(grid[0, :, 4:], np.full((2, 2), 0.25))
 
 
 class TestAttackPlumbing:
