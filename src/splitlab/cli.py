@@ -23,7 +23,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .attacks.inversion import InversionConfig, default_tv_lambda, unsplit_invert
+from .attacks.inversion import InversionConfig, default_tv_lambda
 from .data import Dataset, load_cifar_bin, load_idx, sample_class_balanced, synth_dataset
 from .errors import (
     CheckpointError,
@@ -33,16 +33,8 @@ from .errors import (
     ProtocolError,
     SplitLabError,
 )
-from .harness import (
-    SweepConfig,
-    label_inference_accuracy,
-    mse_images,
-    run_depth_sweep,
-    snapshot_tap,
-    _dump_pair,
-)
-from .models import (ARCHS, SplitModel, build_net, load_checkpoint, merge,
-                     save_checkpoint, split_at)
+from .harness import SweepConfig, invert_cut, label_inference_accuracy, run_depth_sweep
+from .models import ARCHS, SplitModel, build_net, load_checkpoint, merge, save_checkpoint
 from .optim import OPTIMIZERS
 from .protocol import (TOPOLOGIES, SessionConfig, _apply_malloc_policy, held_examples,
                        run_client, run_server, run_session)
@@ -119,14 +111,12 @@ def read_config_file(path: str) -> dict:
 
 
 def effective_config(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS)
+    """Flag, else config file, else default; SPLITLAB_DATA_DIR sets data_dir's default."""
+    cfg = dict(DEFAULTS, data_dir=os.environ.get("SPLITLAB_DATA_DIR") or DEFAULTS["data_dir"])
     if args.config:
         cfg.update(read_config_file(args.config))
     cfg.update((key, flag) for key, flag in vars(args).items()
                if key in DEFAULTS and flag is not None)
-    env_dir = os.environ.get("SPLITLAB_DATA_DIR")
-    if env_dir and args.data_dir is None:
-        cfg["data_dir"] = env_dir
     cfg = {key: _typed(key, value) for key, value in cfg.items()}
     cfg["arch"] = DATASET_ARCH[cfg["dataset"]]
     return cfg
@@ -254,14 +244,11 @@ def cmd_attack_invert(cfg: dict) -> int:
         raise ConfigError("attack-invert requires --checkpoint from a training run")
     model = _attack_checkpoint(cfg)
     depth = cfg["split_depth"]
-    f1, _ = split_at(model, depth)
     test = load_dataset(cfg, "test")
     sample = sample_class_balanced(test, cfg["sample_per_class"], cfg["seed"])
-    entries = snapshot_tap(f1, sample.images)
     inv = inversion_config(cfg)
-    res = unsplit_invert(entries, model.arch, depth, inv, ground_truth=sample.images)
     out = cfg["out_dir"]
-    _dump_pair(sample.images, res.x_est, os.path.join(out, "inversion"))
+    res, mse = invert_cut(model, depth, sample.images, inv, os.path.join(out, "inversion"))
     with open(os.path.join(out, "inversion", "metrics.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["round", "objective", "tv", "mse_truth"])
@@ -270,10 +257,9 @@ def cmd_attack_invert(cfg: dict) -> int:
                              "" if m.mse_truth is None else m.mse_truth])
     save_checkpoint(SplitModel(res.clone.layers, model.arch, cfg["seed"], depth),
                     os.path.join(out, "inversion", "clone.ckpt"))
-    final_mse = mse_images(res.x_est, sample.images)
     lam = default_tv_lambda(depth) if inv.tv_lambda is None else inv.tv_lambda
     print(f"inversion: depth={depth} lambda={lam} rounds={len(res.history)} "
-          f"mse={final_mse:.4f}")
+          f"mse={mse:.4f}")
     return 0
 
 

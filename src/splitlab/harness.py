@@ -1,11 +1,11 @@
 """Experiment orchestration: metrics, artifact emission, depth sweeps.
 
-A sweep walks (depth, trained-state) cells for one dataset. Each cell
-trains the split model in memory, for zero epochs when untrained, and
-inverts its client head; the trained cell also retrains a head on the
-stolen clone and runs label inference. Results go to an append-only
-CSV (one flush per row) plus PGM/PPM reconstruction grids, keyed by the
-seed and a hash of the effective configuration.
+A sweep walks (depth, trained-state) cells for one dataset. It trains
+one net per state in memory (zero epochs when untrained), cuts it at each
+depth and inverts the client part; a trained cell also retrains a head on
+the stolen clone and carries the net's accuracy and label inference.
+Results go to an append-only CSV (one flush per row) plus PGM/PPM
+reconstruction grids, keyed by the seed and a hash of the effective config.
 """
 
 from __future__ import annotations
@@ -20,16 +20,16 @@ from dataclasses import dataclass, field, fields, asdict, replace
 import numpy as np
 
 from .attacks import attacker_seed
-from .attacks.inversion import InversionConfig, unsplit_invert
+from .attacks.inversion import InversionConfig, InversionResult, unsplit_invert
 from .attacks.labels import (infer_label, make_tail_clone, tail_accuracy,
                              tail_param_gradients)
 from .autograd import Tensor
 from .data import Dataset, epoch_batches, sample_class_balanced
 from .errors import ConfigError, ShapeError
 from .layers import LayerStack
-from .models import SplitModel, build_layers, tail_start_index
+from .models import SplitModel, build_layers, split_at, tail_start_index
 from .optim import fit_epoch, make_optimizer
-from .protocol import SessionConfig, TapEntry, build_parts, train_local, train_step
+from .protocol import SessionConfig, TapEntry, build_parts, cut, train_local, train_step
 
 def mse_images(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
@@ -98,15 +98,31 @@ def snapshot_tap(client_part: LayerStack, images: np.ndarray) -> list[TapEntry]:
     return entries
 
 
+def invert_cut(model: SplitModel, depth: int, images: np.ndarray, inv: InversionConfig,
+               out_dir: str) -> tuple[InversionResult, float]:
+    """Invert ``model``'s client part [0, depth) from its batch-1 cut
+    activations of ``images``; write the grid and per-image estimates under
+    ``out_dir`` and return the result and its MSE against ``images``."""
+    f1, _ = split_at(model, depth)
+    res = unsplit_invert(snapshot_tap(f1, images), model.arch, depth, inv,
+                         ground_truth=images)
+    grid = image_grid([images, res.x_est])
+    ext = "pgm" if grid.shape[0] == 1 else "ppm"
+    dump_image(grid, os.path.join(out_dir, f"grid.{ext}"))
+    for i in range(res.x_est.shape[0]):
+        dump_image(res.x_est[i], os.path.join(out_dir, f"est_{i:02d}.{ext}"))
+    return res, mse_images(res.x_est, images)
+
+
 def stitch_and_train_head(clone_f1: LayerStack, cfg: SessionConfig, train_ds: Dataset,
                           test_ds: Dataset, epochs: int) -> float:
     """Evaluate a client part stolen from the session ``cfg``: freeze it,
     train a fresh head of the session's architecture on top with the
     session's optimizer, lr, batch size and seed, and return the test
-    accuracy of the stitched model. The head's initial weights come from
-    the attacker's stream, not the session's."""
+    accuracy of the stitched model. The head starts where the clone ends;
+    its initial weights come from the attacker's stream, not the session's."""
     head_layers = build_layers(cfg.arch, attacker_seed(cfg.seed, "stitched-head"),
-                               cfg.split_depth)
+                               len(clone_f1))
     stitched = LayerStack(list(clone_f1.layers) + head_layers)
     for p in clone_f1.params():
         p.requires_grad = False
@@ -173,7 +189,8 @@ def epoch_attack_curve(
 
 @dataclass
 class SweepConfig:
-    session: SessionConfig = field(default_factory=SessionConfig)  # split at each depth
+    # Trained once per state, cut at each depth: its split_depth sets no row.
+    session: SessionConfig = field(default_factory=SessionConfig)
     depths: list[int] = field(default_factory=lambda: [1, 2, 3])
     train_subset: int = 10000
     sample_per_class: int = 1
@@ -236,18 +253,24 @@ class ReportWriter:
 
 def run_depth_sweep(sweep: SweepConfig, train_ds: Dataset,
                     test_ds: Dataset) -> list[SweepRow]:
-    """Run the full before/after attack grid over the configured depths.
-    Each depth trains ``sweep.session`` split at that depth."""
+    """Run the full before/after attack grid over the configured depths. Each
+    state (seeded init, trained) trains one net, only if a row of it is missing,
+    and cuts it at each depth; trained rows share one ``orig_acc`` and ``label_inf_acc``."""
     session = sweep.session
     if session.topology == "server_data":
         raise ConfigError("the depth sweep inverts the client's first layers; "
                           "in server_data the server holds them")
+    for depth in sweep.depths:
+        cut(replace(session, split_depth=depth))
+    if sweep.label_samples < 1:
+        raise ConfigError(f"label_samples must be >= 1, got {sweep.label_samples}")
     chash = sweep.config_hash()
     writer = ReportWriter(os.path.join(sweep.out_dir, "report.csv"))
     sample = sample_class_balanced(test_ds, sweep.sample_per_class, session.seed)
     subset = train_ds.subset(
         np.arange(min(sweep.train_subset, len(train_ds)))
     )
+    nets: dict[int, tuple[SplitModel, dict]] = {}  # state -> net, its columns
     rows: list[SweepRow] = []
 
     for depth in sweep.depths:
@@ -255,23 +278,23 @@ def run_depth_sweep(sweep: SweepConfig, train_ds: Dataset,
             if writer.has(train_ds.name, depth, trained, chash):
                 continue
             t0 = time.monotonic()
-            # Zero epochs leave the seeded init: the untrained client.
-            cfg = replace(session, split_depth=depth, epochs=session.epochs * trained)
-            # The model holds both roles' trained layers.
-            model, _, client, _ = train_local(cfg, subset.images, subset.labels)
-            entries = snapshot_tap(client.head, sample.images)
-            res = unsplit_invert(entries, cfg.arch, depth, sweep.inversion,
-                                 ground_truth=sample.images)
-            _dump_pair(sample.images, res.x_est, os.path.join(
+            if trained not in nets:
+                # Zero epochs leave the seeded init; the model holds both roles' layers.
+                cfg = replace(session, split_depth=depth, epochs=session.epochs * trained)
+                model = train_local(cfg, subset.images, subset.labels)[0]
+                nets[trained] = model, dict(
+                    orig_acc=tail_accuracy(model, test_ds.images, test_ds.labels),
+                    label_inf_acc=label_inference_accuracy(
+                        model, subset, session.tail_depth, sweep.label_samples,
+                        session.seed),
+                ) if trained else {}
+            model, columns = nets[trained]
+            res, mse = invert_cut(model, depth, sample.images, sweep.inversion, os.path.join(
                 sweep.out_dir, train_ds.name, str(depth), ("before", "after")[trained]))
-            mse = mse_images(res.x_est, sample.images)
             metrics = dict(
-                mse_after=mse,
-                orig_acc=tail_accuracy(model, test_ds.images, test_ds.labels),
-                clone_acc=stitch_and_train_head(res.clone, cfg, subset, test_ds,
+                mse_after=mse, **columns,
+                clone_acc=stitch_and_train_head(res.clone, session, subset, test_ds,
                                                 sweep.head_epochs),
-                label_inf_acc=label_inference_accuracy(
-                    model, subset, cfg.tail_depth, sweep.label_samples, cfg.seed),
             ) if trained else dict(mse_before=mse)
             row = SweepRow(train_ds.name, depth, trained, **metrics,
                            seconds=time.monotonic() - t0, seed=session.seed,
@@ -279,12 +302,3 @@ def run_depth_sweep(sweep: SweepConfig, train_ds: Dataset,
             writer.append(row)
             rows.append(row)
     return rows
-
-
-def _dump_pair(originals: np.ndarray, estimates: np.ndarray, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    grid = image_grid([originals, estimates])
-    ext = "pgm" if grid.shape[0] == 1 else "ppm"
-    dump_image(grid, os.path.join(out_dir, f"grid.{ext}"))
-    for i in range(estimates.shape[0]):
-        dump_image(estimates[i], os.path.join(out_dir, f"est_{i:02d}.{ext}"))

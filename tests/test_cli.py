@@ -203,8 +203,14 @@ class TestConfigHandling:
         (["report", "--depths", "1,x"], None),
         ([*LABELS, "--samples", "0"], None),
         (["train", "--lr", "nan"], None),
+        # A sweep with a depth past the tail or the net, or no label
+        # samples, fails before its first row.
+        (["report", "--topology", "client_labels", "--depths", "1,7"], None),
+        (["report", "--depths", "1,9"], None),
+        (["report", "--samples", "0", "--depths", "1,2"], None),
     ], ids=["file-epochs-abc", "seed-neg", "sample-per-class-neg", "samples-neg",
-            "depths-x", "labels-samples-0", "lr-nan"])
+            "depths-x", "labels-samples-0", "lr-nan", "report-depth-past-tail",
+            "report-depth-past-net", "report-samples-0"])
     def test_malformed_value_is_config_error(self, tmp_path, argv, config):
         extra = ["--out-dir", str(tmp_path / "out")]
         if config is not None:
@@ -220,6 +226,23 @@ class TestConfigHandling:
         parser = build_parser()
         from_file = effective_config(parser.parse_args(["train", "--config", str(path)]))
         assert from_file == effective_config(parser.parse_args(["train"]))
+
+    def test_data_dir_env_sets_only_the_default(self, tmp_path, monkeypatch):
+        """data_dir comes from the flag, else the config file, else
+        SPLITLAB_DATA_DIR, else ``data``."""
+        monkeypatch.setenv("SPLITLAB_DATA_DIR", "/from/env")
+        path = tmp_path / "run.cfg"
+        path.write_text("data_dir = /from/file\n")
+        parser = build_parser()
+
+        def data_dir(*argv):
+            return effective_config(parser.parse_args(["train", *argv]))["data_dir"]
+
+        assert data_dir() == "/from/env"
+        assert data_dir("--config", str(path)) == "/from/file"
+        assert data_dir("--config", str(path), "--data-dir", "/from/flag") == "/from/flag"
+        monkeypatch.delenv("SPLITLAB_DATA_DIR")
+        assert data_dir() == "data"
 
     @pytest.mark.parametrize("depth", ["1", "4"])
     def test_dataset_that_does_not_fit_the_arch_is_config_error(self, tmp_path, capsys,

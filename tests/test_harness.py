@@ -3,6 +3,7 @@ end-to-end depth sweep."""
 
 import csv
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -126,8 +127,10 @@ class TestAttackPlumbing:
             np.testing.assert_array_equal(p.data, b)
             assert p.requires_grad
 
-    def test_stitched_head_does_not_start_as_the_client(self, monkeypatch):
-        """The fresh head comes from the attacker's stream, not the session's."""
+    @pytest.mark.parametrize("split_depth", [2, 1])
+    def test_stitched_head_does_not_start_as_the_client(self, monkeypatch, split_depth):
+        """The fresh head comes from the attacker's stream, not the session's,
+        and starts where the clone ends, whatever the config's split depth."""
         from splitlab import harness
         from splitlab.models import build_layers
 
@@ -136,8 +139,8 @@ class TestAttackPlumbing:
             [p.data.copy() for layer in stack.layers[2:] for p in layer.params()]))
         clone_f1, _ = split_at(build_net("tiny8", seed=4), 2)
         ds = synth_dataset(16, (1, 8, 8), seed=4)
-        stitch_and_train_head(clone_f1, SessionConfig(arch="tiny8", split_depth=2, seed=4),
-                              ds, ds, epochs=1)
+        stitch_and_train_head(clone_f1, SessionConfig(arch="tiny8", split_depth=split_depth,
+                                                      seed=4), ds, ds, epochs=1)
         session = [p.data for layer in build_layers("tiny8", 4, 2) for p in layer.params()]
         assert len(starts[0]) == len(session) == 4
         for head_p, session_p in zip(starts[0], session):
@@ -251,14 +254,50 @@ class TestSweep:
         assert rows[1].orig_acc == tail_accuracy(model, test.images, test.labels)
 
     def test_client_labels_rows_train_the_attacked_tail(self, tmp_path):
+        """Every trained row carries the columns of a net trained at its own depth."""
         sweep = self.small_sweep(tmp_path, topology="client_labels", batch_size=8,
                                  tail_depth=2)
         sweep.train_subset = 128
+        sweep.depths = [1, 2, 3]
         train = synth_dataset(128, (1, 8, 8), seed=0)
         test = synth_dataset(64, (1, 8, 8), seed=0, split="test")
+        trained = [row for row in run_depth_sweep(sweep, train, test) if row.trained]
+        assert [row.depth for row in trained] == [1, 2, 3]
+        for row in trained:
+            cfg = SessionConfig(arch="tiny8", split_depth=row.depth, topology="client_labels",
+                                seed=0, batch_size=8, epochs=1, tail_depth=2).validate()
+            model, _, _, _ = train_local(cfg, train.images, train.labels)
+            assert row.orig_acc == tail_accuracy(model, test.images, test.labels)
+            assert row.label_inf_acc == label_inference_accuracy(model, train, 2, 5, 0)
+
+    def test_each_state_trains_once(self, tmp_path, monkeypatch):
+        """One net per state, cut at every depth: a sweep trains the seeded
+        init and the trained net once each and runs label inference once; a
+        rerun trains only the states of its missing rows."""
+        from splitlab import harness
+
+        calls = {"train_local": 0, "label_inference_accuracy": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(harness, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(harness, name, counted)
+        sweep = self.small_sweep(tmp_path)
+        sweep.depths = [1, 2, 3]
+        train = synth_dataset(128, (1, 8, 8), seed=0)
+        test = synth_dataset(64, (1, 8, 8), seed=1)
         rows = run_depth_sweep(sweep, train, test)
-        cfg = SessionConfig(arch="tiny8", split_depth=1, topology="client_labels",
-                            seed=0, batch_size=8, epochs=1, tail_depth=2).validate()
-        model, _, _, _ = train_local(cfg, train.images, train.labels)
-        assert rows[1].orig_acc == tail_accuracy(model, test.images, test.labels)
-        assert rows[1].label_inf_acc == label_inference_accuracy(model, train, 2, 5, 0)
+        assert [(r.depth, r.trained) for r in rows] == [
+            (d, t) for d in (1, 2, 3) for t in (0, 1)]
+        assert calls == {"train_local": 2, "label_inference_accuracy": 1}
+        assert run_depth_sweep(sweep, train, test) == []
+        assert calls == {"train_local": 2, "label_inference_accuracy": 1}
+
+        report = Path(sweep.out_dir) / "report.csv"
+        lines = report.read_text().splitlines(keepends=True)
+        report.write_text("".join(lines[:-2]))  # drop the depth-3 rows
+        again = run_depth_sweep(sweep, train, test)
+        assert calls == {"train_local": 4, "label_inference_accuracy": 2}
+        assert [replace(r, seconds=0.0) for r in again] == [
+            replace(r, seconds=0.0) for r in rows[4:]]
+        assert len(report.read_text().splitlines()) == 7

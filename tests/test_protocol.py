@@ -182,6 +182,28 @@ class TestLayout:
                 assert server.rows == (None if client.head is None else a1.shape[1:])
                 assert client.rows == (None if client.tail is None else a2.shape[1:])
 
+    @pytest.mark.parametrize("arch,topology,depths,batch_size,epochs", [
+        ("tiny8", "label_sharing", range(1, 8), 8, 2),
+        ("tiny8", "client_labels", range(1, 6), 8, 2),
+        # The batch-64 first fc is the product whose bits follow the BLAS
+        # thread count; both depths run under the same count here.
+        ("mnist", "label_sharing", (1, 7), 64, 1),
+    ], ids=["tiny8-label_sharing", "tiny8-client_labels", "mnist-label_sharing"])
+    def test_trained_net_does_not_depend_on_the_cut(self, arch, topology, depths,
+                                                    batch_size, epochs):
+        """``train_local`` ends with the same bytes in every parameter, and
+        the same losses, at every split depth: the depth sweep trains once
+        and cuts that one net at each depth."""
+        ds = synth_dataset(128, ARCHS[arch].input_shape, seed=5)
+        runs = []
+        for depth in depths:
+            cfg = SessionConfig(arch=arch, topology=topology, split_depth=depth,
+                                batch_size=batch_size, epochs=epochs).validate()
+            model, losses, _, _ = train_local(cfg, ds.images, ds.labels)
+            runs.append(([p.data.tobytes() for p in model.params()], losses))
+        assert len(runs[0][1]) == epochs * 128 // batch_size
+        assert all(run == runs[0] for run in runs[1:])
+
 
 class TestRoleIsolation:
     """A role initializes only its own layers of the net: the server never
