@@ -228,7 +228,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     xd, wd = x.data, w.data
 
     def vjp(g):
-        return (g @ wd, g.T @ xd, g.sum(axis=0))
+        if len(g) == 1:  # matmul's loop at inner size 1, 0 + g*x, but faster
+            dw = np.multiply(g.T, xd)
+            dw += 0  # -0.0 products give +0.0, as from the loop's zero start
+        else:
+            dw = g.T @ xd
+        return (g @ wd, dw, g.sum(axis=0))
 
     return _output(xd @ wd.T + b.data, (x, w, b), vjp)
 
@@ -273,9 +278,14 @@ _CHUNK_BYTES = 2 << 20
 def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
     """Stride-1 convolution. x: (N,C,H,W), w: (O,C,kh,kw), b: (O,).
 
-    Every product is one GEMM per sample, and ``dw`` adds the samples up
-    in batch order, so the bits do not depend on the chunk size. Backward
-    keeps the patches or the input only when the weight needs a gradient.
+    Every product is one GEMM per sample, and ``dw`` adds the samples'
+    products up one at a time in batch order, so the bits do not depend on
+    the chunk size. Backward keeps the patches or the input only when the
+    weight needs a gradient. Per chunk it computes ``dx`` and drops the
+    patch gradient before it rebuilds the patches for ``dw``, and it takes
+    as many samples' products for ``dw`` at once as fit in the budget the
+    patches leave (at least one): the patches, their gradient and a chunk
+    of products are never live together.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-d input, got {x.data.shape}")
@@ -308,20 +318,25 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
         gr = g.reshape(n, o, ho * wo)  # (N, O, H*W)
         # backward drops the gradients of parents that need none
         db = gr.sum(axis=(0, 2)) if db_grad else None
-        dw = None
+        dw = np.zeros(wm.shape, dtype=np.float32) if dw_grad and not n else None  # no samples
         dxp = np.zeros((n, c, hh + 2 * p, ww + 2 * p), dtype=np.float32) if dx_grad else None
-        for s in range(0, max(n, 1), step):  # one empty chunk when n == 0
-            e = s + step
-            if dw_grad:
-                chunk = cols if cols is not None else _patches(xd[s:e], p, kh, kw)
-                part = np.matmul(gr[s:e], chunk.transpose(0, 2, 1))  # (chunk, O, C*kh*kw)
-                if dw is None:
-                    dw = part.sum(axis=0)
-                else:  # later samples one at a time, as .sum(axis=0) adds them
-                    for row in part:
-                        dw += row
+        for s in range(0, n, step):
+            gs = gr[s : s + step]  # the chunk's output gradient
             if dxp is not None:
-                _col2im(np.matmul(wm.T, gr[s:e]), dxp[s:e], kh, kw)
+                _col2im(np.matmul(wm.T, gs), dxp[s : s + step], kh, kw)
+            if not dw_grad:
+                continue
+            chunk = cols if cols is not None else _patches(xd[s : s + step], p, kh, kw)
+            # As many samples' products at once as fit in what the patches leave.
+            sub = max(1, (_CHUNK_BYTES - chunk.nbytes) // (4 * wm.size))
+            for t in range(0, len(chunk), sub):
+                prods = np.matmul(gs[t : t + sub], chunk[t : t + sub].transpose(0, 2, 1))
+                for prod in prods:  # (O, C*kh*kw), one sample at a time in batch order
+                    if dw is None:
+                        dw = prod.copy()
+                    else:
+                        dw += prod
+            chunk = prods = prod = None  # before the next chunk's patch gradient
         if dw is not None:
             dw = dw.reshape(o, c, kh, kw)
         if dxp is not None and p:

@@ -12,8 +12,14 @@ Three topologies are supported:
 Each topology's step is written once, in ``ROLES``, as a client and a
 server program: generators that own their part's arithmetic (and the
 server's tap record) and do no I/O. A program yields ``(MsgType,
-value)`` to send and a bare ``MsgType`` to receive, and gets the
-received value back. ``train_step`` runs both programs in one thread
+value)`` to send and a bare ``MsgType`` to receive, and gets back a
+one-item list holding the received value, which it takes out: no frame
+of the driver then holds the value while the program runs. A role holds
+no cut activation past its last reader: once sent, a part's output
+keeps only its shape and graph node for ``backprop_part``, and a
+received one lets go of its array once the part's forward has read it;
+a VJP that reads the array keeps it, and so does a role whose tap
+records it. ``train_step`` runs both programs in one thread
 and hands values across as they are; ``run_client`` and ``run_server``
 each run one program over a ``Transport``, through the ``CODECS``
 table. The codec is bit-exact, so both ways walk the same trajectory.
@@ -113,17 +119,28 @@ class ServerTap:
 # ---------------------------------------------------------------------------
 # shared step arithmetic
 
+_ZERO = bytes(4)  # the one float32 +0.0 behind every released tensor
+
+def _release(t: Tensor) -> None:
+    """Swap ``t``'s array for a read-only zero-byte stand-in of its shape:
+    after the forward pass ``backward`` reads only that and the node."""
+    shape = t.data.shape
+    t.data = np.ndarray(shape, np.float32, _ZERO, strides=(0,) * len(shape))
+
+
 def loss_forward_backward(
-    part: LayerStack, smashed: np.ndarray, labels: np.ndarray, opt: Optimizer,
+    part: LayerStack, sm: Tensor, labels: np.ndarray, opt: Optimizer,
 ) -> tuple[float, np.ndarray, list[np.ndarray]]:
-    """Run the loss-owning part: forward from the cut, cross-entropy,
-    backward, update by ``opt`` (over ``part.params()``). Returns (loss,
-    grad at cut, param grads), as the arrays ``backward`` stored."""
+    """Run the loss-owning part: forward from ``sm``, the leaf tensor of
+    the cut activations, cross-entropy, backward, update by ``opt`` (over
+    ``part.params()``). ``sm`` lets go of its array (``_release``) once the
+    forward has read it. Returns (loss, grad at cut, param grads), as the
+    arrays ``backward`` stored."""
     labels = np.asarray(labels, dtype=np.int64)
-    if np.shape(smashed)[:1] != labels.shape:
-        raise ProtocolError(f"activations {np.shape(smashed)} for {labels.size} labels")
-    sm = Tensor(smashed, requires_grad=True)
+    if sm.shape[:1] != labels.shape:
+        raise ProtocolError(f"activations {sm.shape} for {labels.size} labels")
     probs = part.forward(sm)
+    _release(sm)
     if labels.max(initial=0) >= probs.data.shape[1]:
         raise ProtocolError(f"label {labels.max()} for {probs.data.shape[1]} classes")
     loss = cross_entropy(probs, labels)
@@ -162,7 +179,11 @@ class ServerState:
     tap: ServerTap | None = None
     rows: tuple[int, ...] | None = None  # row shape of the SMASHED it receives
 
-    def observe(self, smashed: np.ndarray, labels: np.ndarray | None,
+    def for_tap(self, a: np.ndarray) -> np.ndarray | None:
+        """``a`` if the tap will record it, else None."""
+        return None if self.tap is None else a
+
+    def observe(self, smashed: np.ndarray | None, labels: np.ndarray | None,
                 grad: list[np.ndarray], tail_input: np.ndarray | None = None) -> None:
         """Log what the server saw in a step."""
         if self.tap is not None:
@@ -209,11 +230,20 @@ def build_parts(cfg: SessionConfig, roles=("client", "server")) -> tuple:
     return tuple(states)
 
 
-def _check_rows(smashed: np.ndarray, rows: tuple[int, ...]) -> np.ndarray:
-    """A peer's cut activations, if their rows have the cut's shape."""
+def _cut_input(smashed: np.ndarray, rows: tuple[int, ...]) -> Tensor:
+    """A peer's cut activations as the leaf a part starts from, if their
+    rows have the cut's shape."""
     if np.shape(smashed)[1:] != rows:
         raise ProtocolError(f"activations {np.shape(smashed)} for rows of {rows}")
-    return smashed
+    return Tensor(smashed, requires_grad=True)
+
+
+def _sent(out: Tensor) -> np.ndarray:
+    """A part's output ``out``, to send: its array, which ``out`` lets go
+    of, keeping what ``backprop_part`` reads."""
+    data = out.data
+    _release(out)
+    return data
 
 
 def _cut_grad(grads: list[np.ndarray]) -> np.ndarray:
@@ -231,18 +261,19 @@ def _cut_grad(grads: list[np.ndarray]) -> np.ndarray:
 
 def _label_sharing_client(client: ClientState, x, y):
     smashed = client.head.forward(Tensor(x))
-    yield MsgType.SMASHED, smashed.data
+    yield MsgType.SMASHED, _sent(smashed)
     yield MsgType.LABELS, y
-    gcut = _cut_grad((yield MsgType.GRAD))
-    loss = yield MsgType.LOSS
+    gcut = _cut_grad((yield MsgType.GRAD).pop())
+    loss = (yield MsgType.LOSS).pop()
     backprop_part(client.head, smashed, gcut, client.head_opt)
     return loss
 
 
 def _label_sharing_server(server: ServerState, x):
-    smashed = _check_rows((yield MsgType.SMASHED), server.rows)
-    y = yield MsgType.LABELS
-    loss, gcut, _ = loss_forward_backward(server.part, smashed, y, server.opt)
+    sm = _cut_input((yield MsgType.SMASHED).pop(), server.rows)
+    smashed = server.for_tap(sm.data)
+    y = (yield MsgType.LABELS).pop()
+    loss, gcut, _ = loss_forward_backward(server.part, sm, y, server.opt)
     server.observe(smashed, y, [gcut])
     yield MsgType.GRAD, [gcut]
     yield MsgType.LOSS, loss
@@ -250,8 +281,8 @@ def _label_sharing_server(server: ServerState, x):
 
 
 def _server_data_client(client: ClientState, x, y):
-    smashed = _check_rows((yield MsgType.SMASHED), client.rows)
-    loss, gcut, pgrads = loss_forward_backward(client.tail, smashed, y, client.tail_opt)
+    sm = _cut_input((yield MsgType.SMASHED).pop(), client.rows)
+    loss, gcut, pgrads = loss_forward_backward(client.tail, sm, y, client.tail_opt)
     yield MsgType.GRAD, [gcut, *pgrads]
     yield MsgType.LOSS, loss
     return loss
@@ -259,34 +290,37 @@ def _server_data_client(client: ClientState, x, y):
 
 def _server_data_server(server: ServerState, x):
     smashed = server.part.forward(Tensor(x))
-    yield MsgType.SMASHED, smashed.data
-    grads = yield MsgType.GRAD
-    loss = yield MsgType.LOSS
-    server.observe(smashed.data, None, grads, smashed.data)
+    seen = server.for_tap(smashed.data)
+    yield MsgType.SMASHED, _sent(smashed)
+    grads = (yield MsgType.GRAD).pop()
+    loss = (yield MsgType.LOSS).pop()
+    server.observe(seen, None, grads, seen)
     backprop_part(server.part, smashed, grads[0], server.opt)
     return loss
 
 
 def _client_labels_client(client: ClientState, x, y):
     a1 = client.head.forward(Tensor(x))
-    yield MsgType.SMASHED, a1.data
-    a2 = _check_rows((yield MsgType.SMASHED), client.rows)
-    loss, g2, pgrads = loss_forward_backward(client.tail, a2, y, client.tail_opt)
+    yield MsgType.SMASHED, _sent(a1)
+    sm2 = _cut_input((yield MsgType.SMASHED).pop(), client.rows)
+    loss, g2, pgrads = loss_forward_backward(client.tail, sm2, y, client.tail_opt)
     yield MsgType.GRAD, [g2, *pgrads]
     yield MsgType.LOSS, loss
-    g1 = _cut_grad((yield MsgType.GRAD))
+    g1 = _cut_grad((yield MsgType.GRAD).pop())
     backprop_part(client.head, a1, g1, client.head_opt)
     return loss
 
 
 def _client_labels_server(server: ServerState, x):
-    a1 = _check_rows((yield MsgType.SMASHED), server.rows)
-    sm1 = Tensor(a1, requires_grad=True)
+    sm1 = _cut_input((yield MsgType.SMASHED).pop(), server.rows)
+    a1 = server.for_tap(sm1.data)
     a2 = server.part.forward(sm1)
-    yield MsgType.SMASHED, a2.data
-    grads = yield MsgType.GRAD
-    loss = yield MsgType.LOSS
-    server.observe(a1, None, grads, a2.data)
+    _release(sm1)
+    tail_input = server.for_tap(a2.data)
+    yield MsgType.SMASHED, _sent(a2)
+    grads = (yield MsgType.GRAD).pop()
+    loss = (yield MsgType.LOSS).pop()
+    server.observe(a1, None, grads, tail_input)
     backprop_part(server.part, a2, grads[0], server.opt)
     yield MsgType.GRAD, [sm1.grad]
     return loss
@@ -329,6 +363,7 @@ def _lockstep(*programs) -> list:
             mtype, value = inbox[i].pop(0)
             if mtype != event:
                 raise ProtocolError(f"unexpected {mtype.name}, expected {event.name}")
+            value = [value]
         else:  # finished, or waiting on an empty inbox: the other one runs
             i, idle = 1 - i, idle + 1
             if idle > 2:
@@ -398,11 +433,12 @@ def _play(transport: Transport, program):
         except StopIteration as stop:
             return stop.value
         if isinstance(event, MsgType):
-            value = CODECS[event][1](_expect(transport, event)[1])
-        else:
-            mtype, value = event
-            transport.send(mtype, CODECS[mtype][0](value))
-            value = None
+            value = [CODECS[event][1](_expect(transport, event)[1])]
+        else:  # drop the value once encoded: the send may wait on the peer
+            mtype, payload = event[0], CODECS[event[0]][0](event[1])
+            event = None
+            transport.send(mtype, payload)
+            payload = value = None
 
 
 def _client_handshake(transport: Transport, cfg: SessionConfig, examples: int) -> None:

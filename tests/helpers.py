@@ -2,17 +2,18 @@
 (central finite differences, an unsplit trainer, per-candidate label
 probing, einsum fc distances, uniform draws, argmax pooling, whole-batch
 convolution), a layer-construction counter, kink-aware input sampling,
-and tiny PGM/PPM parsing."""
+a session's traced memory peak, and tiny PGM/PPM parsing."""
 
 from __future__ import annotations
 
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 
 from splitlab import autograd as ag
-from splitlab import models
+from splitlab import models, protocol, transport
 from splitlab.attacks.labels import tail_param_gradients
 from splitlab.autograd import Tensor
 from splitlab.models import build_net
@@ -110,6 +111,29 @@ def count_constructions(monkeypatch, arch: str) -> list[int]:
     monkeypatch.setitem(models.ARCHS, arch, replace(
         spec, layers=tuple(counted(i, make) for i, make in enumerate(spec.layers))))
     return made
+
+
+def session_peak_mib(cfg, images: np.ndarray, labels: np.ndarray) -> float:
+    """The tracemalloc peak of one ``run_session`` over ``inproc_pair``,
+    above the traced memory at its start, in MiB: both role threads, their
+    part builds included. Traces only for the call if nothing else does."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        pair = transport.inproc_pair()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            protocol.run_session(cfg, images, labels, pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            for end in pair:
+                end.close()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return (peak - base) / 2**20
 
 
 def relu_oracle(x: np.ndarray) -> np.ndarray:

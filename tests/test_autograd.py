@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -363,9 +363,11 @@ def _assert_same_bytes(got, want):
 @st.composite
 def _conv_case(draw):
     """A small convolution over normal values, a fifth of them zeros of
-    either sign, its seed gradient, and a chunk size in samples (``None``:
-    the whole batch)."""
-    n = draw(st.sampled_from([0, 1, 2, 5]))
+    either sign, its seed gradient, a chunk size in samples (``None``: the
+    whole batch), and the room left in the budget, in samples' ``dw``
+    products. Batch 10 is past the 8 terms from which numpy sums a
+    contiguous axis pairwise, so the order of ``dw``'s sum shows."""
+    n = draw(st.sampled_from([0, 1, 2, 5, 10]))
     c, o = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     k, p = draw(st.sampled_from([(3, 1), (1, 0)]))
@@ -378,7 +380,7 @@ def _conv_case(draw):
         return v
 
     x, wt, b, g = (values(s) for s in ((n, c, h, w), (o, c, k, k), (o,), (n, o, h, w)))
-    return x, wt, b, p, g, draw(st.sampled_from([1, 2, None]))
+    return x, wt, b, p, g, draw(st.sampled_from([1, 2, None])), draw(st.integers(0, 3))
 
 
 class TestConvBytes:
@@ -388,13 +390,33 @@ class TestConvBytes:
     @given(_conv_case())
     @settings(max_examples=200, deadline=None)
     def test_matches_oracle_at_every_chunk_size(self, case):
-        x, w, b, p, g, samples = case
+        x, w, b, p, g, samples, products = case
+        # The oracle sums a one-element weight's products pairwise; the test
+        # below holds conv2d to batch order there.
+        assume(w.size > 1)
         per_sample = 4 * w[0].size * g.shape[2] * g.shape[3]  # patch bytes
-        budget = 1 << 40 if samples is None else samples * per_sample
+        budget = (1 << 40 if samples is None
+                  else samples * per_sample + products * 4 * w.size)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ag, "_CHUNK_BYTES", budget)
             got = _conv_all_grads(x, w, b, p, g)
         _assert_same_bytes(got, conv2d_oracle(x, w, b, p, g))
+
+    def test_one_element_weight_sums_in_batch_order(self, monkeypatch):
+        # A (N, 1, 1) stack of products summed by one .sum(axis=0) runs over
+        # a contiguous axis, which numpy sums pairwise from 8 terms on: 19
+        # here, where batch order gives 3 (1e8 + 3 rounds back to 1e8).
+        x = np.array([1e8, 3, 3, 3, 3, 3, 3, 3, -1e8, 3], np.float32).reshape(10, 1, 1, 1)
+        w = np.ones((1, 1, 1, 1), dtype=np.float32)
+        b = np.zeros(1, dtype=np.float32)
+        g = np.ones((10, 1, 1, 1), dtype=np.float32)
+        got = []
+        for samples in (1, 3, 10):  # 4 bytes of patches per sample
+            monkeypatch.setattr(ag, "_CHUNK_BYTES", 4 * samples)
+            got.append(_conv_all_grads(x, w, b, 0, g))
+        for grads in got:
+            _assert_same_bytes(grads, got[0])
+        assert got[0][2].ravel().tolist() == [3.0]
 
     def test_cifar_layer_at_the_real_budget(self):
         # cifar's 64->64 layer at batch 8: 18 MiB of patches, one sample a chunk.
@@ -429,6 +451,30 @@ class TestConvBytes:
         assert dx.tobytes() == want_dx.tobytes()
         for got, want in ((dw, want_dw), (db, want_db)):
             assert got is None or got.tobytes() == want.tobytes()
+
+
+class TestLinearBytes:
+    @pytest.mark.parametrize("u, d", [(256, 784), (10, 256), (3, 1), (1, 5)])
+    def test_batch_one_weight_gradient_is_the_matmul(self, u, d):
+        """At batch 1 ``dw`` is not a matmul but has its bytes, signed
+        zeros, NaN and infinities included."""
+        rng = np.random.default_rng(29)
+
+        def values(*shape):
+            v = rng.normal(size=shape).astype(np.float32)
+            v.ravel()[: 6 * v.size // 7] = rng.choice(
+                np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0], np.float32),
+                size=6 * v.size // 7)
+            return rng.permuted(v, axis=-1)
+
+        x, g = values(1, d), values(1, u)
+        w = Tensor(rng.normal(size=(u, d)).astype(np.float32), requires_grad=True)
+        with np.errstate(all="ignore"):
+            out = ag.linear(Tensor(x), w, Tensor(np.zeros(u, np.float32)))
+            _, dw, _ = out._vjp(g)
+            want = g.T @ x
+        assert dw.dtype == np.float32 and dw.shape == (u, d)
+        assert dw.tobytes() == want.tobytes()
 
 
 class TestBackwardFreesGraph:
