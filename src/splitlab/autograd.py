@@ -238,47 +238,79 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _output(xd @ wd.T + b.data, (x, w, b), vjp)
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(N, C, Hp, Wp) padded input -> (N, C*kh*kw, H*W) patch matrix."""
-    n, c, hp, wp = xp.shape
-    h, w = hp - kh + 1, wp - kw + 1
-    s0, s1, s2, s3 = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp, (n, c, kh, kw, h, w), (s0, s1, s2, s3, s2, s3)
-    )
-    return win.reshape(n, c * kh * kw, h * w)
+# conv2d lowers an odd kh x kw kernel over flattened image planes. Each
+# (H, W) plane is flattened and padded flat by m = (kh//2)*W + kw//2 zeros at
+# each end, so kernel tap (i, j) reads the whole plane shifted by i*W + j.
+# The shift carries the first kw//2 - j or the last j - kw//2 output columns
+# of each row across a row edge; those columns are zeroed, which leaves the
+# patches and the input gradient with the bits of a 2-D padded lowering.
 
 
-def _patches(x: np.ndarray, p: int, kh: int, kw: int) -> np.ndarray:
-    """The patch matrix of ``x`` (N, C, H, W) zero-padded by ``p``; the
-    padded copy lives only while its patches are gathered."""
+def _flat_planes(n: int, c: int, h: int, w: int, kh: int, kw: int):
+    """Zeroed flat-padded planes (N, C, H*W + 2m) and the (N, C, H, W) view
+    of their interior."""
+    m = kh // 2 * w + kw // 2
+    flat = np.zeros((n, c, h * w + 2 * m), dtype=np.float32)
+    return flat, flat[:, :, m : m + h * w].reshape(n, c, h, w)
+
+
+def _zero_wrapped(taps: np.ndarray, w: int) -> None:
+    """Zero, in place, the columns of (N, C, kh, kw, H*W) patches or patch
+    gradient that a flat shift carried across a row edge."""
+    kw = taps.shape[3]
+    rows = taps.reshape(*taps.shape[:4], taps.shape[4] // w, w)
+    for j in range(kw):
+        if j < kw // 2:
+            rows[:, :, :, j, :, : kw // 2 - j] = 0
+        elif j > kw // 2:
+            rows[:, :, :, j, :, max(0, w + kw // 2 - j) :] = 0
+
+
+def _patches(x: np.ndarray, kh: int, kw: int, gh: int, gw: int) -> np.ndarray:
+    """The (N, C*kh*kw, H*W) patch matrix of ``x`` grown by ``gh`` and ``gw``
+    zeros a side to (H, W): one strided copy of the flat-padded planes,
+    whose inner run is a whole plane, then its wrapped columns zeroed."""
     n, c, hh, ww = x.shape
-    xp = np.zeros((n, c, hh + 2 * p, ww + 2 * p), dtype=np.float32)
-    xp[:, :, p : p + hh, p : p + ww] = x
-    return _im2col(xp, kh, kw)
+    h, w = hh + 2 * gh, ww + 2 * gw
+    flat, plane = _flat_planes(n, c, h, w, kh, kw)
+    plane[:, :, gh : gh + hh, gw : gw + ww] = x
+    s0, s1, s2 = flat.strides
+    taps = np.lib.stride_tricks.as_strided(
+        flat, (n, c, kh, kw, h * w), (s0, s1, w * s2, s2, s2)
+    ).copy()
+    _zero_wrapped(taps, w)
+    return taps.reshape(n, c * kh * kw, h * w)
 
 
-def _col2im(dcols: np.ndarray, dxp: np.ndarray, kh: int, kw: int) -> None:
-    """Add a (N, C*kh*kw, H*W) patch gradient into the zeroed padded input
-    gradient ``dxp`` (N, C, Hp, Wp), in place."""
-    n, c, hp, wp = dxp.shape
-    h, w = hp - kh + 1, wp - kw + 1
-    dc = dcols.reshape(n, c, kh, kw, h, w)
+def _col2im(dcols: np.ndarray, dflat: np.ndarray, kh: int, kw: int, w: int) -> None:
+    """Add a (N, C*kh*kw, H*W) patch gradient, its wrapped columns zeroed in
+    place, into the flat-padded input gradient ``dflat``: one add over whole
+    planes per kernel tap, in (i, j) order. Each element gets the 2-D
+    lowering's terms in its order, plus +0.0 terms, which cannot change a
+    sum that starts from +0.0."""
+    n, c, _ = dflat.shape
+    hw = dcols.shape[2]
+    dc = dcols.reshape(n, c, kh, kw, hw)
+    _zero_wrapped(dc, w)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i : i + h, j : j + w] += dc[:, :, i, j]
+            dflat[:, :, i * w + j : i * w + j + hw] += dc[:, :, i, j]
 
 
 # conv2d never holds more patch matrix than this at once. A batch whose
 # patches fit keeps them for backward; a larger one is lowered a chunk of
-# samples at a time and keeps only its input, padded again in backward.
+# samples at a time and keeps only its input, lowered again in backward.
 _CHUNK_BYTES = 2 << 20
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
-    """Stride-1 convolution. x: (N,C,H,W), w: (O,C,kh,kw), b: (O,).
+    """Stride-1 convolution. x: (N,C,H,W), w: (O,C,kh,kw) with kh and kw
+    odd, b: (O,).
 
-    Every product is one GEMM per sample, and ``dw`` adds the samples'
+    The lowering keeps the plane's size: each kernel tap is a shift of the
+    whole flattened plane (``_patches``, ``_col2im``). A padding above k//2
+    runs it on the input grown by the difference, one below k//2 crops its
+    output. Every product is one GEMM per sample, and ``dw`` adds the samples'
     products up one at a time in batch order, so the bits do not depend on
     the chunk size. Backward keeps the patches or the input only when the
     weight needs a gradient. Per chunk it computes ``dx`` and drops the
@@ -295,38 +327,53 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
         )
     n, c, hh, ww = x.data.shape
     o, _, kh, kw = w.data.shape
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeError(f"conv2d: kernel must be odd, got {kh}x{kw}")
     p = padding
-    ho, wo = hh + 2 * p - kh + 1, ww + 2 * p - kw + 1
+    # The input is grown by (gh, gw) zeros a side to the lowered plane (hc,
+    # wc), and the lowered output is cropped by (ch, cw) a side.
+    gh, gw = max(p - kh // 2, 0), max(p - kw // 2, 0)
+    ch, cw = max(kh // 2 - p, 0), max(kw // 2 - p, 0)
+    hc, wc = hh + 2 * gh, ww + 2 * gw
+    ho, wo = hc - 2 * ch, wc - 2 * cw
+    if ho < 1 or wo < 1:
+        raise ShapeError(f"conv2d: kernel {kh}x{kw} exceeds input {x.data.shape} padded by {p}")
     wm = w.data.reshape(o, -1)
-    step = max(1, _CHUNK_BYTES // max(1, 4 * c * kh * kw * ho * wo))  # samples
-    out = np.empty((n, o, ho * wo), dtype=np.float32)
+    step = max(1, _CHUNK_BYTES // max(1, 4 * c * kh * kw * hc * wc))  # samples
+    out = np.empty((n, o, hc * wc), dtype=np.float32)
     dx_grad, dw_grad, db_grad = x.requires_grad, w.requires_grad, b.requires_grad
     xd = None
     if n <= step:
-        cols = _patches(x.data, p, kh, kw)  # (N, C*kh*kw, H*W)
+        cols = _patches(x.data, kh, kw, gh, gw)  # (N, C*kh*kw, H*W)
         np.matmul(wm, cols, out=out)
     else:
         cols, xd = None, x.data  # patches rebuilt chunk by chunk in backward
         for s in range(0, n, step):
-            np.matmul(wm, _patches(xd[s : s + step], p, kh, kw), out=out[s : s + step])
+            np.matmul(wm, _patches(xd[s : s + step], kh, kw, gh, gw), out=out[s : s + step])
     if not dw_grad:  # only dw reads the patches
         cols = xd = None
-    out = out.reshape(n, o, ho, wo)
+    out = out.reshape(n, o, hc, wc)
+    if ch or cw:
+        out = out[:, :, ch : hc - ch, cw : wc - cw]
     out += b.data.reshape(1, o, 1, 1)
 
     def vjp(g):
         gr = g.reshape(n, o, ho * wo)  # (N, O, H*W)
         # backward drops the gradients of parents that need none
         db = gr.sum(axis=(0, 2)) if db_grad else None
+        if ch or cw:  # zero where the output was cropped
+            gr = np.zeros((n, o, hc, wc), dtype=np.float32)
+            gr[:, :, ch : hc - ch, cw : wc - cw] = g
+            gr = gr.reshape(n, o, hc * wc)
         dw = np.zeros(wm.shape, dtype=np.float32) if dw_grad and not n else None  # no samples
-        dxp = np.zeros((n, c, hh + 2 * p, ww + 2 * p), dtype=np.float32) if dx_grad else None
+        dflat, dx = _flat_planes(n, c, hc, wc, kh, kw) if dx_grad else (None, None)
         for s in range(0, n, step):
             gs = gr[s : s + step]  # the chunk's output gradient
-            if dxp is not None:
-                _col2im(np.matmul(wm.T, gs), dxp[s : s + step], kh, kw)
+            if dflat is not None:
+                _col2im(np.matmul(wm.T, gs), dflat[s : s + step], kh, kw, wc)
             if not dw_grad:
                 continue
-            chunk = cols if cols is not None else _patches(xd[s : s + step], p, kh, kw)
+            chunk = cols if cols is not None else _patches(xd[s : s + step], kh, kw, gh, gw)
             # As many samples' products at once as fit in what the patches leave.
             sub = max(1, (_CHUNK_BYTES - chunk.nbytes) // (4 * wm.size))
             for t in range(0, len(chunk), sub):
@@ -339,9 +386,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
             chunk = prods = prod = None  # before the next chunk's patch gradient
         if dw is not None:
             dw = dw.reshape(o, c, kh, kw)
-        if dxp is not None and p:
-            dxp = dxp[:, :, p : p + hh, p : p + ww]
-        return (dxp, dw, db)
+        if dx is not None and (gh or gw):
+            dx = dx[:, :, gh : gh + hh, gw : gw + ww]
+        return (dx, dw, db)
 
     return _output(out, (x, w, b), vjp)
 

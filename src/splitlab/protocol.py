@@ -98,13 +98,14 @@ class ServerTap:
 
     def record(self, smashed: np.ndarray, labels: np.ndarray | None,
                grad: list[np.ndarray], tail_input: np.ndarray | None = None) -> None:
-        """Log one step's observations, copied; entries are numbered from 1."""
+        """Log one step's observations, copied, the labels as int64 whatever
+        dtype the server was handed; entries are numbered from 1."""
         kept = np.array(smashed, copy=True)
         self.entries.append(
             TapEntry(
                 len(self.entries) + 1,
                 kept,
-                None if labels is None else np.array(labels, copy=True),
+                None if labels is None else np.array(labels, dtype=np.int64, copy=True),
                 [np.array(g, copy=True) for g in grad],
                 # server_data sends its cut activations to the tail: one copy.
                 kept if tail_input is smashed else

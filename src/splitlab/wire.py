@@ -81,7 +81,9 @@ def encode_tensor(arr: np.ndarray) -> bytes:
     if arr.ndim > MAX_TENSOR_NDIM:
         raise ProtocolError(f"tensor rank {arr.ndim} exceeds wire limit")
     head = struct.pack("<B", arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return head + arr.astype("<f4", copy=False).tobytes()
+    # One copy of the data: the payload is joined straight from the array's buffer.
+    body = np.ascontiguousarray(arr, dtype="<f4")
+    return b"".join((head, memoryview(body)))
 
 
 def decode_tensor(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:

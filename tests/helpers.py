@@ -176,7 +176,10 @@ def conv2d_oracle(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: int,
     win = np.lib.stride_tricks.as_strided(
         xp, (n, c, kh, kw, ho, wo), (s0, s1, s2, s3, s2, s3)
     )
-    cols = win.reshape(n, c * kh * kw, ho * wo)
+    # A copy whatever the shape: at W = 1 with C = 1 or H = 1 the reshape
+    # alone is a strided view, which sends every GEMM to numpy's loop
+    # without BLAS, with other bits.
+    cols = np.ascontiguousarray(win.reshape(n, c * kh * kw, ho * wo))
     wm = w.reshape(o, -1)
     out = (wm @ cols).reshape(n, o, ho, wo) + b.reshape(1, o, 1, 1)
     gr = g.reshape(n, o, ho * wo)

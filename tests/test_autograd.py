@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from splitlab import autograd as ag
 from splitlab.autograd import Tensor
 from splitlab.errors import GraphError, NumericError, ShapeError
-from splitlab.models import build_layers
+from splitlab.models import ARCHS, build_layers, layout
 from splitlab.optim import SGD, Adam
 
 from helpers import (conv2d_oracle, fd_check, finite_diff_grad, maxpool_oracle, pool_safe,
@@ -56,6 +56,14 @@ class TestOps:
         b = Tensor(np.zeros(1, dtype=np.float32))
         with pytest.raises(ShapeError):
             ag.conv2d(x, w, b, padding=1)
+
+    @pytest.mark.parametrize("wshape, padding", [((1, 1, 2, 3), 1), ((1, 1, 3, 4), 1),
+                                                 ((1, 1, 5, 5), 0)])
+    def test_conv_rejects_even_or_oversized_kernel(self, wshape, padding):
+        x = Tensor(np.ones((1, 1, 4, 4), dtype=np.float32))
+        b = Tensor(np.zeros(1, dtype=np.float32))
+        with pytest.raises(ShapeError):
+            ag.conv2d(x, Tensor(np.ones(wshape, dtype=np.float32)), b, padding)
 
     def test_mse_identity_zero(self):
         a = Tensor([1.0, 2.0, 3.0])
@@ -322,6 +330,7 @@ class TestConvBackward:
         ((3, 5, 6, 7), (4, 5, 1, 1), 0),  # pointwise kernel, no padding
         ((0, 3, 6, 5), (2, 3, 3, 3), 0),  # zero rows, as build_parts runs
         ((0, 3, 6, 5), (2, 3, 3, 3), 1),
+        ((2, 3, 5, 4), (4, 3, 3, 3), 2),  # padding past the kernel's half
     ])
     def test_padding_edges(self, xshape, wshape, padding):
         rng = np.random.default_rng(13)
@@ -360,27 +369,40 @@ def _assert_same_bytes(got, want):
         assert a.tobytes() == e.tobytes()
 
 
+def _values(rng, shape):
+    """Normal float32 values, a fifth of them zeros of either sign."""
+    v = rng.normal(size=shape).astype(np.float32)
+    zero = rng.random(shape) < 0.2
+    v[zero] = np.where(rng.random(shape) < 0.5, -0.0, 0.0)[zero]
+    return v
+
+
 @st.composite
 def _conv_case(draw):
-    """A small convolution over normal values, a fifth of them zeros of
-    either sign, its seed gradient, a chunk size in samples (``None``: the
-    whole batch), and the room left in the budget, in samples' ``dw``
-    products. Batch 10 is past the 8 terms from which numpy sums a
-    contiguous axis pairwise, so the order of ``dw``'s sum shows."""
+    """A small convolution over ``_values``, its seed gradient, a chunk
+    size in samples (``None``: the whole batch), and the room left in the
+    budget, in samples' ``dw`` products. Batch 10 is past the 8 terms from
+    which numpy sums a contiguous axis pairwise, so the order of ``dw``'s
+    sum shows. Widths up to 7 under a 5x5 kernel put wrapped columns 1 and
+    2 wide at both row edges."""
     n = draw(st.sampled_from([0, 1, 2, 5, 10]))
     c, o = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    k, p = draw(st.sampled_from([(3, 1), (1, 0)]))
+    h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    k, p = draw(st.sampled_from([(3, 1), (1, 0), (5, 2)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-    def values(shape):
-        v = rng.normal(size=shape).astype(np.float32)
-        zero = rng.random(shape) < 0.2
-        v[zero] = np.where(rng.random(shape) < 0.5, -0.0, 0.0)[zero]
-        return v
-
-    x, wt, b, g = (values(s) for s in ((n, c, h, w), (o, c, k, k), (o,), (n, o, h, w)))
+    x, wt, b, g = (_values(rng, s) for s in ((n, c, h, w), (o, c, k, k), (o,), (n, o, h, w)))
     return x, wt, b, p, g, draw(st.sampled_from([1, 2, None])), draw(st.integers(0, 3))
+
+
+def _net_convs():
+    """(input shape, weight shape, padding) of every conv layer of tiny8 at
+    batch 8 and of mnist at batch 10, read from the registered nets."""
+    for arch, batch in (("tiny8", 8), ("mnist", 10)):
+        for i, (make, shape) in enumerate(zip(ARCHS[arch].layers, layout(arch).shapes)):
+            layer = make()
+            if layer.kind == "conv2d":
+                yield pytest.param((batch, *shape), layer.weight.data.shape, layer.padding,
+                                   id=f"{arch}-layer{i}")
 
 
 class TestConvBytes:
@@ -427,6 +449,25 @@ class TestConvBytes:
         g = rng.normal(size=(8, 64, 32, 32)).astype(np.float32)
         assert 4 * 64 * 9 * 32 * 32 > ag._CHUNK_BYTES
         _assert_same_bytes(_conv_all_grads(x, w, b, 1, g), conv2d_oracle(x, w, b, 1, g))
+
+    @pytest.mark.parametrize("xshape, wshape, padding", _net_convs())
+    @pytest.mark.parametrize("x_grad, w_grad", [(True, True), (True, False), (False, True)],
+                             ids=["training", "invert-input", "invert-model"])
+    def test_net_layers_match_oracle(self, xshape, wshape, padding, x_grad, w_grad):
+        rng = np.random.default_rng(28)
+        x, w, b = _values(rng, xshape), _values(rng, wshape), _values(rng, wshape[:1])
+        ts = [Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=w_grad),
+              Tensor(b, requires_grad=w_grad)]
+        out = ag.conv2d(*ts, padding)
+        g = _values(rng, out.shape)
+        ag.backward(out, seed_grad=g)
+        want = conv2d_oracle(x, w, b, padding, g)
+        _assert_same_bytes([out.data], want[:1])
+        for t, e in zip(ts, want[1:], strict=True):
+            if t.requires_grad:
+                _assert_same_bytes([t.grad], [e])
+            else:
+                assert t.grad is None
 
     @pytest.mark.parametrize("budget", [1, 1 << 40])
     @pytest.mark.parametrize("w_grad, b_grad", [(False, True), (True, False),

@@ -474,6 +474,26 @@ class TestWireSessions:
         assert params_equal(merged, local_model)
         np.testing.assert_allclose(server_res.losses, local_losses, atol=0)
 
+    def test_tap_entries_match_local_with_int64_labels(self):
+        # train_local hands the server the dataset's uint8 labels, a wire
+        # session the decoded int64 ones: the tap records one dtype for both.
+        ds = synth_dataset(16, ARCHS["tiny8"].input_shape, seed=0)
+        assert ds.labels.dtype == np.uint8
+        cfg = SessionConfig(arch="tiny8", topology="label_sharing", batch_size=8,
+                            epochs=1, seed=0).validate()
+        local, wired = ServerTap(), ServerTap()
+        train_local(cfg, ds.images, ds.labels, tap=local)
+        ct, st = inproc_pair()
+        with ct, st:
+            run_session(cfg, ds.images, ds.labels, (ct, st), tap=wired)
+        assert len(local) == len(wired) == 2
+        for a, b in zip(local.entries, wired.entries):
+            assert a.step == b.step
+            assert a.labels.dtype == b.labels.dtype == np.int64
+            assert a.labels.tobytes() == b.labels.tobytes()
+            for x, y in zip((a.smashed, *a.grad), (b.smashed, *b.grad), strict=True):
+                assert x.tobytes() == y.tobytes()
+
     def test_inproc_vs_tcp_bit_identical(self, synth):
         cfg = small_cfg()
         ct, st = inproc_pair()
