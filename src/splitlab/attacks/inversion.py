@@ -18,15 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..autograd import (
-    Tensor,
-    add,
-    assert_finite,
-    backward,
-    mse_loss,
-    scale,
-    tv_penalty,
-)
+from ..autograd import Tensor, assert_finite, backward, mse_loss, tv_penalty
 from ..errors import ConfigError, NumericError
 from ..layers import LayerStack, _uniform_f32
 from ..models import ARCHS, build_layers
@@ -85,11 +77,22 @@ def _set_requires_grad(params, flag: bool) -> None:
         p.requires_grad = flag
 
 
-def _objective(clone: LayerStack, x: Tensor, target: Tensor, lam: float) -> Tensor:
-    loss = mse_loss(clone.forward(x), target)
-    if lam > 0:
-        loss = add(loss, scale(tv_penalty(x, TV_EPS), lam))
-    return loss
+def _finite_objective(diff: np.ndarray, tv: Tensor | None, lam: float) -> bool:
+    """Whether ``mean(diff**2) + lam * tv`` is finite as ``mse_loss`` and a
+    float32 add compute it. A float32 sum of n squares is at least the exact
+    sum times (1 - 2**-24)**(n + 1), in any order, so it proves both terms
+    below 1e38 in most steps; the rest compute the objective itself."""
+    flat = diff.reshape(-1)
+    with np.errstate(over="ignore"):
+        sq = float(np.dot(flat, flat))
+    if sq < 1e38 * flat.size * (1 - 2.0**-24) ** (flat.size + 1) and (
+            tv is None or float(tv.data) * lam < 1e38):
+        return True
+    with np.errstate(all="ignore"):
+        obj = np.float32(np.mean(flat.astype(np.float64) ** 2))
+        if tv is not None:
+            obj = obj + tv.data * np.float32(lam)
+    return bool(np.isfinite(obj))
 
 
 def invert(
@@ -121,32 +124,29 @@ def invert(
     stale = 0
     best_x = x.data.copy()
     for rnd in range(1, cfg.max_rounds + 1):
-        # Input phase: clone parameters frozen, only x moves.
-        _set_requires_grad(clone.params(), False)
-        for _ in range(cfg.input_steps):
-            opt_x.zero_grad()
-            obj = _objective(clone, x, target_t, lam)
-            if not np.isfinite(obj.data):
-                raise NumericError(
-                    f"inversion round {rnd}: non-finite objective in input phase"
-                )
-            backward(obj)
-            opt_x.step()
-            np.clip(x.data, lo, hi, out=x.data)
-        _set_requires_grad(clone.params(), True)
-
-        # Model phase: x frozen, only the clone parameters move. No TV term.
-        x.requires_grad = False
-        for _ in range(cfg.model_steps):
-            opt_m.zero_grad()
-            obj = mse_loss(clone.forward(x), target_t)
-            if not np.isfinite(obj.data):
-                raise NumericError(
-                    f"inversion round {rnd}: non-finite objective in model phase"
-                )
-            backward(obj)
-            opt_m.step()
-        x.requires_grad = True
+        # Input phase: clone parameters frozen, only x moves, under the TV
+        # term too. Model phase: x frozen, only the clone parameters move.
+        # backward is seeded with the gradient mse_loss passes the clone's
+        # output, and the TV term, weighted by lam, adds its own into x.grad.
+        for phase, steps, opt, tv_lam in (("input", cfg.input_steps, opt_x, lam),
+                                          ("model", cfg.model_steps, opt_m, 0.0)):
+            x.requires_grad = phase == "input"
+            _set_requires_grad(clone.params(), phase == "model")
+            for _ in range(steps):
+                opt.zero_grad()
+                out = clone.forward(x)
+                diff = out.data - target_t.data
+                tv = tv_penalty(x, TV_EPS) if tv_lam > 0 else None
+                if not _finite_objective(diff, tv, tv_lam):
+                    raise NumericError(
+                        f"inversion round {rnd}: non-finite objective in {phase} phase"
+                    )
+                backward(out, np.float32(2.0) * diff / np.float32(diff.size))
+                if tv is not None:
+                    backward(tv, np.float32(tv_lam))
+                opt.step()
+                if phase == "input":
+                    np.clip(x.data, lo, hi, out=x.data)
 
         tv_now = float(tv_penalty(Tensor(x.data), TV_EPS).data)
         obj_now = float(mse_loss(clone.forward(Tensor(x.data)), target_t).data)

@@ -39,9 +39,6 @@ __all__ = [
     "linear",
     "flatten",
     "softmax",
-    "add",
-    "scale",
-    "tsum",
     "mse_loss",
     "cross_entropy",
     "tv_penalty",
@@ -174,33 +171,6 @@ def flatten(x: Tensor) -> Tensor:
     return _output(x.data.reshape(shape[0], math.prod(shape[1:])), (x,), vjp)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
-
-    def vjp(g):
-        return (g, g)
-
-    return _output(a.data + b.data, (a, b), vjp)
-
-
-def scale(x: Tensor, s: float) -> Tensor:
-    s = np.float32(s)
-
-    def vjp(g):
-        return (g * s,)
-
-    return _output(x.data * s, (x,), vjp)
-
-
-def tsum(x: Tensor) -> Tensor:
-    shape = x.data.shape
-
-    def vjp(g):
-        return (np.full(shape, g, dtype=np.float32),)
-
-    return _output(np.float32(x.data.sum()), (x,), vjp)
-
-
 def softmax(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"softmax: expected 2-d (batch, classes), got {x.data.shape}")
@@ -238,63 +208,65 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _output(xd @ wd.T + b.data, (x, w, b), vjp)
 
 
-# conv2d lowers an odd kh x kw kernel over flattened image planes. Each
-# (H, W) plane is flattened and padded flat by m = (kh//2)*W + kw//2 zeros at
-# each end, so kernel tap (i, j) reads the whole plane shifted by i*W + j.
-# The shift carries the first kw//2 - j or the last j - kw//2 output columns
-# of each row across a row edge; those columns are zeroed, which leaves the
-# patches and the input gradient with the bits of a 2-D padded lowering.
+# conv2d lowers an odd k x k kernel over flattened image planes, q = k//2.
+# Each plane is padded flat by m = q*W + q zeros at each end, so kernel tap
+# (i, j) reads the whole plane shifted by i*W + j. The shift carries the
+# first q - j or the last j - q output columns of each row across a row
+# edge; zeroing them leaves the bits of a 2-D padded lowering.
 
 
-def _flat_planes(n: int, c: int, h: int, w: int, kh: int, kw: int):
-    """Zeroed flat-padded planes (N, C, H*W + 2m) and the (N, C, H, W) view
-    of their interior."""
-    m = kh // 2 * w + kw // 2
+def _edge(t: int, q: int, size: int) -> slice:
+    """The output positions along an axis of ``size`` that kernel tap ``t``
+    shifts past the axis's edge."""
+    return slice(0, q - t) if t < q else slice(max(0, size + q - t), size)
+
+
+def _zero_wrapped(taps: np.ndarray, rows: bool = False) -> None:
+    """Zero, in place, the columns of (N, C, k, k, H, W) patches or patch
+    gradient that a flat shift carried across a row edge and, with
+    ``rows``, the rows it carried across a plane edge."""
+    k, h, w = taps.shape[3:]
+    for t in range(k):
+        if t != k // 2:
+            taps[:, :, :, t, :, _edge(t, k // 2, w)] = 0
+            if rows:
+                taps[:, :, t, :, _edge(t, k // 2, h)] = 0
+
+
+def _patches(x: np.ndarray, k: int) -> np.ndarray:
+    """The (N, C*k*k, H*W) patch matrix of ``x``: one strided copy of the
+    flat-padded planes, whose inner run is a whole plane, then its wrapped
+    columns zeroed."""
+    n, c, h, w = x.shape
+    m = k // 2 * (w + 1)
     flat = np.zeros((n, c, h * w + 2 * m), dtype=np.float32)
-    return flat, flat[:, :, m : m + h * w].reshape(n, c, h, w)
-
-
-def _zero_wrapped(taps: np.ndarray, w: int) -> None:
-    """Zero, in place, the columns of (N, C, kh, kw, H*W) patches or patch
-    gradient that a flat shift carried across a row edge."""
-    kw = taps.shape[3]
-    rows = taps.reshape(*taps.shape[:4], taps.shape[4] // w, w)
-    for j in range(kw):
-        if j < kw // 2:
-            rows[:, :, :, j, :, : kw // 2 - j] = 0
-        elif j > kw // 2:
-            rows[:, :, :, j, :, max(0, w + kw // 2 - j) :] = 0
-
-
-def _patches(x: np.ndarray, kh: int, kw: int, gh: int, gw: int) -> np.ndarray:
-    """The (N, C*kh*kw, H*W) patch matrix of ``x`` grown by ``gh`` and ``gw``
-    zeros a side to (H, W): one strided copy of the flat-padded planes,
-    whose inner run is a whole plane, then its wrapped columns zeroed."""
-    n, c, hh, ww = x.shape
-    h, w = hh + 2 * gh, ww + 2 * gw
-    flat, plane = _flat_planes(n, c, h, w, kh, kw)
-    plane[:, :, gh : gh + hh, gw : gw + ww] = x
+    flat[:, :, m : m + h * w] = x.reshape(n, c, h * w)
     s0, s1, s2 = flat.strides
     taps = np.lib.stride_tricks.as_strided(
-        flat, (n, c, kh, kw, h * w), (s0, s1, w * s2, s2, s2)
+        flat, (n, c, k, k, h * w), (s0, s1, w * s2, s2, s2)
     ).copy()
-    _zero_wrapped(taps, w)
-    return taps.reshape(n, c * kh * kw, h * w)
+    _zero_wrapped(taps.reshape(n, c, k, k, h, w))
+    return taps.reshape(n, c * k * k, h * w)
 
 
-def _col2im(dcols: np.ndarray, dflat: np.ndarray, kh: int, kw: int, w: int) -> None:
-    """Add a (N, C*kh*kw, H*W) patch gradient, its wrapped columns zeroed in
-    place, into the flat-padded input gradient ``dflat``: one add over whole
-    planes per kernel tap, in (i, j) order. Each element gets the 2-D
-    lowering's terms in its order, plus +0.0 terms, which cannot change a
-    sum that starts from +0.0."""
-    n, c, _ = dflat.shape
-    hw = dcols.shape[2]
-    dc = dcols.reshape(n, c, kh, kw, hw)
-    _zero_wrapped(dc, w)
-    for i in range(kh):
-        for j in range(kw):
-            dflat[:, :, i * w + j : i * w + j + hw] += dc[:, :, i, j]
+def _col2im(wt: np.ndarray, gs: np.ndarray, dflat: np.ndarray, k: int, h: int,
+            w: int) -> None:
+    """Add the patch gradient ``wt @ gs`` into ``dflat``: the input gradient
+    of the chunk's planes back to back, padded flat by m at both ends.
+    Regrouped by kernel tap, what each tap's shift carries across a row or
+    plane edge zeroed, it takes one contiguous add per tap, in (i, j) order.
+    Each element gets the 2-D lowering's terms in its order, plus +0.0
+    terms, which cannot change a sum that starts from +0.0."""
+    n = len(gs)
+    dcols = np.matmul(wt, gs)
+    if h * w == 1:  # wt is wm.T there: C-major rows
+        dcols = dcols.reshape(n, -1, k * k).transpose(0, 2, 1)
+    taps = np.ascontiguousarray(dcols.reshape(n, k * k, -1).transpose(1, 0, 2))
+    _zero_wrapped(taps.reshape(k, k, n, -1, h, w).transpose(2, 3, 0, 1, 4, 5), rows=True)
+    size = taps[0].size
+    for i in range(k):
+        for j in range(k):
+            dflat[i * w + j : i * w + j + size] += taps[i * k + j].reshape(-1)
 
 
 # conv2d never holds more patch matrix than this at once. A batch whose
@@ -304,20 +276,21 @@ _CHUNK_BYTES = 2 << 20
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
-    """Stride-1 convolution. x: (N,C,H,W), w: (O,C,kh,kw) with kh and kw
-    odd, b: (O,).
+    """Stride-1 convolution with same padding. x: (N,C,H,W), w: (O,C,k,k)
+    with k odd, b: (O,), ``padding`` k//2; the output is (N,O,H,W).
 
     The lowering keeps the plane's size: each kernel tap is a shift of the
-    whole flattened plane (``_patches``, ``_col2im``). A padding above k//2
-    runs it on the input grown by the difference, one below k//2 crops its
-    output. Every product is one GEMM per sample, and ``dw`` adds the samples'
-    products up one at a time in batch order, so the bits do not depend on
-    the chunk size. Backward keeps the patches or the input only when the
-    weight needs a gradient. Per chunk it computes ``dx`` and drops the
-    patch gradient before it rebuilds the patches for ``dw``, and it takes
-    as many samples' products for ``dw`` at once as fit in the budget the
-    patches leave (at least one): the patches, their gradient and a chunk
-    of products are never live together.
+    whole flattened plane (``_patches``, ``_col2im``). Every product is one
+    GEMM per sample, and ``dw`` adds the samples' products up one at a time
+    in batch order, so the bits do not depend on the chunk size. The input
+    gradient's GEMM takes the weight with its columns in tap-major order,
+    so that each tap's add is one contiguous run over the chunk's planes.
+    Backward keeps the patches or the input only when the weight needs a
+    gradient. Per chunk it computes ``dx`` and drops the patch gradient
+    before it rebuilds the patches for ``dw``, and it takes as many
+    samples' products for ``dw`` at once as fit in the budget the patches
+    leave (at least one): the patches, their gradient and a chunk of
+    products are never live together.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-d input, got {x.data.shape}")
@@ -326,68 +299,61 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
             f"conv2d: input channels {x.data.shape} do not match kernel {w.data.shape}"
         )
     n, c, hh, ww = x.data.shape
-    o, _, kh, kw = w.data.shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError(f"conv2d: kernel must be odd, got {kh}x{kw}")
-    p = padding
-    # The input is grown by (gh, gw) zeros a side to the lowered plane (hc,
-    # wc), and the lowered output is cropped by (ch, cw) a side.
-    gh, gw = max(p - kh // 2, 0), max(p - kw // 2, 0)
-    ch, cw = max(kh // 2 - p, 0), max(kw // 2 - p, 0)
-    hc, wc = hh + 2 * gh, ww + 2 * gw
-    ho, wo = hc - 2 * ch, wc - 2 * cw
-    if ho < 1 or wo < 1:
-        raise ShapeError(f"conv2d: kernel {kh}x{kw} exceeds input {x.data.shape} padded by {p}")
+    o, _, k, kw = w.data.shape
+    if k % 2 == 0 or kw != k:
+        raise ShapeError(f"conv2d: kernel must be odd and square, got {k}x{kw}")
+    if padding != k // 2:
+        raise ShapeError(f"conv2d: a {k}x{k} kernel takes padding {k // 2}, got {padding}")
+    hw = hh * ww
     wm = w.data.reshape(o, -1)
-    step = max(1, _CHUNK_BYTES // max(1, 4 * c * kh * kw * hc * wc))  # samples
-    out = np.empty((n, o, hc * wc), dtype=np.float32)
+    step = max(1, _CHUNK_BYTES // max(1, 4 * c * k * k * hw))  # samples
+    out = np.empty((n, o, hw), dtype=np.float32)
     dx_grad, dw_grad, db_grad = x.requires_grad, w.requires_grad, b.requires_grad
     xd = None
     if n <= step:
-        cols = _patches(x.data, kh, kw, gh, gw)  # (N, C*kh*kw, H*W)
+        cols = _patches(x.data, k)  # (N, C*k*k, H*W)
         np.matmul(wm, cols, out=out)
     else:
         cols, xd = None, x.data  # patches rebuilt chunk by chunk in backward
         for s in range(0, n, step):
-            np.matmul(wm, _patches(xd[s : s + step], kh, kw, gh, gw), out=out[s : s + step])
+            np.matmul(wm, _patches(xd[s : s + step], k), out=out[s : s + step])
     if not dw_grad:  # only dw reads the patches
         cols = xd = None
-    out = out.reshape(n, o, hc, wc)
-    if ch or cw:
-        out = out[:, :, ch : hc - ch, cw : wc - cw]
+    out = out.reshape(n, o, hh, ww)
     out += b.data.reshape(1, o, 1, 1)
 
     def vjp(g):
-        gr = g.reshape(n, o, ho * wo)  # (N, O, H*W)
+        gr = g.reshape(n, o, hw)
         # backward drops the gradients of parents that need none
         db = gr.sum(axis=(0, 2)) if db_grad else None
-        if ch or cw:  # zero where the output was cropped
-            gr = np.zeros((n, o, hc, wc), dtype=np.float32)
-            gr[:, :, ch : hc - ch, cw : wc - cw] = g
-            gr = gr.reshape(n, o, hc * wc)
         dw = np.zeros(wm.shape, dtype=np.float32) if dw_grad and not n else None  # no samples
-        dflat, dx = _flat_planes(n, c, hc, wc, kh, kw) if dx_grad else (None, None)
+        if dx_grad:
+            # Rows tap-major: the transposed view of a C-contiguous copy, as
+            # wm.T is of wm. At H*W = 1 the product is a matrix-vector one,
+            # whose bits depend on the row order: there _col2im regroups.
+            wt = wm.T if hw == 1 else w.data.transpose(0, 2, 3, 1).reshape(o, -1).T
+            m = k // 2 * (ww + 1)
+            dflat = np.zeros(n * c * hw + 2 * m, dtype=np.float32)
         for s in range(0, n, step):
             gs = gr[s : s + step]  # the chunk's output gradient
-            if dflat is not None:
-                _col2im(np.matmul(wm.T, gs), dflat[s : s + step], kh, kw, wc)
+            if dx_grad:
+                _col2im(wt, gs, dflat[s * c * hw : (s + len(gs)) * c * hw + 2 * m], k, hh, ww)
             if not dw_grad:
                 continue
-            chunk = cols if cols is not None else _patches(xd[s : s + step], kh, kw, gh, gw)
+            chunk = cols if cols is not None else _patches(xd[s : s + step], k)
             # As many samples' products at once as fit in what the patches leave.
             sub = max(1, (_CHUNK_BYTES - chunk.nbytes) // (4 * wm.size))
             for t in range(0, len(chunk), sub):
                 prods = np.matmul(gs[t : t + sub], chunk[t : t + sub].transpose(0, 2, 1))
-                for prod in prods:  # (O, C*kh*kw), one sample at a time in batch order
+                for prod in prods:  # (O, C*k*k), one sample at a time in batch order
                     if dw is None:
                         dw = prod.copy()
                     else:
                         dw += prod
             chunk = prods = prod = None  # before the next chunk's patch gradient
         if dw is not None:
-            dw = dw.reshape(o, c, kh, kw)
-        if dx is not None and (gh or gw):
-            dx = dx[:, :, gh : gh + hh, gw : gw + ww]
+            dw = dw.reshape(o, c, k, k)
+        dx = dflat[m : m + n * c * hw].reshape(n, c, hh, ww) if dx_grad else None
         return (dx, dw, db)
 
     return _output(out, (x, w, b), vjp)
@@ -413,18 +379,28 @@ def maxpool2x2(x: Tensor) -> Tensor:
     # faster on them than on the stride-2 views.
     slots = [x.data[:, :, r::2, s::2].copy() for r, s in _POOL_SLOTS]
     top = np.maximum(np.maximum(slots[0], slots[1]), np.maximum(slots[2], slots[3]))
-    # Which signed zero np.maximum returns on a tie is not specified, so the
-    # output takes the winning slot's bits through the masks.
+    lo = top.min(initial=np.inf)  # NaN if top holds one
+    # No NaN, and no zero in top or no sign bit in x (a ReLU output): then a
+    # window's maximal slots share their bits, and the output is top itself.
+    same = (lo > 0 or lo < 0 and (top != 0).all()
+            or lo == 0 and x.data.view(np.int32).min(initial=0) >= 0)
+    won = np.empty((4, *top.shape), dtype=bool)
     taken = np.zeros(top.shape, dtype=bool)
-    bits = np.zeros(top.shape, dtype=np.uint32)
-    masks = []
-    for v in slots:
-        m = (v == top) | np.isnan(v)
-        m &= ~taken
+    for v, m in zip(slots, won):  # the first maximal slot or the first NaN
+        np.equal(v, top, out=m)
+        if not same:
+            m |= np.isnan(v)
+        np.greater(m, taken, out=m)
         taken |= m
-        mk = m.astype(np.uint32)
-        masks.append(np.negative(mk, out=mk))  # all ones where the slot wins
-        bits |= v.view(np.uint32) & mk
+    masks = won.astype(np.uint32)
+    np.negative(masks, out=masks)  # all ones where the slot wins
+    bits = top.view(np.uint32)
+    if not same:
+        # Which signed zero np.maximum returns on a tie is not specified,
+        # so the output takes the winning slot's bits through the masks.
+        bits = np.zeros(top.shape, dtype=np.uint32)
+        for v, mk in zip(slots, masks):
+            bits |= v.view(np.uint32) & mk
 
     def vjp(g):
         # ANDing g's bits keeps a routed -0.0 and writes +0.0 to every other
@@ -496,24 +472,36 @@ def tv_penalty(x: Tensor, eps: float = 1e-8) -> Tensor:
     """
     if x.data.ndim != 4:
         raise ShapeError(f"tv_penalty: expected NCHW input, got {x.data.shape}")
+    shape = x.data.shape
+    h, w = shape[2:]
     eps = np.float32(eps)
-    dv = np.zeros_like(x.data)  # x[i+1, j] - x[i, j]
-    dh = np.zeros_like(x.data)  # x[i, j+1] - x[i, j]
-    dv[:, :, :-1, :] = x.data[:, :, 1:, :] - x.data[:, :, :-1, :]
-    dh[:, :, :, :-1] = x.data[:, :, :, 1:] - x.data[:, :, :, :-1]
+    # Differences over the flattened batch, one subtraction each; those that
+    # cross a row or plane edge are zeroed as missing neighbours.
+    xf = x.data.reshape(-1)
+    n = xf.size
+    dv, dh = np.empty(n, dtype=np.float32), np.empty(n, dtype=np.float32)
+    np.subtract(xf[w:], xf[: n - w], out=dv[: n - w])  # x[i+1, j] - x[i, j]
+    np.subtract(xf[1:], xf[:-1], out=dh[:-1])  # x[i, j+1] - x[i, j]
+
+    def cut(down, right):  # zero, in place, what crosses an edge
+        down.reshape(shape)[:, :, h - 1 :] = 0
+        right.reshape(shape)[..., w - 1 :] = 0
+
+    cut(dv, dh)
     r = np.sqrt(dv * dv + dh * dh + eps)
 
     def vjp(g):
         # Zero-difference pixels get zero gradient when eps == 0.
         inv = np.divide(g, r, out=np.zeros_like(r), where=r > 0)
         gdv = inv * dv
-        gdh = inv * dh
-        dx = np.zeros_like(dv)
-        dx[:, :, 1:, :] += gdv[:, :, :-1, :]
-        dx[:, :, :-1, :] -= gdv[:, :, :-1, :]
-        dx[:, :, :, 1:] += gdh[:, :, :, :-1]
-        dx[:, :, :, :-1] -= gdh[:, :, :, :-1]
-        return (dx,)
+        gdh = np.multiply(inv, dh, out=inv)
+        cut(gdv, gdh)  # so that the adds across an edge below add +0.0
+        dx = np.zeros(n, dtype=np.float32)
+        dx[w:] += gdv[: n - w]
+        dx[: n - w] -= gdv[: n - w]
+        dx[1:] += gdh[:-1]
+        dx[:-1] -= gdh[:-1]
+        return (dx.reshape(shape),)
 
     return _output(np.float32(r.sum(dtype=np.float64)), (x,), vjp)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 import time
@@ -223,21 +224,25 @@ CSV_FIELDS = [f.name for f in fields(SweepRow)]
 
 
 class ReportWriter:
-    """Append-only CSV writer with config-hash based resume."""
+    """Append-only CSV writer with config-hash based resume. Opening drops a
+    killed run's partial last line; only rows with every column are done."""
 
     def __init__(self, path: str):
         self.path = path
         self.done: set[tuple[str, int, int, str]] = set()
-        exists = os.path.exists(path)
-        if exists:
-            with open(path, newline="") as fh:
-                for row in csv.DictReader(fh):
-                    self.done.add((row["dataset"], int(row["depth"]),
-                                   int(row["trained"]), row["config_hash"]))
-        else:
-            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "a+b") as fh:
+            fh.seek(0)
+            text = fh.read()
+            text = text[: text.rfind(b"\n") + 1]
+            fh.truncate(len(text))
+        if not text:
             with open(path, "w", newline="") as fh:
                 csv.writer(fh).writerow(CSV_FIELDS)
+        for row in csv.DictReader(io.StringIO(text.decode())):
+            if None not in row and None not in row.values():
+                self.done.add((row["dataset"], int(row["depth"]),
+                               int(row["trained"]), row["config_hash"]))
 
     def has(self, dataset: str, depth: int, trained: int, config_hash: str) -> bool:
         return (dataset, depth, trained, config_hash) in self.done

@@ -11,6 +11,7 @@ whole net, and ``merge`` puts parts back together.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import cache, partial
@@ -268,8 +269,14 @@ def save_checkpoint(model: SplitModel, path: str) -> None:
         parts.append(struct.pack("<B", p.data.ndim))
         parts.append(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
         parts.append(p.data.astype("<f4", copy=False).tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    tmp = f"{path}.{os.getpid()}.tmp"  # renamed over path once whole
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(parts))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 class _Reader:

@@ -1,7 +1,7 @@
 """Shared test utilities: the oracles the library is checked against
 (central finite differences, an unsplit trainer, per-candidate label
 probing, einsum fc distances, uniform draws, argmax pooling, whole-batch
-convolution), a layer-construction counter, kink-aware input sampling,
+convolution, plane-by-plane total variation), a layer-construction counter, kink-aware input sampling,
 a session's traced memory peak, and tiny PGM/PPM parsing."""
 
 from __future__ import annotations
@@ -21,6 +21,37 @@ from splitlab.optim import fit_epoch, make_optimizer
 
 RTOL = 1e-3
 ATOL = 1e-4
+
+
+def tsum(x: Tensor) -> Tensor:
+    """The sum of all elements, as an autograd op: the gradcheck suite's
+    scalar head."""
+    shape = x.data.shape
+
+    def vjp(g):
+        return (np.full(shape, g, dtype=np.float32),)
+
+    return ag._output(np.float32(x.data.sum()), (x,), vjp)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two same-shaped tensors, as an autograd op."""
+    ag._check_same_shape(a, b, "add")
+
+    def vjp(g):
+        return (g, g)
+
+    return ag._output(a.data + b.data, (a, b), vjp)
+
+
+def scale(x: Tensor, s: float) -> Tensor:
+    """``x`` times a constant, as an autograd op."""
+    s = np.float32(s)
+
+    def vjp(g):
+        return (g * s,)
+
+    return ag._output(x.data * s, (x,), vjp)
 
 
 def finite_diff_grad(f, x: Tensor, h: float = 1e-3) -> Tensor:
@@ -160,37 +191,56 @@ def maxpool_oracle(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return out, dx
 
 
+def tv_oracle(x: np.ndarray, eps: float, g: np.float32) -> tuple[np.float32, np.ndarray]:
+    """The smoothed total variation of ``x`` and its input gradient for the
+    seed ``g``, plane by plane: each difference and each of the four
+    gradient terms over its own 2-D slice, so no pair crosses an edge."""
+    eps = np.float32(eps)
+    dv, dh = np.zeros_like(x), np.zeros_like(x)
+    dv[:, :, :-1, :] = x[:, :, 1:, :] - x[:, :, :-1, :]
+    dh[:, :, :, :-1] = x[:, :, :, 1:] - x[:, :, :, :-1]
+    r = np.sqrt(dv * dv + dh * dh + eps)
+    inv = np.divide(g, r, out=np.zeros_like(r), where=r > 0)
+    gdv, gdh = inv * dv, inv * dh
+    dx = np.zeros_like(x)
+    dx[:, :, 1:, :] += gdv[:, :, :-1, :]
+    dx[:, :, :-1, :] -= gdv[:, :, :-1, :]
+    dx[:, :, :, 1:] += gdh[:, :, :, :-1]
+    dx[:, :, :, :-1] -= gdh[:, :, :, :-1]
+    return np.float32(r.sum(dtype=np.float64)), dx
+
+
 def conv2d_oracle(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: int,
                   g: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Stride-1 convolution and its gradients for the seed ``g`` the direct
-    way: one patch matrix for the whole batch, one batched GEMM per product,
-    and ``dw`` summed over the batch by one ``.sum(axis=0)``. Returns
-    ``(out, dx, dw, db)``."""
+    """Stride-1 same-padded convolution (``padding`` is k//2) and its
+    gradients for the seed ``g`` the direct way: one patch matrix for the
+    whole batch, one batched GEMM per product, and ``dw`` summed over the
+    batch by one ``.sum(axis=0)``. Returns ``(out, dx, dw, db)``."""
     n, _, hh, ww = x.shape
-    o, c, kh, kw = w.shape
+    o, c, k, _ = w.shape
     p = padding
+    assert p == k // 2
     xp = np.zeros((n, c, hh + 2 * p, ww + 2 * p), dtype=np.float32)
     xp[:, :, p : p + hh, p : p + ww] = x
-    ho, wo = hh + 2 * p - kh + 1, ww + 2 * p - kw + 1
     s0, s1, s2, s3 = xp.strides
     win = np.lib.stride_tricks.as_strided(
-        xp, (n, c, kh, kw, ho, wo), (s0, s1, s2, s3, s2, s3)
+        xp, (n, c, k, k, hh, ww), (s0, s1, s2, s3, s2, s3)
     )
     # A copy whatever the shape: at W = 1 with C = 1 or H = 1 the reshape
     # alone is a strided view, which sends every GEMM to numpy's loop
     # without BLAS, with other bits.
-    cols = np.ascontiguousarray(win.reshape(n, c * kh * kw, ho * wo))
+    cols = np.ascontiguousarray(win.reshape(n, c * k * k, hh * ww))
     wm = w.reshape(o, -1)
-    out = (wm @ cols).reshape(n, o, ho, wo) + b.reshape(1, o, 1, 1)
-    gr = g.reshape(n, o, ho * wo)
+    out = (wm @ cols).reshape(n, o, hh, ww) + b.reshape(1, o, 1, 1)
+    gr = g.reshape(n, o, hh * ww)
     dw = np.matmul(gr, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     db = gr.sum(axis=(0, 2))
-    dc = np.matmul(wm.T, gr).reshape(n, c, kh, kw, ho, wo)
+    dc = np.matmul(wm.T, gr).reshape(n, c, k, k, hh, ww)
     dxp = np.zeros(xp.shape, dtype=np.float32)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i : i + ho, j : j + wo] += dc[:, :, i, j]
-    dx = dxp[:, :, p : p + hh, p : p + ww] if p else dxp
+    for i in range(k):
+        for j in range(k):
+            dxp[:, :, i : i + hh, j : j + ww] += dc[:, :, i, j]
+    dx = dxp[:, :, p : p + hh, p : p + ww]
     return out.astype(np.float32, copy=False), dx, dw, db
 
 
@@ -300,7 +350,7 @@ def gradcheck_suite(n_cases: int, seed: int = 0) -> int:
         elif kind == "sigmoid":
             x = rng.uniform(-2, 2, size=(int(rng.integers(1, 5)),
                                          int(rng.integers(2, 9)))).astype(np.float32)
-            fd_check(lambda t: ag.tsum(ag.sigmoid(t)), x, h=1e-2)
+            fd_check(lambda t: tsum(ag.sigmoid(t)), x, h=1e-2)
         elif kind == "softmax":
             n = int(rng.integers(1, 5))
             x = rng.uniform(-1, 1, size=(n, 10)).astype(np.float32)
@@ -368,7 +418,7 @@ def gradcheck_suite(n_cases: int, seed: int = 0) -> int:
             x = x.astype(np.float32)
             # Mean-scaled so the oracle's f32 evaluation noise stays well
             # below the comparison tolerance.
-            fd_check(lambda t: ag.scale(ag.tv_penalty(t, eps=1e-4), 1.0 / x.size),
+            fd_check(lambda t: scale(ag.tv_penalty(t, eps=1e-4), 1.0 / x.size),
                      x, h=3e-3)
         done += 1
     return done

@@ -16,8 +16,8 @@ from splitlab.errors import GraphError, NumericError, ShapeError
 from splitlab.models import ARCHS, build_layers, layout
 from splitlab.optim import SGD, Adam
 
-from helpers import (conv2d_oracle, fd_check, finite_diff_grad, maxpool_oracle, pool_safe,
-                     relu_oracle, relu_safe)
+from helpers import (add, conv2d_oracle, fd_check, finite_diff_grad, maxpool_oracle,
+                     pool_safe, relu_oracle, relu_safe, tsum, tv_oracle)
 
 
 class TestOps:
@@ -34,7 +34,7 @@ class TestOps:
     def test_maxpool_tie_first_slot_wins(self):
         x = Tensor(np.full((1, 1, 2, 2), 5.0), requires_grad=True)
         out = ag.maxpool2x2(x)
-        ag.backward(ag.tsum(out))
+        ag.backward(tsum(out))
         np.testing.assert_array_equal(
             x.grad.reshape(4), [1.0, 0.0, 0.0, 0.0]
         )
@@ -58,7 +58,8 @@ class TestOps:
             ag.conv2d(x, w, b, padding=1)
 
     @pytest.mark.parametrize("wshape, padding", [((1, 1, 2, 3), 1), ((1, 1, 3, 4), 1),
-                                                 ((1, 1, 5, 5), 0)])
+                                                 ((1, 1, 5, 5), 0), ((1, 1, 3, 3), 2),
+                                                 ((1, 1, 3, 3), 0)])
     def test_conv_rejects_even_or_oversized_kernel(self, wshape, padding):
         x = Tensor(np.ones((1, 1, 4, 4), dtype=np.float32))
         b = Tensor(np.zeros(1, dtype=np.float32))
@@ -170,6 +171,22 @@ class TestMaxPoolBytes:
         assert out.tobytes() == want_out.tobytes()
         assert dx.tobytes() == want_dx.tobytes()
 
+    @pytest.mark.parametrize("values", [
+        (0.0, 1.0, 2.0),  # a ReLU output: ties of +0.0, and top holds zeros
+        (-2.0, -1.0, 1.0, 2.0),  # no zero: ties of equal bits only
+        (-1.0, -0.0, 0.0, 1.0),  # zeros of both signs tie
+        (-0.0, 0.0, 1.0),  # as "relu", but with -0.0
+        (0.0, 1.0, np.inf, np.nan),
+    ], ids=["relu", "nonzero", "signed-zeros", "relu-and-minus-zero", "nan"])
+    def test_value_sets_match_argmax_oracle(self, values):
+        rng = np.random.default_rng(30)
+        x = rng.choice(np.array(values, dtype=np.float32), size=(3, 4, 6, 8))
+        g = _values(rng, (3, 4, 3, 4))
+        out, dx = _pool_grads(x, g)
+        want_out, want_dx = maxpool_oracle(x, g)
+        assert out.tobytes() == want_out.tobytes()
+        assert dx.tobytes() == want_dx.tobytes()
+
     def test_nan_window_outputs_nan_and_routes_to_first_nan(self):
         # Windows: [1, nan, nan, 5] | [nan, 0, 2, 1] | [-inf x 4] | [3, 1, 2, 0].
         x = np.array([
@@ -218,6 +235,25 @@ class TestTV:
         b = float(ag.tv_penalty(Tensor(x + np.float32(c)), eps=0.0).data)
         assert a == pytest.approx(b, rel=1e-4, abs=1e-4)
 
+    @pytest.mark.parametrize("eps", [1e-8, 0.0])
+    @pytest.mark.parametrize("seed", [0.1, -2.0, np.inf])
+    @pytest.mark.parametrize("shape", [(3, 2, 5, 4), (2, 1, 1, 6), (2, 3, 4, 1)])
+    def test_matches_plane_by_plane_oracle(self, shape, seed, eps):
+        # Repeated values make zero differences, where eps = 0 gives r = 0.
+        # Where two NaNs meet, numpy's loops may keep either's sign bit, so
+        # NaNs compare as NaNs and every other value by its bytes.
+        rng = np.random.default_rng(31)
+        x = rng.choice(np.array([0.0, 0.25, 1.0, 3.0], dtype=np.float32), size=shape)
+        t = Tensor(x, requires_grad=True)
+        with np.errstate(invalid="ignore"):
+            out = ag.tv_penalty(t, eps)
+            ag.backward(out, seed_grad=np.float32(seed))
+            want_out, want_dx = tv_oracle(x, eps, np.float32(seed))
+        assert out.data.tobytes() == want_out.tobytes()
+        nan = np.isnan(want_dx)
+        assert (np.isnan(t.grad) == nan).all()
+        assert t.grad[~nan].tobytes() == want_dx[~nan].tobytes()
+
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(3)
         # Keep neighbouring differences away from zero so the sqrt stays
@@ -265,7 +301,7 @@ class TestBackward:
     def test_shared_leaf_fanout(self):
         # x used twice in one graph: gradients from both paths add up.
         x = Tensor([1.0, 2.0], requires_grad=True)
-        ag.backward(ag.tsum(ag.add(x, x)))
+        ag.backward(tsum(add(x, x)))
         np.testing.assert_allclose(x.grad, [2.0, 2.0])
 
     def test_deterministic_replay(self):
@@ -276,7 +312,7 @@ class TestBackward:
             w = Tensor(rng.uniform(-0.3, 0.3, size=(2, 1, 3, 3)).astype(np.float32),
                        requires_grad=True)
             b = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
-            out = ag.tsum(ag.relu(ag.conv2d(x, w, b, 1)))
+            out = tsum(ag.relu(ag.conv2d(x, w, b, 1)))
             ag.backward(out)
             return out.data.copy(), x.grad.copy(), w.grad.copy()
 
@@ -319,7 +355,7 @@ class TestConvBackward:
             np.testing.assert_allclose(got, want, rtol=1e-5,
                                        atol=1e-5 * np.abs(want).max(initial=0.0))
 
-    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("padding", [1])
     def test_matches_float64_reference(self, padding):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(4, 16, 13, 10))
@@ -328,10 +364,8 @@ class TestConvBackward:
 
     @pytest.mark.parametrize("xshape, wshape, padding", [
         ((3, 5, 6, 7), (4, 5, 1, 1), 0),  # pointwise kernel, no padding
-        ((0, 3, 6, 5), (2, 3, 3, 3), 0),  # zero rows, as build_parts runs
-        ((0, 3, 6, 5), (2, 3, 3, 3), 1),
-        ((2, 3, 5, 4), (4, 3, 3, 3), 2),  # padding past the kernel's half
-    ])
+        ((0, 3, 6, 5), (2, 3, 3, 3), 1),  # zero rows, as build_parts runs
+    ], ids=["xshape0-wshape0-0", "xshape2-wshape2-1"])
     def test_padding_edges(self, xshape, wshape, padding):
         rng = np.random.default_rng(13)
         x, w = rng.normal(size=xshape), rng.normal(size=wshape)
@@ -440,6 +474,15 @@ class TestConvBytes:
             _assert_same_bytes(grads, got[0])
         assert got[0][2].ravel().tolist() == [3.0]
 
+    @pytest.mark.parametrize("n, c", [(1, 3), (2, 5), (2, 8)])
+    def test_one_by_one_plane_keeps_the_row_order(self, n, c):
+        # At H*W = 1 dx's GEMM is a matrix-vector product, whose bits depend
+        # on where a row sits: with the rows tap-major, dx differs here.
+        rng = np.random.default_rng(32)
+        x, w, b, g = (rng.normal(size=s).astype(np.float32)
+                      for s in ((n, c, 1, 1), (4, c, 3, 3), (4,), (n, 4, 1, 1)))
+        _assert_same_bytes(_conv_all_grads(x, w, b, 1, g), conv2d_oracle(x, w, b, 1, g))
+
     def test_cifar_layer_at_the_real_budget(self):
         # cifar's 64->64 layer at batch 8: 18 MiB of patches, one sample a chunk.
         rng = np.random.default_rng(21)
@@ -535,7 +578,7 @@ class TestBackwardFreesGraph:
         with pytest.raises(GraphError):
             ag.backward(loss)
         with pytest.raises(GraphError):  # a new graph through a consumed node
-            ag.backward(ag.tsum(h2))
+            ag.backward(tsum(h2))
 
     def test_conv_peak_memory(self):
         # Whole-batch patches and their gradient were 2 x 18 MiB here.
@@ -621,7 +664,7 @@ class TestForwardFreesActivations:
 class TestFiniteDiff:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
-        g = finite_diff_grad(ag.tsum, x, h=1e-3)
+        g = finite_diff_grad(tsum, x, h=1e-3)
         np.testing.assert_allclose(g.data, np.ones((2, 3)), rtol=1e-3, atol=1e-4)
 
     def test_mse_scalar(self):
@@ -643,18 +686,18 @@ class TestOpGradients:
     def test_relu(self):
         rng = np.random.default_rng(0)
         x = relu_safe(rng, (3, 7))
-        fd_check(lambda t: ag.tsum(ag.relu(t)), x, h=1e-2)
+        fd_check(lambda t: tsum(ag.relu(t)), x, h=1e-2)
 
     def test_sigmoid(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(-2, 2, size=(4, 5)).astype(np.float32)
-        fd_check(lambda t: ag.tsum(ag.sigmoid(t)), x, h=1e-2)
+        fd_check(lambda t: tsum(ag.sigmoid(t)), x, h=1e-2)
 
     def test_softmax_weighted(self):
         rng = np.random.default_rng(2)
         x = rng.uniform(-1, 1, size=(3, 6)).astype(np.float32)
         r = Tensor(rng.uniform(-1, 1, size=(3, 6)).astype(np.float32))
-        fd_check(lambda t: ag.tsum(ag.mse_loss(ag.softmax(t), r)), x, h=1e-2)
+        fd_check(lambda t: tsum(ag.mse_loss(ag.softmax(t), r)), x, h=1e-2)
 
     def test_linear_input_and_params(self):
         rng = np.random.default_rng(3)
@@ -681,17 +724,6 @@ class TestOpGradients:
                  w, h=1e-2)
         fd_check(lambda t: ag.mse_loss(ag.conv2d(Tensor(x), Tensor(w), t, 1), r),
                  b, h=1e-2)
-
-    def test_conv_unpadded(self):
-        rng = np.random.default_rng(9)
-        x = rng.uniform(-1, 1, size=(2, 2, 5, 4)).astype(np.float32)
-        w = rng.uniform(-0.3, 0.3, size=(3, 2, 3, 3)).astype(np.float32)
-        b = rng.uniform(-0.3, 0.3, size=3).astype(np.float32)
-        r = Tensor(rng.uniform(size=(2, 3, 3, 2)).astype(np.float32))
-        fd_check(lambda t: ag.mse_loss(ag.conv2d(t, Tensor(w), Tensor(b), 0), r),
-                 x, h=1e-2)
-        fd_check(lambda t: ag.mse_loss(ag.conv2d(Tensor(x), t, Tensor(b), 0), r),
-                 w, h=1e-2)
 
     def test_maxpool(self):
         rng = np.random.default_rng(5)

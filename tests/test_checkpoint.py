@@ -39,6 +39,38 @@ def test_round_trip_bit_exact(ckpt):
         np.testing.assert_array_equal(pa.data, pb.data)
 
 
+def test_save_that_fails_midway_keeps_the_previous_checkpoint(ckpt, monkeypatch):
+    save_checkpoint(build_net("tiny8", seed=5), ckpt)
+    before = Path(ckpt).read_bytes()
+    real_open = open
+
+    class Torn:
+        """A file that takes half of a write and then fails, as on a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("builtins.open", lambda *a, **k: Torn(real_open(*a, **k)))
+    with pytest.raises(OSError):
+        save_checkpoint(build_net("tiny8", seed=6), ckpt)
+    monkeypatch.undo()
+    assert Path(ckpt).read_bytes() == before
+    assert sorted(p.name for p in Path(ckpt).parent.iterdir()) == ["model.ckpt"]
+    loaded = load_checkpoint(ckpt)
+    for pa, pb in zip(loaded.params(), build_net("tiny8", seed=5).params()):
+        assert pa.data.tobytes() == pb.data.tobytes()
+
+
 def test_round_trip_forward_identical(ckpt):
     model = build_net("tiny8", seed=1)
     save_checkpoint(model, ckpt)

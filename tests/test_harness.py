@@ -190,6 +190,22 @@ class TestReportWriter:
         assert rec["mse_before"] == "0.1"
 
 
+    @pytest.mark.parametrize("fields", [len(CSV_FIELDS) - 1, len(CSV_FIELDS) + 2])
+    def test_rows_without_every_column_are_not_done(self, tmp_path, fields):
+        path = tmp_path / "r.csv"
+        w = ReportWriter(str(path))
+        w.append(self.row(trained=0))
+        w.append(self.row(trained=1))
+        lines = path.read_text().splitlines()
+        rec = next(csv.reader(lines[1:2]))  # the trained=0 row
+        with open(path, "w", newline="") as fh:
+            fh.write("\r\n".join([lines[0], lines[2]]) + "\r\n")
+            csv.writer(fh).writerow((rec + ["x", "y"])[:fields])
+        w = ReportWriter(str(path))
+        assert w.has("synth", 1, 1, "abc")
+        assert not w.has("synth", 1, 0, "abc")
+
+
 class TestSweep:
     def small_sweep(self, tmp_path, **session):
         return SweepConfig(
@@ -227,6 +243,30 @@ class TestSweep:
         assert again == []
         with open(report, newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 2
+
+    def test_resume_after_a_cut_anywhere_in_the_last_row(self, tmp_path):
+        """A run killed while writing its last row leaves a prefix of it; the
+        resume drops it and writes the row again, whole, on its own line."""
+        sweep = self.small_sweep(tmp_path)
+        train = synth_dataset(128, (1, 8, 8), seed=0)
+        test = synth_dataset(64, (1, 8, 8), seed=1)
+        run_depth_sweep(sweep, train, test)
+        report = Path(sweep.out_dir) / "report.csv"
+        whole = report.read_bytes()
+
+        def rows():
+            with open(report, newline="") as fh:
+                return [{**rec, "seconds": ""} for rec in csv.DictReader(fh)]
+
+        want = rows()
+        assert len(want) == 2
+        start = whole.rstrip(b"\r\n").rfind(b"\n") + 1  # the last row's first byte
+        for cut in range(start, len(whole)):
+            report.write_bytes(whole[:cut])
+            again = run_depth_sweep(sweep, train, test)
+            assert [(r.depth, r.trained) for r in again] == [(1, 1)]
+            assert rows() == want
+            assert report.read_bytes().endswith(b"\r\n")
 
     def test_untrained_row_inverts_the_seeded_client(self, tmp_path):
         sweep = self.small_sweep(tmp_path, seed=3)

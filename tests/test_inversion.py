@@ -1,12 +1,15 @@
 """Coordinate-descent inversion: stationarity, descent, phase mechanics,
-regularizer effect, recovery, and failure modes. Everything runs on the
-tiny 8x8 architecture to stay fast."""
+regularizer effect, recovery, failure modes, and pinned output bytes.
+Everything but the pinned mnist rounds runs on the tiny 8x8 architecture
+to stay fast."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from splitlab import autograd as ag
-from splitlab import cli
+from splitlab import cli, data, harness
 from splitlab.attacks import STREAM_TAGS, attacker_seed, inversion
 from splitlab.attacks.inversion import (
     InversionConfig,
@@ -190,6 +193,42 @@ class TestFailureModes:
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             invert(np.ones((1, 4, 8, 8), np.float32), clone, (1, 8, 8), cfg)
 
+    @staticmethod
+    def setup_tiny8(lam):
+        clone = make_client_clone("tiny8", 1, seed=0)
+        x0 = np.random.default_rng(1).uniform(size=(2, 1, 8, 8)).astype(np.float32)
+        target = clone.forward(Tensor(x0)).data.copy()
+        cfg = InversionConfig(tv_lambda=lam, input_steps=2, model_steps=2, max_rounds=2)
+        return clone, target, cfg
+
+    def test_nan_target_raises_at_the_first_input_step(self):
+        clone, target, cfg = self.setup_tiny8(0.1)
+        target[1, 2, 3, 4] = np.nan
+        before = [p.data.copy() for p in clone.params()]
+        with pytest.raises(NumericError, match="^inversion round 1: .* in input phase$"):
+            invert(target, clone, (1, 8, 8), cfg)
+        assert all(p.data.tobytes() == b.tobytes() for p, b in zip(clone.params(), before))
+
+    def test_float32_sum_of_squares_overflow_alone_does_not_raise(self):
+        # |diff| ~ 2e19 squares past float32's range, but the float64 mean
+        # of the objective is finite in float32: no step raises.
+        clone, target, cfg = self.setup_tiny8(0.1)
+        target[0, 0, 0, 0] = 2e19
+        res = invert(target, clone, (1, 8, 8), cfg)
+        assert len(res.history) == 2
+        assert all(np.isfinite(m.objective) for m in res.history)
+
+    @pytest.mark.parametrize("mean, weighted_tv", [(2.5e38, 2.2e38), (0.0, 6.5e38)],
+                             ids=["sum", "tv-term"])
+    def test_objective_overflow_raises(self, mean, weighted_tv):
+        # "sum": each term is finite in float32, their float32 sum is not.
+        # "tv-term": the weighted TV term alone overflows.
+        clone, target, cfg = self.setup_tiny8(0.1)
+        target[0, 0, 0, 0] += np.sqrt(target.size * mean)
+        cfg.tv_lambda = weighted_tv / 65.0  # the start's TV is about 65
+        with pytest.raises(NumericError, match="^inversion round 1: .* in input phase$"):
+            invert(target, clone, (1, 8, 8), cfg)
+
     def test_unsplit_invert_needs_entries(self):
         with pytest.raises(ConfigError):
             unsplit_invert([], "tiny8", 1)
@@ -305,3 +344,48 @@ class TestAttackerSeeds:
         target = clone.forward(Tensor(x0)).data
         res = invert(target, clone, (1, 8, 8), cfg)
         assert res.history[0].objective < 1e-10
+
+
+def _result_digest(res) -> str:
+    """sha256 over the estimates, every round's metrics and the clone's
+    parameters."""
+    h = hashlib.sha256(res.x_est.tobytes())
+    h.update(np.array([(m.objective, m.tv, m.mse_truth) for m in res.history],
+                      np.float64).tobytes())
+    for p in res.clone.params():
+        h.update(p.data.tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedBytes:
+    """Every output byte of short inversions, pinned: a speed-up of the
+    inversion loop must leave them all as they are."""
+
+    MNIST = {
+        1: "a941336d92cd237ac068ad052a1e2d294ab99ebc6f7324257a33b05c4646c840",
+        4: "4754813b705d41000385bfce89ab82a005027506c8743e89d4ea5b4e1082fabd",
+    }
+    TINY8 = {
+        0.1: "fc2bb5d23ce78f81e56f4965453820a41f5c5dd04c8d4ce368c99df7812292c4",
+        0.0: "c9d86b1258ffb3c62370ac56e0b98905847b6ef9ee1fb37e9bdb55738d6c2dc1",
+    }
+
+    @pytest.mark.parametrize("depth", sorted(MNIST))
+    def test_mnist_unsplit_invert(self, depth):
+        ds = data.synth_dataset(200, (1, 28, 28), seed=0)
+        sample = data.sample_class_balanced(ds, 1, seed=0)
+        f1, _ = split_at(build_net("mnist", seed=0), depth)
+        cfg = InversionConfig(input_steps=3, model_steps=3, max_rounds=2, seed=1)
+        res = unsplit_invert(harness.snapshot_tap(f1, sample.images), "mnist", depth, cfg,
+                             ground_truth=sample.images)
+        assert _result_digest(res) == self.MNIST[depth]
+
+    @pytest.mark.parametrize("lam", sorted(TINY8))
+    def test_tiny8_invert(self, lam):
+        x = synth_dataset(4, (1, 8, 8), seed=4).images
+        targets = true_client(seed=7).forward(Tensor(x)).data
+        cfg = InversionConfig(tv_lambda=lam, input_steps=3, model_steps=3, max_rounds=2,
+                              seed=2)
+        res = invert(targets, make_client_clone("tiny8", 1, seed=99), (1, 8, 8), cfg,
+                     ground_truth=x)
+        assert _result_digest(res) == self.TINY8[lam]

@@ -11,7 +11,6 @@ PACKAGE = ROOT / "src" / "splitlab"
 
 # Public names that may go unnamed outside their definition, with why.
 ALLOWED = {
-    "autograd.tsum": "the gradcheck suite's op",
     "harness.epoch_attack_curve": "ROADMAP direction 2(iii) gives it a caller",
 }
 
