@@ -176,7 +176,7 @@ def softmax(x: Tensor) -> Tensor:
         raise ShapeError(f"softmax: expected 2-d (batch, classes), got {x.data.shape}")
     shifted = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    p = (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
+    p = (e / e.sum(axis=1, keepdims=True)).astype(np.float32, copy=False)
 
     def vjp(g):
         inner = (g * p).sum(axis=1, keepdims=True)
@@ -242,9 +242,8 @@ def _patches(x: np.ndarray, k: int) -> np.ndarray:
     flat = np.zeros((n, c, h * w + 2 * m), dtype=np.float32)
     flat[:, :, m : m + h * w] = x.reshape(n, c, h * w)
     s0, s1, s2 = flat.strides
-    taps = np.lib.stride_tricks.as_strided(
-        flat, (n, c, k, k, h * w), (s0, s1, w * s2, s2, s2)
-    ).copy()
+    taps = np.ndarray((n, c, k, k, h * w), np.float32, flat, 0,
+                      (s0, s1, w * s2, s2, s2)).copy()
     _zero_wrapped(taps.reshape(n, c, k, k, h, w))
     return taps.reshape(n, c * k * k, h * w)
 
@@ -382,16 +381,20 @@ def maxpool2x2(x: Tensor) -> Tensor:
     lo = top.min(initial=np.inf)  # NaN if top holds one
     # No NaN, and no zero in top or no sign bit in x (a ReLU output): then a
     # window's maximal slots share their bits, and the output is top itself.
-    same = (lo > 0 or lo < 0 and (top != 0).all()
+    same = (lo > 0 or lo < 0 and np.count_nonzero(top) == top.size
             or lo == 0 and x.data.view(np.int32).min(initial=0) >= 0)
     won = np.empty((4, *top.shape), dtype=bool)
-    taken = np.zeros(top.shape, dtype=bool)
-    for v, m in zip(slots, won):  # the first maximal slot or the first NaN
+    for v, m in zip(slots, won):  # the maximal slots, and the NaNs
         np.equal(v, top, out=m)
         if not same:
             m |= np.isnan(v)
-        np.greater(m, taken, out=m)
-        taken |= m
+    # Every window has a winner, so as many winners as windows means no tie.
+    # After a ReLU zeros tie often; there, and on a tie, the first slot wins.
+    if lo == 0 or np.count_nonzero(won) != top.size:
+        taken = won[0].copy()
+        for m in won[1:]:
+            np.greater(m, taken, out=m)
+            taken |= m
     masks = won.astype(np.uint32)
     np.negative(masks, out=masks)  # all ones where the slot wins
     bits = top.view(np.uint32)
@@ -452,14 +455,15 @@ def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
         raise ShapeError(f"cross_entropy: label out of range [0,{k})")
     n = probs.data.shape[0]
     rows = np.arange(n)
-    py = np.clip(probs.data[rows, labels], 1e-12, None)
+    py = np.maximum(probs.data[rows, labels], np.float32(1e-12))
 
     def vjp(g):
         dp = np.zeros((n, k), dtype=np.float32)
         dp[rows, labels] = -g / (n * py)
         return (dp,)
 
-    return _output(np.float32(-np.mean(np.log(py))), (probs,), vjp)
+    # np.mean's bits: a float32 sum, then a correctly rounded division.
+    return _output(np.float32(-(np.log(py).sum() / n)), (probs,), vjp)
 
 
 def tv_penalty(x: Tensor, eps: float = 1e-8) -> Tensor:

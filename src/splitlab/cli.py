@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -24,7 +25,8 @@ from dataclasses import fields
 import numpy as np
 
 from .attacks.inversion import InversionConfig, default_tv_lambda
-from .data import Dataset, load_cifar_bin, load_idx, sample_class_balanced, synth_dataset
+from .data import (Dataset, load_cifar_bin, load_idx, sample_class_balanced, synth_dataset,
+                   write_atomic)
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -179,13 +181,16 @@ def _parse_tcp(spec: str) -> tuple[str, int]:
         raise ConfigError(f"bad port in transport {spec!r}") from None
 
 
-def _write_curve(path: str, losses: list[float]) -> None:
+def _write_csv(path: str, rows) -> None:
+    """``rows`` as a CSV file, written whole (``write_atomic``)."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss"])
-        for i, loss in enumerate(losses, 1):
-            writer.writerow([i, loss])
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    write_atomic(path, text.getvalue().encode("utf-8"))
+
+
+def _write_curve(path: str, losses: list[float]) -> None:
+    _write_csv(path, [["step", "loss"], *([i, loss] for i, loss in enumerate(losses, 1))])
 
 
 def cmd_train(cfg: dict) -> int:
@@ -249,12 +254,10 @@ def cmd_attack_invert(cfg: dict) -> int:
     inv = inversion_config(cfg)
     out = cfg["out_dir"]
     res, mse = invert_cut(model, depth, sample.images, inv, os.path.join(out, "inversion"))
-    with open(os.path.join(out, "inversion", "metrics.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "objective", "tv", "mse_truth"])
-        for m in res.history:
-            writer.writerow([m.round, m.objective, m.tv,
-                             "" if m.mse_truth is None else m.mse_truth])
+    _write_csv(os.path.join(out, "inversion", "metrics.csv"), [
+        ["round", "objective", "tv", "mse_truth"],
+        *([m.round, m.objective, m.tv, "" if m.mse_truth is None else m.mse_truth]
+          for m in res.history)])
     save_checkpoint(SplitModel(res.clone.layers, model.arch, cfg["seed"], depth),
                     os.path.join(out, "inversion", "clone.ckpt"))
     lam = default_tv_lambda(depth) if inv.tv_lambda is None else inv.tv_lambda
@@ -285,10 +288,10 @@ def cmd_attack_labels(cfg: dict) -> int:
                                    cfg["seed"])
     out = cfg["out_dir"]
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "label_inference.json"), "w") as fh:
-        json.dump({"dataset": cfg["dataset"], "arch": model.arch,
-                   "tail_depth": cfg["tail_depth"], "samples": cfg["samples"],
-                   "accuracy": acc, "seed": cfg["seed"]}, fh, indent=2)
+    write_atomic(os.path.join(out, "label_inference.json"), json.dumps(
+        {"dataset": cfg["dataset"], "arch": model.arch,
+         "tail_depth": cfg["tail_depth"], "samples": cfg["samples"],
+         "accuracy": acc, "seed": cfg["seed"]}, indent=2).encode("utf-8"))
     print(f"label inference: tail_depth={cfg['tail_depth']} "
           f"samples={cfg['samples']} accuracy={acc:.1%}")
     return 0

@@ -1,10 +1,11 @@
-"""Dataset loading and sampling.
+"""Dataset loading and sampling, and whole-file writes.
 
 Reads the standard IDX files (MNIST / Fashion-MNIST) and CIFAR-10 binary
 batches from a local data directory; nothing is ever downloaded. A seeded
 synthetic generator provides fixtures so the test suite runs offline.
 Pixels are scaled by 1/255 into [0, 1]; no standardization or
-augmentation is applied.
+augmentation is applied. ``write_atomic`` writes every output file the
+library produces whole, apart from the appended ``report.csv``.
 """
 
 from __future__ import annotations
@@ -43,6 +44,20 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices)
         return Dataset(self.images[idx], self.labels[idx], self.name, self.split)
+
+
+def write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to a temporary name in ``path``'s directory and rename
+    it over ``path`` once whole, so that a run killed or failing mid-write
+    leaves the previous file as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _read_file(path: str) -> bytes:

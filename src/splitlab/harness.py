@@ -25,7 +25,7 @@ from .attacks.inversion import InversionConfig, InversionResult, unsplit_invert
 from .attacks.labels import (infer_label, make_tail_clone, tail_accuracy,
                              tail_param_gradients)
 from .autograd import Tensor
-from .data import Dataset, epoch_batches, sample_class_balanced
+from .data import Dataset, epoch_batches, sample_class_balanced, write_atomic
 from .errors import ConfigError, ShapeError
 from .layers import LayerStack
 from .models import SplitModel, build_layers, split_at, tail_start_index
@@ -54,13 +54,8 @@ def dump_image(x: np.ndarray, path: str) -> None:
     c, h, w = x.shape
     pixels = _to_bytes(x)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "wb") as fh:
-        if c == 1:
-            fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-            fh.write(pixels[0].tobytes())
-        else:
-            fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-            fh.write(pixels.transpose(1, 2, 0).tobytes())
+    kind, raster = ("P5", pixels[0]) if c == 1 else ("P6", pixels.transpose(1, 2, 0))
+    write_atomic(path, f"{kind}\n{w} {h}\n255\n".encode("ascii") + raster.tobytes())
 
 
 GUTTER = 2  # pixels between the images of a grid

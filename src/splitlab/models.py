@@ -11,7 +11,6 @@ whole net, and ``merge`` puts parts back together.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 from functools import cache, partial
@@ -19,6 +18,7 @@ from functools import cache, partial
 import numpy as np
 
 from .autograd import Tensor
+from .data import write_atomic
 from .errors import CheckpointError, ConfigError
 from .layers import (
     Conv2d,
@@ -269,14 +269,7 @@ def save_checkpoint(model: SplitModel, path: str) -> None:
         parts.append(struct.pack("<B", p.data.ndim))
         parts.append(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
         parts.append(p.data.astype("<f4", copy=False).tobytes())
-    tmp = f"{path}.{os.getpid()}.tmp"  # renamed over path once whole
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(b"".join(parts))
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    write_atomic(path, b"".join(parts))
 
 
 class _Reader:

@@ -39,30 +39,64 @@ class SGD(Optimizer):
             p.data -= np.float32(self.lr) * g
 
 
+GROUP_LIMIT = 1 << 16  # most elements Adam updates as one flat group
+
+
 class Adam(Optimizer):
-    """Bias-corrected Adam with the usual betas and epsilon."""
+    """Bias-corrected Adam with the usual betas and epsilon.
+
+    Consecutive parameters share one flat ``m``, ``v`` and pass while their
+    group stays within ``GROUP_LIMIT`` elements; a larger parameter is a
+    group of its own. Every element sees the per-tensor update's float32
+    operations in the same order, in place through two scratch arrays.
+    """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, params: list[Tensor], lr: float):
         super().__init__(params, lr)
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.groups: list[list[int]] = []  # parameter indices, in order
+        size = GROUP_LIMIT
+        for i, p in enumerate(self.params):
+            if size + p.data.size > GROUP_LIMIT:
+                self.groups.append([])
+                size = 0
+            self.groups[-1].append(i)
+            size += p.data.size
+        self.m = [np.zeros(sum(self.params[i].data.size for i in g), np.float32)
+                  for g in self.groups]
+        self.v = [np.zeros_like(m) for m in self.m]
 
     def step(self) -> None:
         grads = self._grads()
         self.step_count += 1
         t = self.step_count
         b1, b2 = np.float32(self.BETA1), np.float32(self.BETA2)
+        a1, a2 = 1 - b1, 1 - b2
         c1 = np.float32(1.0 - self.BETA1**t)
         c2 = np.float32(1.0 - self.BETA2**t)
         lr, eps = np.float32(self.lr), np.float32(self.EPS)
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+        mul, div = np.multiply, np.divide
+        for group, m, v in zip(self.groups, self.m, self.v):
+            g = (grads[group[0]].reshape(-1) if len(group) == 1 else
+                 np.concatenate([grads[i].reshape(-1) for i in group]))
+            s, d = np.empty_like(m), np.empty_like(m)
+            # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and the update
+            # lr*(m/c1) / (sqrt(v/c2) + eps), rounded op by op as written.
             m *= b1
-            m += (1 - b1) * g
+            m += mul(a1, g, s)
             v *= b2
-            v += (1 - b2) * g * g
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            v += mul(mul(a2, g, s), g, s)
+            mul(lr, div(m, c1, s), s)
+            np.sqrt(div(v, c2, d), d)
+            d += eps
+            s /= d
+            start = 0
+            for i in group:
+                p = self.params[i]
+                n = p.data.size
+                p.data -= s[start:start + n].reshape(p.data.shape)
+                start += n
 
 
 OPTIMIZERS = {"sgd": SGD, "adam": Adam}

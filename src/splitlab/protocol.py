@@ -42,7 +42,7 @@ import numpy as np
 from . import wire
 from .autograd import Tensor, backward, cross_entropy
 from .data import epoch_batches, epoch_order  # noqa: F401  (re-exported)
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, ShapeError
 from .layers import LayerStack
 from .models import ARCHS, SplitModel, build_part, layout, merge, tail_start_index
 from .optim import OPTIMIZERS, Optimizer, make_optimizer
@@ -142,9 +142,14 @@ def loss_forward_backward(
         raise ProtocolError(f"activations {sm.shape} for {labels.size} labels")
     probs = part.forward(sm)
     _release(sm)
-    if labels.max(initial=0) >= probs.data.shape[1]:
-        raise ProtocolError(f"label {labels.max()} for {probs.data.shape[1]} classes")
-    loss = cross_entropy(probs, labels)
+    try:
+        loss = cross_entropy(probs, labels)
+    except ShapeError:  # the rows match: a label out of range is the peer's
+        k = probs.data.shape[-1]
+        bad = labels[(labels < 0) | (labels >= k)]
+        if not bad.size:
+            raise
+        raise ProtocolError(f"label {bad[0]} for {k} classes") from None
     opt.zero_grad()
     backward(loss)
     opt.step()
@@ -417,7 +422,7 @@ CODECS = {  # message type -> (encode, decode), each looked up in wire per call
 }
 
 
-def _expect(transport: Transport, *allowed: MsgType) -> tuple[MsgType, bytes]:
+def _expect(transport: Transport, *allowed: MsgType) -> tuple[MsgType, bytearray]:
     mtype, payload = transport.recv()
     if mtype not in allowed:
         names = "/".join(m.name for m in allowed)
@@ -426,20 +431,22 @@ def _expect(transport: Transport, *allowed: MsgType) -> tuple[MsgType, bytes]:
 
 
 def _play(transport: Transport, program):
-    """Run one role program over ``transport``; returns its result."""
+    """Run one role program over ``transport``; returns its result. The
+    frames of each of the role's turns go out in one write."""
     value = None
-    while True:
-        try:
-            event = program.send(value)
-        except StopIteration as stop:
-            return stop.value
-        if isinstance(event, MsgType):
-            value = [CODECS[event][1](_expect(transport, event)[1])]
-        else:  # drop the value once encoded: the send may wait on the peer
-            mtype, payload = event[0], CODECS[event[0]][0](event[1])
-            event = None
-            transport.send(mtype, payload)
-            payload = value = None
+    with transport.coalesced():
+        while True:
+            try:
+                event = program.send(value)
+            except StopIteration as stop:
+                return stop.value
+            if isinstance(event, MsgType):
+                value = [CODECS[event][1](_expect(transport, event)[1])]
+            else:  # drop the value once encoded: the payload is all the queue keeps
+                mtype, payload = event[0], CODECS[event[0]][0](event[1])
+                event = None
+                transport.send(mtype, payload)
+                payload = value = None
 
 
 def _client_handshake(transport: Transport, cfg: SessionConfig, examples: int) -> None:

@@ -4,66 +4,151 @@ Every session runs on one class, ``Transport``. ``inproc_pair``
 returns the two ends of a ``socket.socketpair()`` for roles in one
 process; ``tcp_listen`` and ``tcp_connect`` return one end of a TCP
 connection. In-process and TCP runs therefore share the framing, the
-chunked reads, the timeouts and the close: closing an end gives its
+buffered reads, the timeouts and the close: closing an end gives its
 peer EOF, so a peer blocked in ``recv`` fails at once. Whoever opens a
 pair or a connection closes it; a transport is a context manager for
 that. Either end may record a transcript of the raw frames in order,
 for the honest-but-curious neutrality checks.
+
+Inside ``coalesced`` (a role's turn-taking loop) ``send`` only queues a
+frame: the queue goes out in one scatter-gather write before the next
+``recv`` and when the block ends, so a role's turn costs one write
+however many frames it sends. Elsewhere ``send`` writes at once.
+``recv`` reads through a buffer, so one read may bring in several
+frames, and a frame already there costs no socket call.
 """
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import time
 
 from .errors import ProtocolError
-from .wire import HEADER, MsgType, decode_header, encode_frame
+from .wire import HEADER, MAGIC, MsgType, decode_header, encode_frame
+
+# A body is read LEAD bytes into a fresh bytearray whose front is then cut
+# off, which in CPython only moves the array's start. A tensor payload's
+# data, after its 1 + 4*ndim header bytes, then starts 4-byte aligned,
+# and ``wire.decode_tensor`` can return it without a copy.
+_LEAD = 3
 
 
 class Transport:
     """One endpoint of a reliable, ordered frame stream over a socket."""
 
-    RECV_CHUNK = 1 << 20  # largest single recv: memory grows with bytes received
+    RECV_CHUNK = 1 << 20  # largest single read into a body
+    READ_AHEAD = 1 << 16  # bytes one header read may take in, later frames included
 
     def __init__(self, sock: socket.socket, record_transcript: bool = False):
         self._sock = sock
         self.transcript: list[tuple[str, bytes]] | None = (
             [] if record_transcript else None
         )
+        self._ahead = memoryview(bytearray(self.READ_AHEAD))
+        self._lo = self._hi = 0  # the received bytes not yet returned
+        self._queue: list | None = None  # unwritten buffers, inside ``coalesced``
 
     def send(self, msg_type: MsgType, payload: bytes = b"") -> None:
-        frame = encode_frame(msg_type, payload)
         if self.transcript is not None:
-            self.transcript.append(("send", frame))
-        self._send_bytes(frame)
+            self.transcript.append(("send", encode_frame(msg_type, payload)))
+        head = HEADER.pack(MAGIC, msg_type, len(payload))
+        if self._queue is None:
+            self._send_bytes(head, payload)
+        else:
+            self._queue += (head, payload)
 
-    def recv(self) -> tuple[MsgType, bytes]:
-        head = self._recv_bytes(HEADER.size)
-        mtype, length = decode_header(head)  # reject a bad header before the body
-        payload = self._recv_bytes(length) if length else b""
+    @contextlib.contextmanager
+    def coalesced(self):
+        """Queue what ``send`` sends in this block: it goes out in one write
+        before the next ``recv``, and when the block ends without an error."""
+        self._queue = []
+        try:
+            yield
+            self._flush()
+        finally:
+            self._queue = None
+
+    def _flush(self) -> None:
+        if self._queue:
+            parts, self._queue = self._queue, []
+            self._send_bytes(*parts)
+
+    def recv(self) -> tuple[MsgType, bytearray]:
+        """The next frame's type and payload. Waits up to the socket's
+        timeout for each read of the header; once the header is in, the
+        whole body must arrive within one timeout."""
+        self._flush()
+        while self._hi - self._lo < HEADER.size:
+            self._fill()
+        mtype, length = decode_header(self._ahead[self._lo:self._hi])
+        self._lo += HEADER.size
+        payload = self._read_body(length)
         if self.transcript is not None:
-            self.transcript.append(("recv", head + payload))
+            self.transcript.append(("recv", encode_frame(mtype, payload)))
         return mtype, payload
 
-    def _send_bytes(self, data: bytes) -> None:
+    def _fill(self) -> None:
+        """Read at least one byte after the unread ones, as many as the
+        socket has and the read-ahead buffer holds."""
+        unread = self._hi - self._lo
+        if self._lo:  # fewer than a header's bytes: move them to the front
+            self._ahead[:unread] = self._ahead[self._lo:self._hi]
+            self._lo, self._hi = 0, unread
+        self._hi += self._recv_into(self._ahead[unread:])
+
+    def _read_body(self, length: int) -> bytearray:
+        have = min(length, self._hi - self._lo)
+        body = bytearray(_LEAD + min(length, have + self.RECV_CHUNK))
+        body[_LEAD:_LEAD + have] = self._ahead[self._lo:self._lo + have]
+        self._lo += have
+        got = _LEAD + have
+        if have < length:
+            timeout = self._sock.gettimeout()
+            deadline = None if timeout is None else time.monotonic() + timeout
+            try:
+                while got < _LEAD + length:
+                    if got == len(body):  # full: double it, without a temporary
+                        body *= 2
+                        del body[_LEAD + length:]
+                    if deadline is not None:
+                        left = deadline - time.monotonic()
+                        if left <= 0:
+                            raise ProtocolError(
+                                f"frame body incomplete after {timeout:g} s")
+                        self._sock.settimeout(left)
+                    with memoryview(body) as view:
+                        got += self._recv_into(view[got:got + self.RECV_CHUNK])
+            finally:
+                if deadline is not None:
+                    self._sock.settimeout(timeout)
+        del body[:_LEAD]
+        return body
+
+    def _recv_into(self, view: memoryview) -> int:
         try:
-            self._sock.sendall(data)
+            n = self._sock.recv_into(view)
+        except OSError as exc:
+            raise ProtocolError(f"recv failed: {exc}") from None
+        if not n:
+            raise ProtocolError("connection closed mid-frame")
+        return n
+
+    def _send_bytes(self, *parts) -> None:
+        """Write ``parts`` in order, with as few ``sendmsg`` calls as the
+        socket takes."""
+        try:
+            sent = self._sock.sendmsg(parts)
+            if sent < sum(map(len, parts)):
+                views = [memoryview(p).cast("B") for p in parts]
+                while views:
+                    while views and sent >= len(views[0]):
+                        sent -= len(views.pop(0))
+                    if views:
+                        views[0] = views[0][sent:]
+                        sent = self._sock.sendmsg(views)
         except OSError as exc:
             raise ProtocolError(f"send failed: {exc}") from None
-
-    def _recv_bytes(self, n: int) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
-            try:
-                chunk = self._sock.recv(min(remaining, self.RECV_CHUNK))
-            except OSError as exc:
-                raise ProtocolError(f"recv failed: {exc}") from None
-            if not chunk:
-                raise ProtocolError("connection closed mid-frame")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
 
     def close(self) -> None:
         try:

@@ -19,6 +19,7 @@ decode, before it reaches any arithmetic.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from enum import IntEnum
 
@@ -76,53 +77,71 @@ def decode_frame(buf: bytes) -> tuple[MsgType, bytes]:
     return mtype, buf[HEADER.size :]
 
 
+# "<B{n}I": a tensor's rank and dims, for every rank the wire allows.
+_DIMS = tuple(struct.Struct(f"<B{n}I") for n in range(MAX_TENSOR_NDIM + 1))
+_F32 = np.dtype("<f4")
+
+
 def encode_tensor(arr: np.ndarray) -> bytes:
-    arr = np.asarray(arr, dtype=np.float32)
+    return b"".join(_tensor_parts(arr))
+
+
+def _tensor_parts(arr) -> tuple[bytes, memoryview]:
+    """A tensor's rank-and-dims head and a view of its data, as sent."""
+    arr = np.asarray(arr, dtype=_F32)
     if arr.ndim > MAX_TENSOR_NDIM:
         raise ProtocolError(f"tensor rank {arr.ndim} exceeds wire limit")
-    head = struct.pack("<B", arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
-    # One copy of the data: the payload is joined straight from the array's buffer.
-    body = np.ascontiguousarray(arr, dtype="<f4")
-    return b"".join((head, memoryview(body)))
+    if not arr.flags.c_contiguous:
+        arr = arr.copy()
+    return _DIMS[arr.ndim].pack(arr.ndim, *arr.shape), memoryview(arr)
 
 
-def decode_tensor(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
+def _tensor_view(buf, offset: int) -> tuple[np.ndarray, int]:
+    """The tensor at ``offset`` as a view of ``buf``, and the offset after it."""
     if offset + 1 > len(buf):
         raise ProtocolError("tensor payload truncated before ndim")
     ndim = buf[offset]
-    offset += 1
     if ndim > MAX_TENSOR_NDIM:
         raise ProtocolError(f"tensor rank {ndim} exceeds wire limit")
-    need = 4 * ndim
-    if offset + need > len(buf):
+    dims = _DIMS[ndim]
+    if offset + dims.size > len(buf):
         raise ProtocolError("tensor payload truncated in dims")
-    dims = struct.unpack_from(f"<{ndim}I", buf, offset)
-    offset += need
-    count = 1
-    for d in dims:
-        count *= d
-    need = 4 * count
-    if offset + need > len(buf):
+    dims = dims.unpack_from(buf, offset)[1:]
+    offset += 1 + 4 * ndim
+    count = math.prod(dims)
+    if offset + 4 * count > len(buf):
         raise ProtocolError(
-            f"tensor payload truncated: dims {dims} need {need} data bytes"
+            f"tensor payload truncated: dims {dims} need {4 * count} data bytes"
         )
-    arr = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
+    return np.ndarray(dims, _F32, buf, offset), offset + 4 * count
+
+
+def decode_tensor(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
+    """The tensor at ``offset`` and the offset after it. The array is a view
+    of ``buf`` when ``buf`` is writable (a received ``bytearray``) and the
+    data is aligned, else a copy."""
+    arr, offset = _tensor_view(buf, offset)
+    if not (arr.flags.writeable and arr.flags.aligned):
+        arr = arr.copy()
     if not np.isfinite(arr).all():
         raise ProtocolError("tensor payload holds NaN or infinite values")
-    offset += need
-    return arr.reshape(dims).copy(), offset
+    return arr, offset
+
+
+def _check_consumed(buf, offset: int) -> None:
+    if offset != len(buf):
+        raise ProtocolError(f"{len(buf) - offset} bytes after the payload's tensor")
 
 
 def decode_one_tensor(buf: bytes) -> np.ndarray:
     """The one tensor a payload carries; rejects bytes after it."""
     arr, offset = decode_tensor(buf)
-    if offset != len(buf):
-        raise ProtocolError(f"{len(buf) - offset} bytes after the payload's tensor")
+    _check_consumed(buf, offset)
     return arr
 
 
 def encode_tensor_list(arrays) -> bytes:
-    return b"".join(encode_tensor(a) for a in arrays)
+    return b"".join([part for a in arrays for part in _tensor_parts(a)])
 
 
 def decode_tensor_list(buf: bytes) -> list[np.ndarray]:
@@ -140,13 +159,18 @@ def encode_labels(labels: np.ndarray) -> bytes:
 
 
 def decode_labels(buf: bytes) -> np.ndarray:
-    arr = decode_one_tensor(buf)
+    arr, offset = _tensor_view(buf, 0)
+    _check_consumed(buf, offset)
     if arr.ndim != 1:
         raise ProtocolError("malformed labels payload")
-    # Checked before any cast: NaN, inf and huge values do not cast cleanly.
-    if not np.all((arr >= 0) & (arr < 2**24) & (arr == np.floor(arr))):
+    # The range check comes first and also rejects NaN and inf: a value
+    # out of int64's range does not cast cleanly.
+    if not (arr.min(initial=0) >= 0 and arr.max(initial=0) < 2**24):
         raise ProtocolError("labels payload holds values that are not class indices")
-    return arr.astype(np.int64)
+    labels = arr.astype(np.int64)
+    if (labels != arr).any():
+        raise ProtocolError("labels payload holds values that are not class indices")
+    return labels
 
 
 def encode_scalar(value: float) -> bytes:

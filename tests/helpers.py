@@ -1,7 +1,8 @@
 """Shared test utilities: the oracles the library is checked against
 (central finite differences, an unsplit trainer, per-candidate label
 probing, einsum fc distances, uniform draws, argmax pooling, whole-batch
-convolution, plane-by-plane total variation), a layer-construction counter, kink-aware input sampling,
+convolution, plane-by-plane total variation, per-tensor Adam), a
+layer-construction counter, kink-aware input sampling,
 a session's traced memory peak, and tiny PGM/PPM parsing."""
 
 from __future__ import annotations
@@ -125,6 +126,28 @@ def uniform_oracle(rng: np.random.Generator, low: float, high: float,
                    size) -> np.ndarray:
     """Uniform float32 draws the direct way."""
     return rng.uniform(low, high, size).astype(np.float32)
+
+
+def adam_oracle(params: list[np.ndarray], grads: list[list[np.ndarray]], lr: float,
+                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
+                ) -> list[np.ndarray]:
+    """Adam, one tensor at a time: ``params`` after one step per entry of
+    ``grads`` (each a gradient per parameter), in float32."""
+    params = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    b1, b2 = np.float32(beta1), np.float32(beta2)
+    lr32, eps32 = np.float32(lr), np.float32(eps)
+    for t, step_grads in enumerate(grads, start=1):
+        c1 = np.float32(1.0 - beta1**t)
+        c2 = np.float32(1.0 - beta2**t)
+        for p, g, mi, vi in zip(params, step_grads, m, v):
+            mi *= b1
+            mi += (1 - b1) * g
+            vi *= b2
+            vi += (1 - b2) * g * g
+            p -= lr32 * (mi / c1) / (np.sqrt(vi / c2) + eps32)
+    return params
 
 
 def count_constructions(monkeypatch, arch: str) -> list[int]:

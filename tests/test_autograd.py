@@ -16,7 +16,7 @@ from splitlab.errors import GraphError, NumericError, ShapeError
 from splitlab.models import ARCHS, build_layers, layout
 from splitlab.optim import SGD, Adam
 
-from helpers import (add, conv2d_oracle, fd_check, finite_diff_grad, maxpool_oracle,
+from helpers import (adam_oracle, add, conv2d_oracle, fd_check, finite_diff_grad, maxpool_oracle,
                      pool_safe, relu_oracle, relu_safe, tsum, tv_oracle)
 
 
@@ -104,6 +104,17 @@ class TestOps:
         p = Tensor(np.full((4, 10), 0.1, dtype=np.float32))
         loss = ag.cross_entropy(p, np.array([0, 3, 7, 9]))
         assert float(loss.data) == pytest.approx(np.log(10.0), rel=1e-5)
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 64, 257])
+    def test_cross_entropy_keeps_the_mean_bits(self, n):
+        # The loss is np.mean's float32 sum and rounded division, not its call.
+        rng = np.random.default_rng(n)
+        p = rng.dirichlet(np.full(10, 0.3), size=n).astype(np.float32)
+        p[0, 0] = 0.0  # clipped at 1e-12
+        labels = rng.integers(0, 10, n)
+        labels[0] = 0
+        want = np.float32(-np.mean(np.log(np.clip(p[np.arange(n), labels], 1e-12, None))))
+        assert ag.cross_entropy(Tensor(p), labels).data.tobytes() == want.tobytes()
 
     def test_cross_entropy_label_range(self):
         p = Tensor(np.full((1, 10), 0.1, dtype=np.float32))
@@ -773,6 +784,27 @@ class TestOptim:
         p = Tensor([1.0], requires_grad=True)
         with pytest.raises(ShapeError):
             SGD([p], lr=0.1).step()
+
+    def test_adam_groups_match_the_per_tensor_oracle(self):
+        from splitlab.optim import GROUP_LIMIT
+
+        # Sizes that fill a group exactly, spill over it, and stand alone.
+        sizes = [(3, 5), (7,), (GROUP_LIMIT - 22,), (2,), (GROUP_LIMIT + 1,),
+                 (4, 4), (GROUP_LIMIT // 2,), (GROUP_LIMIT // 2 + 1,), ()]
+        rng = np.random.default_rng(5)
+        start = [rng.normal(size=s).astype(np.float32) for s in sizes]
+        grads = [[rng.normal(scale=10.0 ** rng.integers(-6, 3), size=s).astype(np.float32)
+                  for s in sizes] for _ in range(4)]
+        grads[2][0][0, 0] = 0.0
+        params = [Tensor(p.copy(), requires_grad=True) for p in start]
+        opt = Adam(params, lr=0.01)
+        assert [len(g) for g in opt.groups] == [3, 1, 1, 2, 2]
+        for step_grads in grads:
+            for p, g in zip(params, step_grads):
+                p.grad = g
+            opt.step()
+        for p, want in zip(params, adam_oracle(start, grads, lr=0.01)):
+            assert p.data.tobytes() == want.tobytes()
 
     def test_step_counter_increases(self):
         p = Tensor([1.0], requires_grad=True)

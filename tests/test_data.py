@@ -16,6 +16,7 @@ from splitlab.data import (
     load_idx,
     sample_class_balanced,
     synth_dataset,
+    write_atomic,
 )
 from splitlab.errors import DataError
 
@@ -203,3 +204,40 @@ class TestBatches:
         b = [idx.tolist() for idx in epoch_batches(16, 4, seed=9, epoch=1)]
         assert a == b
         assert sum(a, []) == epoch_order(16, seed=9, epoch=1).tolist()
+
+
+class TestWriteAtomic:
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "train_curve.csv"
+        write_atomic(str(path), b"step,loss\r\n1,2.3\r\n")
+        before = path.read_bytes()
+        real_open = open
+
+        class Torn:
+            """A file that takes half of a write and then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("builtins.open", lambda *a, **k: Torn(real_open(*a, **k)))
+        with pytest.raises(OSError):
+            write_atomic(str(path), b"step,loss\r\n" * 100)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["train_curve.csv"]
+
+    def test_replaces_whole(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_atomic(str(path), b"x" * 100)
+        write_atomic(str(path), b"{}")
+        assert path.read_bytes() == b"{}"

@@ -146,3 +146,146 @@ class TestTcp:
         finally:
             tracemalloc.stop()
         assert peak < 8 * Transport.RECV_CHUNK
+
+
+class _CountingSocket:
+    """A socket that counts the writes and reads made on it."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.writes = self.reads = 0
+
+    def sendmsg(self, buffers):
+        self.writes += 1
+        return self._sock.sendmsg(buffers)
+
+    def recv_into(self, view):
+        self.reads += 1
+        return self._sock.recv_into(view)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestCoalescedWrites:
+    # Role turns per step: a turn is what a role sends before it waits.
+    TURNS = {"label_sharing": 2, "server_data": 2, "client_labels": 4}
+
+    @pytest.mark.parametrize("topology", list(TURNS))
+    def test_one_write_per_turn(self, topology):
+        from splitlab.data import synth_dataset
+        from splitlab.protocol import SessionConfig, run_session
+
+        ds = synth_dataset(24, (1, 8, 8), seed=0)
+        cfg = SessionConfig(arch="tiny8", topology=topology, batch_size=8,
+                            epochs=1).validate()
+        a, b = inproc_pair(timeout=5)
+        with a, b:
+            a._sock, b._sock = _CountingSocket(a._sock), _CountingSocket(b._sock)
+            run_session(cfg, ds.images, ds.labels, (a, b))
+            writes = a._sock.writes + b._sock.writes
+        # The handshake (HELLO, HELLO, CONFIG, ACK) and END write at once.
+        assert writes - 5 == 3 * self.TURNS[topology]
+
+    def test_queued_frames_leave_before_recv_in_one_read(self):
+        a, b = inproc_pair(timeout=5)
+        with a, b:
+            a._sock, b._sock = _CountingSocket(a._sock), _CountingSocket(b._sock)
+            b.send(MsgType.GRAD, wire.encode_tensor_list([np.zeros(3, np.float32)]))
+            with a.coalesced():
+                a.send(MsgType.SMASHED, wire.encode_tensor(np.ones(3, np.float32)))
+                a.send(MsgType.LABELS, wire.encode_labels(np.array([1, 2, 3])))
+                assert a._sock.writes == 0
+                assert a.recv()[0] is MsgType.GRAD  # the queue goes out first
+                assert a._sock.writes == 1
+            assert [b.recv()[0], b.recv()[0]] == [MsgType.SMASHED, MsgType.LABELS]
+            assert b._sock.reads == 1
+
+    def test_error_in_block_drops_the_queue(self):
+        a, b = inproc_pair(timeout=0.2)
+        with a, b:
+            with pytest.raises(RuntimeError), a.coalesced():
+                a.send(MsgType.ACK)
+                raise RuntimeError("role failed")
+            a.send(MsgType.END)  # outside the block: written at once
+            assert b.recv()[0] is MsgType.END
+
+
+class TestReader:
+    def test_dripped_body_fails_within_one_timeout(self):
+        peer, conn = socket.socketpair()
+        conn.settimeout(0.5)
+        stop = threading.Event()
+
+        def drip():  # a header, then one body byte every 0.2 s
+            peer.sendall(wire.HEADER.pack(wire.MAGIC, int(MsgType.GRAD), 100))
+            while not stop.wait(0.2):
+                try:
+                    peer.sendall(b"x")
+                except OSError:
+                    return
+
+        th = threading.Thread(target=drip, daemon=True)
+        th.start()
+        try:
+            with Transport(conn) as receiver:
+                t0 = time.monotonic()
+                with pytest.raises(ProtocolError):
+                    receiver.recv()
+                elapsed = time.monotonic() - t0
+        finally:
+            stop.set()
+            th.join(timeout=5)
+            peer.close()
+        assert elapsed < 1.0
+
+    def test_body_keeps_its_bytes_across_reads(self):
+        # Bodies larger than the read-ahead buffer and than one read.
+        rng = np.random.default_rng(0)
+        blobs = [rng.bytes(n) for n in (0, 5, Transport.READ_AHEAD + 7,
+                                        Transport.RECV_CHUNK * 2 + 3)]
+        a, b = inproc_pair(timeout=5)
+        with a, b:
+            def send_all():
+                with a.coalesced():
+                    for blob in blobs:
+                        a.send(MsgType.CONFIG, blob)
+
+            th = threading.Thread(target=send_all)
+            th.start()
+            got = [b.recv()[1] for _ in blobs]
+            th.join(timeout=5)
+        assert [bytes(g) for g in got] == blobs
+
+    def test_received_tensor_is_a_writable_view(self):
+        arr = np.arange(12, dtype=np.float32).reshape(3, 4)
+        a, b = inproc_pair(timeout=5)
+        with a, b:
+            a.send(MsgType.SMASHED, wire.encode_tensor(arr))
+            _, payload = b.recv()
+        out = wire.decode_one_tensor(payload)
+        assert out.flags.writeable and np.shares_memory(out, np.frombuffer(payload, np.uint8))
+        np.testing.assert_array_equal(out, arr)
+        copy = wire.decode_one_tensor(bytes(payload))
+        assert copy.flags.writeable and not np.shares_memory(copy, out)
+        np.testing.assert_array_equal(copy, arr)
+
+    def test_cut_activation_is_copied_once(self):
+        # One cifar cut activation, encoded and sent from a thread, received
+        # and decoded: one encoded payload plus one receive buffer (2 MiB each).
+        arr = np.random.default_rng(3).normal(size=(8, 64, 32, 32)).astype(np.float32)
+        a, b = inproc_pair(timeout=5)
+        with a, b:
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                th = threading.Thread(
+                    target=lambda: a.send(MsgType.SMASHED, wire.encode_tensor(arr)))
+                th.start()
+                out = wire.decode_one_tensor(b.recv()[1])
+                th.join(timeout=5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        np.testing.assert_array_equal(out, arr)
+        assert (peak - start) / 2**20 <= 4.5
