@@ -274,9 +274,9 @@ def _col2im(wt: np.ndarray, gs: np.ndarray, dflat: np.ndarray, k: int, h: int,
 _CHUNK_BYTES = 2 << 20
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
-    """Stride-1 convolution with same padding. x: (N,C,H,W), w: (O,C,k,k)
-    with k odd, b: (O,), ``padding`` k//2; the output is (N,O,H,W).
+def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Stride-1 convolution with same padding, k//2. x: (N,C,H,W),
+    w: (O,C,k,k) with k odd, b: (O,); the output is (N,O,H,W).
 
     The lowering keeps the plane's size: each kernel tap is a shift of the
     whole flattened plane (``_patches``, ``_col2im``). Every product is one
@@ -301,8 +301,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
     o, _, k, kw = w.data.shape
     if k % 2 == 0 or kw != k:
         raise ShapeError(f"conv2d: kernel must be odd and square, got {k}x{kw}")
-    if padding != k // 2:
-        raise ShapeError(f"conv2d: a {k}x{k} kernel takes padding {k // 2}, got {padding}")
     hw = hh * ww
     wm = w.data.reshape(o, -1)
     step = max(1, _CHUNK_BYTES // max(1, 4 * c * k * k * hw))  # samples

@@ -196,7 +196,11 @@ class SweepConfig:
     out_dir: str = "out"
 
     def config_hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True, default=str)
+        """Hash of the settings a row's numbers depend on: not ``depths``,
+        the split depth or ``out_dir``, which only name rows and where they go."""
+        rec = asdict(self)
+        del rec["depths"], rec["session"]["split_depth"], rec["out_dir"]
+        blob = json.dumps(rec, sort_keys=True, default=str)
         return hashlib.sha1(blob.encode()).hexdigest()[:12]
 
 
@@ -264,12 +268,14 @@ def run_depth_sweep(sweep: SweepConfig, train_ds: Dataset,
         cut(replace(session, split_depth=depth))
     if sweep.label_samples < 1:
         raise ConfigError(f"label_samples must be >= 1, got {sweep.label_samples}")
+    n_train = min(sweep.train_subset, len(train_ds))
+    if n_train < 1:
+        raise ConfigError(f"empty training subset: train_subset={sweep.train_subset} "
+                          f"of {len(train_ds)} examples")
     chash = sweep.config_hash()
     writer = ReportWriter(os.path.join(sweep.out_dir, "report.csv"))
     sample = sample_class_balanced(test_ds, sweep.sample_per_class, session.seed)
-    subset = train_ds.subset(
-        np.arange(min(sweep.train_subset, len(train_ds)))
-    )
+    subset = train_ds.subset(np.arange(n_train))
     nets: dict[int, tuple[SplitModel, dict]] = {}  # state -> net, its columns
     rows: list[SweepRow] = []
 

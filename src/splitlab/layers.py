@@ -15,7 +15,6 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .errors import ShapeError
 
 
 def _uniform_f32(rng: np.random.Generator, low: float, high: float,
@@ -32,12 +31,13 @@ def _uniform_f32(rng: np.random.Generator, low: float, high: float,
 
 
 class Layer:
-    """A parameter-free layer: ``forward`` applies ``autograd.<kind>``."""
+    """A parameter-free layer: ``forward`` applies ``autograd.<kind>`` to
+    the input and the layer's parameters."""
 
     kind = "layer"
 
     def forward(self, x: Tensor) -> Tensor:
-        return getattr(ag, self.kind)(x)
+        return getattr(ag, self.kind)(x, *self.params())
 
     def params(self) -> list[Tensor]:
         return []
@@ -72,13 +72,7 @@ class Conv2d(Weighted):
     kind = "conv2d"
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int = 3):
-        if kernel % 2 == 0:
-            raise ShapeError(f"conv2d kernel must be odd to preserve dims, got {kernel}")
         super().__init__((out_ch, in_ch, kernel, kernel))
-        self.padding = (kernel - 1) // 2
-
-    def forward(self, x):
-        return ag.conv2d(x, self.weight, self.bias, self.padding)
 
 
 class FullyConnected(Weighted):

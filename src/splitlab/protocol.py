@@ -10,23 +10,25 @@ Three topologies are supported:
     the tail (loss included), server runs the middle.
 
 Each topology's step is written once, in ``ROLES``, as a client and a
-server program: generators that own their part's arithmetic (and the
-server's tap record) and do no I/O. A program yields ``(MsgType,
-value)`` to send and a bare ``MsgType`` to receive, and gets back a
-one-item list holding the received value, which it takes out: no frame
-of the driver then holds the value while the program runs. A role holds
-no cut activation past its last reader: once sent, a part's output
-keeps only its shape and graph node for ``backprop_part``, and a
-received one lets go of its array once the part's forward has read it;
-a VJP that reads the array keeps it, and so does a role whose tap
-records it. ``train_step`` runs both programs in one thread
-and hands values across as they are; ``run_client`` and ``run_server``
-each run one program over a ``Transport``, through the ``CODECS``
-table. The codec is bit-exact, so both ways walk the same trajectory.
+server program: generators that own their part's arithmetic and do no
+I/O. A program yields ``(MsgType, value)`` to send and a bare
+``MsgType`` to receive, and gets back a one-item list holding the
+received value, which it takes out: no frame of ``_lockstep`` or
+``_play`` then holds the value while the program runs. A role holds no
+cut activation past its last reader: once sent, a part's output keeps
+only its shape and graph node for ``backprop_part``, and a received one
+lets go of its array once the part's forward has read it; a VJP that
+reads the array keeps it. ``train_step`` runs both programs in one
+thread and hands values across as they are; ``run_client`` and
+``run_server`` each run one program over a ``Transport``, through the
+``CODECS`` table. The codec is bit-exact, so both ways walk the same
+trajectory.
 
 The server's honest-but-curious vantage point is a ``ServerTap``: an
-append-only record of everything the server legitimately observes.
-Recording never alters any message.
+append-only record of the messages the server sends and receives.
+Given a tap, ``_lockstep`` and ``_play`` note a step's messages and hand
+them to ``ServerTap.record`` when the server's program returns; without
+one they keep none. Recording never alters any message.
 """
 
 from __future__ import annotations
@@ -84,10 +86,10 @@ class SessionConfig:
 @dataclass
 class TapEntry:
     step: int
-    smashed: np.ndarray  # cut activations received; in server_data, those sent
+    smashed: np.ndarray  # the first cut activations of the step, either way
     labels: np.ndarray | None
-    grad: list[np.ndarray]
-    tail_input: np.ndarray | None = None  # activations sent to the client's tail
+    grad: list[np.ndarray]  # the first GRAD of the step, either way
+    tail_input: np.ndarray | None = None  # activations the server sent
 
 
 class ServerTap:
@@ -96,22 +98,22 @@ class ServerTap:
     def __init__(self):
         self.entries: list[TapEntry] = []
 
-    def record(self, smashed: np.ndarray, labels: np.ndarray | None,
-               grad: list[np.ndarray], tail_input: np.ndarray | None = None) -> None:
-        """Log one step's observations, copied, the labels as int64 whatever
-        dtype the server was handed; entries are numbered from 1."""
+    def record(self, messages: list[tuple[bool, MsgType, object]]) -> None:
+        """Log one step from its messages, ``(sent by the server, MsgType,
+        value)`` in order: the first SMASHED and GRAD either way, the LABELS
+        as int64, and the SMASHED the server sent, each copied once."""
+        first, sent = {}, None
+        for by_server, mtype, value in messages:
+            first.setdefault(mtype, value)
+            if by_server and mtype == MsgType.SMASHED:
+                sent = value
+        smashed, labels = first[MsgType.SMASHED], first.get(MsgType.LABELS)
         kept = np.array(smashed, copy=True)
-        self.entries.append(
-            TapEntry(
-                len(self.entries) + 1,
-                kept,
-                None if labels is None else np.array(labels, dtype=np.int64, copy=True),
-                [np.array(g, copy=True) for g in grad],
-                # server_data sends its cut activations to the tail: one copy.
-                kept if tail_input is smashed else
-                None if tail_input is None else np.array(tail_input, copy=True),
-            )
-        )
+        self.entries.append(TapEntry(
+            len(self.entries) + 1, kept,
+            None if labels is None else np.array(labels, dtype=np.int64, copy=True),
+            [np.array(g, copy=True) for g in first.get(MsgType.GRAD, [])],
+            kept if sent is smashed else None if sent is None else np.array(sent, copy=True)))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -182,18 +184,7 @@ class ClientState:
 class ServerState:
     part: SplitModel  # the server's own layers
     opt: Optimizer | None = None
-    tap: ServerTap | None = None
     rows: tuple[int, ...] | None = None  # row shape of the SMASHED it receives
-
-    def for_tap(self, a: np.ndarray) -> np.ndarray | None:
-        """``a`` if the tap will record it, else None."""
-        return None if self.tap is None else a
-
-    def observe(self, smashed: np.ndarray | None, labels: np.ndarray | None,
-                grad: list[np.ndarray], tail_input: np.ndarray | None = None) -> None:
-        """Log what the server saw in a step."""
-        if self.tap is not None:
-            self.tap.record(smashed, labels, grad, tail_input)
 
 
 def cut(cfg: SessionConfig) -> tuple[int, int, int]:
@@ -277,10 +268,8 @@ def _label_sharing_client(client: ClientState, x, y):
 
 def _label_sharing_server(server: ServerState, x):
     sm = _cut_input((yield MsgType.SMASHED).pop(), server.rows)
-    smashed = server.for_tap(sm.data)
     y = (yield MsgType.LABELS).pop()
     loss, gcut, _ = loss_forward_backward(server.part, sm, y, server.opt)
-    server.observe(smashed, y, [gcut])
     yield MsgType.GRAD, [gcut]
     yield MsgType.LOSS, loss
     return loss
@@ -296,11 +285,9 @@ def _server_data_client(client: ClientState, x, y):
 
 def _server_data_server(server: ServerState, x):
     smashed = server.part.forward(Tensor(x))
-    seen = server.for_tap(smashed.data)
     yield MsgType.SMASHED, _sent(smashed)
     grads = (yield MsgType.GRAD).pop()
     loss = (yield MsgType.LOSS).pop()
-    server.observe(seen, None, grads, seen)
     backprop_part(server.part, smashed, grads[0], server.opt)
     return loss
 
@@ -319,14 +306,11 @@ def _client_labels_client(client: ClientState, x, y):
 
 def _client_labels_server(server: ServerState, x):
     sm1 = _cut_input((yield MsgType.SMASHED).pop(), server.rows)
-    a1 = server.for_tap(sm1.data)
     a2 = server.part.forward(sm1)
     _release(sm1)
-    tail_input = server.for_tap(a2.data)
     yield MsgType.SMASHED, _sent(a2)
     grads = (yield MsgType.GRAD).pop()
     loss = (yield MsgType.LOSS).pop()
-    server.observe(a1, None, grads, tail_input)
     backprop_part(server.part, a2, grads[0], server.opt)
     yield MsgType.GRAD, [sm1.grad]
     return loss
@@ -354,17 +338,21 @@ def session_batches(cfg: SessionConfig, n: int):
 # ---------------------------------------------------------------------------
 # local (in-memory) execution
 
-def _lockstep(*programs) -> list:
+def _lockstep(*programs, tap: ServerTap | None = None) -> list:
     """Run a client and a server program to completion in this thread. A
     sent value goes straight into the peer's inbox; a program waiting on
-    an empty inbox lets the other one run."""
+    an empty inbox lets the other one run. ``tap`` records the step's
+    messages when the server's program returns."""
     inbox, results = ([], []), [None, None]
+    messages = []
     events = [next(p) for p in programs]
     i = idle = 0
     while events != [None, None]:
         event, value = events[i], None
         if isinstance(event, tuple):
             inbox[1 - i].append(event)
+            if tap is not None:
+                messages.append((i == 1, *event))
         elif event is not None and inbox[i]:
             mtype, value = inbox[i].pop(0)
             if mtype != event:
@@ -380,19 +368,23 @@ def _lockstep(*programs) -> list:
             events[i] = programs[i].send(value)
         except StopIteration as stop:
             events[i], results[i] = None, stop.value
+            if i == 1 and tap is not None:
+                tap.record(messages)
     return results
 
 
 def train_step(topology: str, client: ClientState, server: ServerState,
-               batch: tuple[np.ndarray, np.ndarray]) -> float:
+               batch: tuple[np.ndarray, np.ndarray], tap: ServerTap | None = None
+               ) -> float:
     """One forward-backward-update pass of both role programs, no wire in
-    between. Numerically identical to the wire-driven path: the codec is
-    bit-exact, so skipping it changes nothing."""
+    between, recorded on ``tap`` if given. Numerically identical to the
+    wire-driven path: the codec is bit-exact, so skipping it changes
+    nothing."""
     x, y = batch
     client_x, server_x = held_examples(topology, x)
     client_program, server_program = ROLES[topology]
     loss, _ = _lockstep(client_program(client, client_x, y),
-                        server_program(server, server_x))
+                        server_program(server, server_x), tap=tap)
     return loss
 
 
@@ -403,8 +395,7 @@ def train_local(cfg: SessionConfig, images: np.ndarray, labels: np.ndarray,
     the whole net (both roles' layers, merged), the losses and the two
     role states."""
     client, server = build_parts(cfg)
-    server.tap = tap
-    losses = [train_step(cfg.topology, client, server, (images[idx], labels[idx]))
+    losses = [train_step(cfg.topology, client, server, (images[idx], labels[idx]), tap)
               for idx in session_batches(cfg, len(labels))]
     model = merge(client.model, server.part)
     model.step_count = len(losses)
@@ -430,19 +421,27 @@ def _expect(transport: Transport, *allowed: MsgType) -> tuple[MsgType, bytearray
     return mtype, payload
 
 
-def _play(transport: Transport, program):
+def _play(transport: Transport, program, tap: ServerTap | None = None):
     """Run one role program over ``transport``; returns its result. The
-    frames of each of the role's turns go out in one write."""
+    frames of each of the role's turns go out in one write. ``tap``, given
+    only for the server, records the step's messages when it returns."""
     value = None
+    messages = []
     with transport.coalesced():
         while True:
             try:
                 event = program.send(value)
             except StopIteration as stop:
+                if tap is not None:
+                    tap.record(messages)
                 return stop.value
             if isinstance(event, MsgType):
                 value = [CODECS[event][1](_expect(transport, event)[1])]
+                if tap is not None:
+                    messages.append((False, event, value[0]))
             else:  # drop the value once encoded: the payload is all the queue keeps
+                if tap is not None:
+                    messages.append((True, *event))
                 mtype, payload = event[0], CODECS[event[0]][0](event[1])
                 event = None
                 transport.send(mtype, payload)
@@ -524,14 +523,13 @@ def run_server(transport: Transport, cfg: SessionConfig,
     _apply_malloc_policy()
     (server,) = build_parts(cfg, ("server",))
     n = _server_handshake(transport, cfg, None if images is None else len(images))
-    server.tap = tap
     program = ROLES[cfg.topology][1]
     losses: list[float] = []
     # Without examples only the step count matters: allocate nothing by the peer's word.
     for idx in (range(cfg.epochs * -(-n // cfg.batch_size)) if images is None
                 else session_batches(cfg, n)):
         x = None if images is None else images[idx]
-        losses.append(_play(transport, program(server, x)))
+        losses.append(_play(transport, program(server, x), tap))
     _finish(transport, images is not None)
     server.part.step_count = len(losses)
     return RoleResult(losses=losses, model=server.part, server=server)

@@ -233,16 +233,15 @@ def tv_oracle(x: np.ndarray, eps: float, g: np.float32) -> tuple[np.float32, np.
     return np.float32(r.sum(dtype=np.float64)), dx
 
 
-def conv2d_oracle(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: int,
+def conv2d_oracle(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                   g: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Stride-1 same-padded convolution (``padding`` is k//2) and its
+    """Stride-1 same-padded convolution (padding k//2) and its
     gradients for the seed ``g`` the direct way: one patch matrix for the
     whole batch, one batched GEMM per product, and ``dw`` summed over the
     batch by one ``.sum(axis=0)``. Returns ``(out, dx, dw, db)``."""
     n, _, hh, ww = x.shape
     o, c, k, _ = w.shape
-    p = padding
-    assert p == k // 2
+    p = k // 2
     xp = np.zeros((n, c, hh + 2 * p, ww + 2 * p), dtype=np.float32)
     xp[:, :, p : p + hh, p : p + ww] = x
     s0, s1, s2, s3 = xp.strides
@@ -407,13 +406,13 @@ def gradcheck_suite(n_cases: int, seed: int = 0) -> int:
             which = done % 3
             if which == 0:
                 fd_check(lambda t: ag.mse_loss(
-                    ag.conv2d(t, Tensor(w), Tensor(b), 1), r), x, h=1e-2)
+                    ag.conv2d(t, Tensor(w), Tensor(b)), r), x, h=1e-2)
             elif which == 1:
                 fd_check(lambda t: ag.mse_loss(
-                    ag.conv2d(Tensor(x), t, Tensor(b), 1), r), w, h=1e-2)
+                    ag.conv2d(Tensor(x), t, Tensor(b)), r), w, h=1e-2)
             else:
                 fd_check(lambda t: ag.mse_loss(
-                    ag.conv2d(Tensor(x), Tensor(w), t, 1), r), b, h=1e-2)
+                    ag.conv2d(Tensor(x), Tensor(w), t), r), b, h=1e-2)
         elif kind == "pool":
             shape = (int(rng.integers(1, 3)), int(rng.integers(1, 3)),
                      2 * int(rng.integers(1, 4)), 2 * int(rng.integers(1, 4)))

@@ -43,7 +43,7 @@ class TestOps:
         x = Tensor(np.ones((1, 1, 5, 5), dtype=np.float32))
         w = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
         b = Tensor(np.zeros(1, dtype=np.float32))
-        out = ag.conv2d(x, w, b, padding=1)
+        out = ag.conv2d(x, w, b)
         assert out.data.shape == (1, 1, 5, 5)
         assert out.data[0, 0, 2, 2] == 9.0
         assert out.data[0, 0, 0, 0] == 4.0
@@ -55,16 +55,15 @@ class TestOps:
         w = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
         b = Tensor(np.zeros(1, dtype=np.float32))
         with pytest.raises(ShapeError):
-            ag.conv2d(x, w, b, padding=1)
+            ag.conv2d(x, w, b)
 
-    @pytest.mark.parametrize("wshape, padding", [((1, 1, 2, 3), 1), ((1, 1, 3, 4), 1),
-                                                 ((1, 1, 5, 5), 0), ((1, 1, 3, 3), 2),
-                                                 ((1, 1, 3, 3), 0)])
-    def test_conv_rejects_even_or_oversized_kernel(self, wshape, padding):
+    @pytest.mark.parametrize("wshape", [(1, 1, 2, 3), (1, 1, 3, 4)],
+                             ids=["wshape0-1", "wshape1-1"])
+    def test_conv_rejects_even_or_oversized_kernel(self, wshape):
         x = Tensor(np.ones((1, 1, 4, 4), dtype=np.float32))
         b = Tensor(np.zeros(1, dtype=np.float32))
         with pytest.raises(ShapeError):
-            ag.conv2d(x, Tensor(np.ones(wshape, dtype=np.float32)), b, padding)
+            ag.conv2d(x, Tensor(np.ones(wshape, dtype=np.float32)), b)
 
     def test_mse_identity_zero(self):
         a = Tensor([1.0, 2.0, 3.0])
@@ -323,7 +322,7 @@ class TestBackward:
             w = Tensor(rng.uniform(-0.3, 0.3, size=(2, 1, 3, 3)).astype(np.float32),
                        requires_grad=True)
             b = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
-            out = tsum(ag.relu(ag.conv2d(x, w, b, 1)))
+            out = tsum(ag.relu(ag.conv2d(x, w, b)))
             ag.backward(out)
             return out.data.copy(), x.grad.copy(), w.grad.copy()
 
@@ -357,7 +356,7 @@ class TestConvBackward:
     @staticmethod
     def _check_against_reference(x, w, b, padding, rng):
         x, w, b = (Tensor(a.astype(np.float32), requires_grad=True) for a in (x, w, b))
-        out = ag.conv2d(x, w, b, padding)
+        out = ag.conv2d(x, w, b)
         g = rng.normal(size=out.shape).astype(np.float32)
         ag.backward(out, seed_grad=g)
         for got, want in zip((x.grad, w.grad, b.grad),
@@ -392,7 +391,7 @@ class TestConvBackward:
         for x_needs_grad in (True, False):
             x = Tensor(xd, requires_grad=x_needs_grad)
             w, b = Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
-            ag.backward(ag.mse_loss(ag.conv2d(x, w, b, 1), r))
+            ag.backward(ag.mse_loss(ag.conv2d(x, w, b), r))
             grads.append((x.grad, w.grad, b.grad))
         (dx, dw, db), (dx_none, dw_only, db_only) = grads
         assert dx is not None and dx_none is None
@@ -400,10 +399,10 @@ class TestConvBackward:
         np.testing.assert_array_equal(db_only, db)
 
 
-def _conv_all_grads(x, w, b, padding, g):
+def _conv_all_grads(x, w, b, g):
     """conv2d's output and its (dx, dw, db) for the seed ``g``."""
     ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
-    out = ag.conv2d(*ts, padding)
+    out = ag.conv2d(*ts)
     ag.backward(out, seed_grad=g)
     return (out.data, *(t.grad for t in ts))
 
@@ -433,20 +432,20 @@ def _conv_case(draw):
     n = draw(st.sampled_from([0, 1, 2, 5, 10]))
     c, o = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
-    k, p = draw(st.sampled_from([(3, 1), (1, 0), (5, 2)]))
+    k = draw(st.sampled_from([3, 1, 5]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x, wt, b, g = (_values(rng, s) for s in ((n, c, h, w), (o, c, k, k), (o,), (n, o, h, w)))
-    return x, wt, b, p, g, draw(st.sampled_from([1, 2, None])), draw(st.integers(0, 3))
+    return x, wt, b, g, draw(st.sampled_from([1, 2, None])), draw(st.integers(0, 3))
 
 
 def _net_convs():
-    """(input shape, weight shape, padding) of every conv layer of tiny8 at
+    """(input shape, weight shape) of every conv layer of tiny8 at
     batch 8 and of mnist at batch 10, read from the registered nets."""
     for arch, batch in (("tiny8", 8), ("mnist", 10)):
         for i, (make, shape) in enumerate(zip(ARCHS[arch].layers, layout(arch).shapes)):
             layer = make()
             if layer.kind == "conv2d":
-                yield pytest.param((batch, *shape), layer.weight.data.shape, layer.padding,
+                yield pytest.param((batch, *shape), layer.weight.data.shape,
                                    id=f"{arch}-layer{i}")
 
 
@@ -457,7 +456,7 @@ class TestConvBytes:
     @given(_conv_case())
     @settings(max_examples=200, deadline=None)
     def test_matches_oracle_at_every_chunk_size(self, case):
-        x, w, b, p, g, samples, products = case
+        x, w, b, g, samples, products = case
         # The oracle sums a one-element weight's products pairwise; the test
         # below holds conv2d to batch order there.
         assume(w.size > 1)
@@ -466,8 +465,8 @@ class TestConvBytes:
                   else samples * per_sample + products * 4 * w.size)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ag, "_CHUNK_BYTES", budget)
-            got = _conv_all_grads(x, w, b, p, g)
-        _assert_same_bytes(got, conv2d_oracle(x, w, b, p, g))
+            got = _conv_all_grads(x, w, b, g)
+        _assert_same_bytes(got, conv2d_oracle(x, w, b, g))
 
     def test_one_element_weight_sums_in_batch_order(self, monkeypatch):
         # A (N, 1, 1) stack of products summed by one .sum(axis=0) runs over
@@ -480,7 +479,7 @@ class TestConvBytes:
         got = []
         for samples in (1, 3, 10):  # 4 bytes of patches per sample
             monkeypatch.setattr(ag, "_CHUNK_BYTES", 4 * samples)
-            got.append(_conv_all_grads(x, w, b, 0, g))
+            got.append(_conv_all_grads(x, w, b, g))
         for grads in got:
             _assert_same_bytes(grads, got[0])
         assert got[0][2].ravel().tolist() == [3.0]
@@ -492,7 +491,7 @@ class TestConvBytes:
         rng = np.random.default_rng(32)
         x, w, b, g = (rng.normal(size=s).astype(np.float32)
                       for s in ((n, c, 1, 1), (4, c, 3, 3), (4,), (n, 4, 1, 1)))
-        _assert_same_bytes(_conv_all_grads(x, w, b, 1, g), conv2d_oracle(x, w, b, 1, g))
+        _assert_same_bytes(_conv_all_grads(x, w, b, g), conv2d_oracle(x, w, b, g))
 
     def test_cifar_layer_at_the_real_budget(self):
         # cifar's 64->64 layer at batch 8: 18 MiB of patches, one sample a chunk.
@@ -502,20 +501,20 @@ class TestConvBytes:
         b = rng.normal(size=64).astype(np.float32)
         g = rng.normal(size=(8, 64, 32, 32)).astype(np.float32)
         assert 4 * 64 * 9 * 32 * 32 > ag._CHUNK_BYTES
-        _assert_same_bytes(_conv_all_grads(x, w, b, 1, g), conv2d_oracle(x, w, b, 1, g))
+        _assert_same_bytes(_conv_all_grads(x, w, b, g), conv2d_oracle(x, w, b, g))
 
-    @pytest.mark.parametrize("xshape, wshape, padding", _net_convs())
+    @pytest.mark.parametrize("xshape, wshape", _net_convs())
     @pytest.mark.parametrize("x_grad, w_grad", [(True, True), (True, False), (False, True)],
                              ids=["training", "invert-input", "invert-model"])
-    def test_net_layers_match_oracle(self, xshape, wshape, padding, x_grad, w_grad):
+    def test_net_layers_match_oracle(self, xshape, wshape, x_grad, w_grad):
         rng = np.random.default_rng(28)
         x, w, b = _values(rng, xshape), _values(rng, wshape), _values(rng, wshape[:1])
         ts = [Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=w_grad),
               Tensor(b, requires_grad=w_grad)]
-        out = ag.conv2d(*ts, padding)
+        out = ag.conv2d(*ts)
         g = _values(rng, out.shape)
         ag.backward(out, seed_grad=g)
-        want = conv2d_oracle(x, w, b, padding, g)
+        want = conv2d_oracle(x, w, b, g)
         _assert_same_bytes([out.data], want[:1])
         for t, e in zip(ts, want[1:], strict=True):
             if t.requires_grad:
@@ -537,7 +536,7 @@ class TestConvBytes:
         def vjp(w_grad, b_grad):
             out = ag.conv2d(Tensor(xd, requires_grad=True),
                             Tensor(wd, requires_grad=w_grad),
-                            Tensor(bd, requires_grad=b_grad), 1)
+                            Tensor(bd, requires_grad=b_grad))
             return out._vjp(g)
 
         dx, dw, db = vjp(w_grad, b_grad)
@@ -578,7 +577,7 @@ class TestBackwardFreesGraph:
         x = Tensor(rng.normal(size=(2, 3, 6, 6)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), requires_grad=True)
         b = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
-        h1 = ag.conv2d(x, w, b, 1)
+        h1 = ag.conv2d(x, w, b)
         h2 = ag.relu(h1)
         h3 = ag.maxpool2x2(h2)
         loss = ag.mse_loss(h3, Tensor(np.ones((2, 4, 3, 3), dtype=np.float32)))
@@ -600,7 +599,7 @@ class TestBackwardFreesGraph:
         g = rng.normal(size=(8, 64, 32, 32)).astype(np.float32)
         tracemalloc.start()
         try:
-            ag.backward(ag.conv2d(x, w, b, 1), seed_grad=g)
+            ag.backward(ag.conv2d(x, w, b), seed_grad=g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -729,11 +728,11 @@ class TestOpGradients:
         w = rng.uniform(-0.3, 0.3, size=(3, 2, 3, 3)).astype(np.float32)
         b = rng.uniform(-0.3, 0.3, size=3).astype(np.float32)
         r = Tensor(rng.uniform(size=(2, 3, 5, 5)).astype(np.float32))
-        fd_check(lambda t: ag.mse_loss(ag.conv2d(t, Tensor(w), Tensor(b), 1), r),
+        fd_check(lambda t: ag.mse_loss(ag.conv2d(t, Tensor(w), Tensor(b)), r),
                  x, h=1e-2)
-        fd_check(lambda t: ag.mse_loss(ag.conv2d(Tensor(x), t, Tensor(b), 1), r),
+        fd_check(lambda t: ag.mse_loss(ag.conv2d(Tensor(x), t, Tensor(b)), r),
                  w, h=1e-2)
-        fd_check(lambda t: ag.mse_loss(ag.conv2d(Tensor(x), Tensor(w), t, 1), r),
+        fd_check(lambda t: ag.mse_loss(ag.conv2d(Tensor(x), Tensor(w), t), r),
                  b, h=1e-2)
 
     def test_maxpool(self):

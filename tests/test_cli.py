@@ -422,6 +422,13 @@ class TestReport:
                     "--depths", "1", "--out-dir", str(out)]) == 2
         assert not (out / "report.csv").exists()
 
+    def test_empty_train_subset_rejected_before_any_row(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["report", "--dataset", "synth", "--train-subset", "0",
+                    "--depths", "1", "--out-dir", str(out)]) == 2
+        assert "empty training subset" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
 
 # Every subcommand's options, as the hand-written parser declared them:
 # (flag, dest, type, choices). A flag without a type parses as str.

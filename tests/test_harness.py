@@ -341,3 +341,19 @@ class TestSweep:
         assert [replace(r, seconds=0.0) for r in again] == [
             replace(r, seconds=0.0) for r in rows[4:]]
         assert len(report.read_text().splitlines()) == 7
+
+    def test_wider_depth_list_adds_only_its_new_rows(self, tmp_path):
+        """The depth list names rows and sets none: widening it keeps every
+        written row and adds the new depth's, as a fresh run writes them."""
+        train = synth_dataset(128, (1, 8, 8), seed=0)
+        test = synth_dataset(64, (1, 8, 8), seed=1)
+        sweep = self.small_sweep(tmp_path)
+        first = run_depth_sweep(sweep, train, test)
+        sweep.depths = [1, 2]
+        added = run_depth_sweep(sweep, train, test)
+        assert [(r.depth, r.trained) for r in added] == [(2, 0), (2, 1)]
+        assert len({r.config_hash for r in first + added}) == 1
+        fresh = self.small_sweep(tmp_path / "fresh")
+        fresh.depths = [1, 2]
+        assert [replace(r, seconds=0.0) for r in first + added] == [
+            replace(r, seconds=0.0) for r in run_depth_sweep(fresh, train, test)]

@@ -336,8 +336,10 @@ class TestEquivalence:
         mono_model, _ = train_monolithic(cfg, ds.images, ds.labels)
         assert max_param_diff(split_model, mono_model) <= 1e-6
 
-    def test_tap_neutrality_on_trajectory(self, synth):
-        cfg = small_cfg(epochs=2)
+    @pytest.mark.parametrize("topology", ["label_sharing", "server_data",
+                                          "client_labels"])
+    def test_tap_neutrality_on_trajectory(self, synth, topology):
+        cfg = small_cfg(topology=topology, epochs=2)
         plain, _, _, _ = train_local(cfg, synth.images, synth.labels)
         tapped, _, _, _ = train_local(cfg, synth.images, synth.labels,
                                       tap=ServerTap())
@@ -545,6 +547,34 @@ class TestWireSessions:
             *self.STEP_FRAMES[topology], *self.STEP_FRAMES[topology], end,
         ]
         assert seq == want
+
+    @pytest.mark.parametrize("topology", list(STEP_FRAMES))
+    def test_tap_records_only_what_crossed_the_wire(self, synth, topology):
+        """A tap changes no frame on either end and no parameter, and every
+        array it records is a tensor (or the labels) of a frame of its step."""
+        decoders = {MsgType.SMASHED: lambda p: [wire.decode_one_tensor(p)],
+                    MsgType.LABELS: lambda p: [wire.decode_labels(p)],
+                    MsgType.GRAD: wire.decode_tensor_list}
+        cfg = small_cfg(topology=topology)
+        runs = []
+        for tap in (None, ServerTap()):
+            ct, st = inproc_pair(record_transcript=True)
+            with ct, st:
+                cres, sres = run_session(cfg, synth.images, synth.labels, (ct, st), tap=tap)
+            runs.append((ct.transcript, st.transcript, merge(cres.model, sres.model)))
+        (plain_c, plain_s, plain), (tapped_c, tapped_s, tapped) = runs
+        assert plain_c == tapped_c and plain_s == tapped_s
+        assert params_equal(plain, tapped)
+        frames = [wire.decode_frame(f) for _, f in tapped_s]
+        first = [m for m, _ in frames].index(MsgType.SMASHED)
+        per_step = len(self.STEP_FRAMES[topology])
+        assert len(tap) == (len(frames) - first - 1) // per_step == 8
+        for e in tap.entries:
+            step = frames[first + (e.step - 1) * per_step : first + e.step * per_step]
+            crossed = {(a.dtype, a.shape, a.tobytes()) for m, p in step if m in decoders
+                       for a in decoders[m](p)}
+            for a in (e.smashed, e.labels, *e.grad, e.tail_input):
+                assert a is None or (a.dtype, a.shape, a.tobytes()) in crossed
 
     # sha256 of the server end's frames from the first SMASHED through END:
     # tiny8, 64 synth examples, seed 0, batch 8, 2 epochs, split depth 1.
