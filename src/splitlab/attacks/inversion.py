@@ -123,6 +123,7 @@ def invert(
     best = np.inf
     stale = 0
     best_x = x.data.copy()
+    diff = np.empty(targets.shape, np.float32)  # each step's output - target
     for rnd in range(1, cfg.max_rounds + 1):
         # Input phase: clone parameters frozen, only x moves, under the TV
         # term too. Model phase: x frozen, only the clone parameters move.
@@ -135,13 +136,15 @@ def invert(
             for _ in range(steps):
                 opt.zero_grad()
                 out = clone.forward(x)
-                diff = out.data - target_t.data
+                np.subtract(out.data, target_t.data, out=diff)
                 tv = tv_penalty(x, TV_EPS) if tv_lam > 0 else None
                 if not _finite_objective(diff, tv, tv_lam):
                     raise NumericError(
                         f"inversion round {rnd}: non-finite objective in {phase} phase"
                     )
-                backward(out, np.float32(2.0) * diff / np.float32(diff.size))
+                # 2*diff/n rounded once, as diff/(n/2): the doubling is exact
+                # below the bound _finite_objective proves.
+                backward(out, np.divide(diff, np.float32(diff.size / 2), out=diff))
                 if tv is not None:
                     backward(tv, np.float32(tv_lam))
                 opt.step()

@@ -15,9 +15,10 @@ a node on first use, holding only a weak link back to the tensor so that
 closure saves just the arrays its VJP reads (a ReLU mask, pooling masks,
 conv patches or input, a linear layer's input), so an activation that no
 VJP saves is freed as soon as the forward pass drops its tensor.
-``backward`` walks the nodes once in reverse topological order, marking
-each consumed and dropping its closure and parents as soon as its
-gradient has passed through.
+``backward`` walks the op nodes once in reverse topological order,
+marking each consumed and dropping its closure and parents as soon as
+its gradient has passed through; the leaves' gradients, then complete,
+are stored after the walk.
 """
 
 from __future__ import annotations
@@ -379,7 +380,7 @@ def maxpool2x2(x: Tensor) -> Tensor:
     lo = top.min(initial=np.inf)  # NaN if top holds one
     # No NaN, and no zero in top or no sign bit in x (a ReLU output): then a
     # window's maximal slots share their bits, and the output is top itself.
-    same = (lo > 0 or lo < 0 and np.count_nonzero(top) == top.size
+    same = (lo > 0 or lo < 0 and top.all()
             or lo == 0 and x.data.view(np.int32).min(initial=0) >= 0)
     won = np.empty((4, *top.shape), dtype=bool)
     for v, m in zip(slots, won):  # the maximal slots, and the NaNs
@@ -512,21 +513,25 @@ def tv_penalty(x: Tensor, eps: float = 1e-8) -> Tensor:
 # backward pass
 
 def _toposort(root: _Node) -> list[_Node]:
+    """The op nodes reachable from ``root``, each after every op node it
+    reads from (depth-first, last parent first); leaves are left out.
+    Raises on reaching a node an earlier backward consumed."""
     order: list[_Node] = []
-    seen: set[_Node] = set()
-    stack: list[tuple[_Node, bool]] = [(root, False)]
+    seen = {root}
+    stack = [root] if root.vjp is not None else []
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.append((node, True))
-        for p in node.parents:
-            if p is not None and p not in seen:
-                stack.append((p, False))
+        node = stack[-1]
+        for p in reversed(node.parents):
+            if p is None or p in seen:
+                continue
+            seen.add(p)
+            if p.vjp is not None:
+                stack.append(p)
+                break
+            if p.consumed:
+                raise GraphError("backward: graph already consumed")
+        else:
+            order.append(stack.pop())
     return order
 
 
@@ -542,7 +547,7 @@ def backward(loss: Tensor, seed_grad: np.ndarray | None = None) -> None:
             raise GraphError(
                 f"backward: loss must be scalar, got shape {loss.data.shape}"
             )
-        seed_grad = np.ones_like(loss.data)
+        seed_grad = np.array(1, np.float32)
     else:
         seed_grad = np.asarray(seed_grad, dtype=np.float32)
         if seed_grad.shape != loss.data.shape:
@@ -556,28 +561,24 @@ def backward(loss: Tensor, seed_grad: np.ndarray | None = None) -> None:
     if root.consumed:
         raise GraphError("backward: graph already consumed")
 
-    order = _toposort(root)
     grads: dict[_Node, np.ndarray] = {root: seed_grad.reshape(loss.data.shape)}
-    for node in reversed(order):
-        # Interior nodes are single-use; leaves live across many graphs.
-        if node.consumed:
-            raise GraphError("backward: graph already consumed")
+    for node in reversed(_toposort(root)):
+        # Op nodes are single-use. Each is unlinked as the walk reaches it,
+        # so its saved arrays are freed once its VJP has run rather than
+        # when the walk ends.
         vjp, parents = node.vjp, node.parents
-        if vjp is not None:
-            # Unlinked as the walk reaches it, so the op's saved arrays are
-            # freed once its VJP has run rather than when the walk ends.
-            node.consumed = True
-            node.vjp, node.parents = None, ()
+        node.consumed = True
+        node.vjp, node.parents = None, ()
         g = grads.pop(node, None)
         if g is None:
             continue
-        if vjp is not None:
-            for parent, pg in zip(parents, vjp(g)):
-                if parent is None:  # needs no gradient
-                    continue
-                acc = grads.get(parent)
-                grads[parent] = pg if acc is None else acc + pg
-        else:
-            leaf = node.leaf()
-            if leaf is not None:  # else nothing can read its gradient
-                leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
+        for parent, pg in zip(parents, vjp(g)):
+            if parent is None:  # needs no gradient
+                continue
+            acc = grads.get(parent)
+            grads[parent] = pg if acc is None else acc + pg
+    # What is left is the leaves' gradients; leaves live across many graphs.
+    for node, g in grads.items():
+        leaf = node.leaf()
+        if leaf is not None:  # else nothing can read its gradient
+            leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g

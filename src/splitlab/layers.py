@@ -32,12 +32,12 @@ def _uniform_f32(rng: np.random.Generator, low: float, high: float,
 
 class Layer:
     """A parameter-free layer: ``forward`` applies ``autograd.<kind>`` to
-    the input and the layer's parameters."""
+    the input."""
 
     kind = "layer"
 
     def forward(self, x: Tensor) -> Tensor:
-        return getattr(ag, self.kind)(x, *self.params())
+        return getattr(ag, self.kind)(x)
 
     def params(self) -> list[Tensor]:
         return []
@@ -51,11 +51,15 @@ class Layer:
 
 class Weighted(Layer):
     """A layer with a ``weight`` and a ``bias``, both drawn uniform in
-    ±1/sqrt(fan-in), weight first."""
+    ±1/sqrt(fan-in), weight first; ``forward`` applies ``autograd.<kind>``
+    to the input, the weight and the bias."""
 
     def __init__(self, weight_shape: tuple[int, ...]):
         self.weight = Tensor(np.zeros(weight_shape, dtype=np.float32), requires_grad=True)
         self.bias = Tensor(np.zeros(weight_shape[0], dtype=np.float32), requires_grad=True)
+
+    def forward(self, x: Tensor) -> Tensor:
+        return getattr(ag, self.kind)(x, self.weight, self.bias)
 
     def params(self) -> list[Tensor]:
         return [self.weight, self.bias]

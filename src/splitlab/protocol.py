@@ -155,7 +155,7 @@ def loss_forward_backward(
     opt.zero_grad()
     backward(loss)
     opt.step()
-    return float(loss.data), sm.grad, [p.grad for p in part.params()]
+    return float(loss.data), sm.grad, [p.grad for p in opt.params]
 
 
 def backprop_part(part: LayerStack, out: Tensor, grad_out: np.ndarray,

@@ -13,14 +13,16 @@ for the honest-but-curious neutrality checks.
 Inside ``coalesced`` (a role's turn-taking loop) ``send`` only queues a
 frame: the queue goes out in one scatter-gather write before the next
 ``recv`` and when the block ends, so a role's turn costs one write
-however many frames it sends. Elsewhere ``send`` writes at once.
-``recv`` reads through a buffer, so one read may bring in several
-frames, and a frame already there costs no socket call.
+however many frames it sends (up to IOV_MAX buffers, two a frame, per
+write). Elsewhere ``send`` writes at once. ``recv`` reads through a
+buffer, so one read may bring in several frames, and a frame already
+there costs no socket call and one copy. A body that is not all there
+yet grows as its bytes arrive, never by much past its declared length.
 """
 
 from __future__ import annotations
 
-import contextlib
+import os
 import socket
 import time
 
@@ -32,6 +34,9 @@ from .wire import HEADER, MAGIC, MsgType, decode_header, encode_frame
 # data, after its 1 + 4*ndim header bytes, then starts 4-byte aligned,
 # and ``wire.decode_tensor`` can return it without a copy.
 _LEAD = 3
+# The most buffers one ``sendmsg`` takes: 1024 on Linux. Where sysconf
+# says -1, no limit, POSIX's least, 16, serves.
+_IOV_MAX = max(16, os.sysconf("SC_IOV_MAX"))
 
 
 class Transport:
@@ -58,16 +63,10 @@ class Transport:
         else:
             self._queue += (head, payload)
 
-    @contextlib.contextmanager
-    def coalesced(self):
+    def coalesced(self) -> "_Coalesced":
         """Queue what ``send`` sends in this block: it goes out in one write
         before the next ``recv``, and when the block ends without an error."""
-        self._queue = []
-        try:
-            yield
-            self._flush()
-        finally:
-            self._queue = None
+        return _Coalesced(self)
 
     def _flush(self) -> None:
         if self._queue:
@@ -78,10 +77,11 @@ class Transport:
         """The next frame's type and payload. Waits up to the socket's
         timeout for each read of the header; once the header is in, the
         whole body must arrive within one timeout."""
-        self._flush()
+        if self._queue:
+            self._flush()
         while self._hi - self._lo < HEADER.size:
             self._fill()
-        mtype, length = decode_header(self._ahead[self._lo:self._hi])
+        mtype, length = decode_header(self._ahead, self._lo)
         self._lo += HEADER.size
         payload = self._read_body(length)
         if self.transcript is not None:
@@ -98,30 +98,42 @@ class Transport:
         self._hi += self._recv_into(self._ahead[unread:])
 
     def _read_body(self, length: int) -> bytearray:
-        have = min(length, self._hi - self._lo)
-        body = bytearray(_LEAD + min(length, have + self.RECV_CHUNK))
-        body[_LEAD:_LEAD + have] = self._ahead[self._lo:self._lo + have]
-        self._lo += have
+        """The body of ``length`` bytes after the header just read. A body
+        already in the read-ahead buffer is copied out at once, with the
+        header's last LEAD bytes. Any other grows only as its bytes arrive,
+        doubling when full, and to its declared length rather than past it:
+        it starts at that length halved, rounding up, until one read can
+        fill it, so k doublings end under 2**k bytes beyond it."""
+        lo, have = self._lo, self._hi - self._lo
+        if have >= length:
+            self._lo = lo + length
+            body = bytearray(self._ahead[lo - _LEAD:lo + length])
+            del body[:_LEAD]
+            return body
+        self._lo = self._hi
+        size = _LEAD + length
+        while size > _LEAD + have + self.RECV_CHUNK:
+            size = -(-size // 2)
+        body = bytearray(size)
+        body[_LEAD:_LEAD + have] = self._ahead[lo:lo + have]
         got = _LEAD + have
-        if have < length:
-            timeout = self._sock.gettimeout()
-            deadline = None if timeout is None else time.monotonic() + timeout
-            try:
-                while got < _LEAD + length:
-                    if got == len(body):  # full: double it, without a temporary
-                        body *= 2
-                        del body[_LEAD + length:]
-                    if deadline is not None:
-                        left = deadline - time.monotonic()
-                        if left <= 0:
-                            raise ProtocolError(
-                                f"frame body incomplete after {timeout:g} s")
-                        self._sock.settimeout(left)
-                    with memoryview(body) as view:
-                        got += self._recv_into(view[got:got + self.RECV_CHUNK])
-            finally:
+        timeout = self._sock.gettimeout()
+        deadline = None if timeout is None else time.monotonic() + timeout
+        try:
+            while got < _LEAD + length:
+                if got == len(body):  # full: double it, without a temporary
+                    body *= 2
+                    del body[_LEAD + length:]
                 if deadline is not None:
-                    self._sock.settimeout(timeout)
+                    left = deadline - time.monotonic()
+                    if left <= 0:
+                        raise ProtocolError(f"frame body incomplete after {timeout:g} s")
+                    self._sock.settimeout(left)
+                with memoryview(body) as view:
+                    got += self._recv_into(view[got:got + self.RECV_CHUNK])
+        finally:
+            if deadline is not None:
+                self._sock.settimeout(timeout)
         del body[:_LEAD]
         return body
 
@@ -135,18 +147,20 @@ class Transport:
         return n
 
     def _send_bytes(self, *parts) -> None:
-        """Write ``parts`` in order, with as few ``sendmsg`` calls as the
-        socket takes."""
+        """Write ``parts`` in order: each ``sendmsg`` call takes at most
+        ``_IOV_MAX`` of them, and the next resumes where it stopped."""
         try:
-            sent = self._sock.sendmsg(parts)
-            if sent < sum(map(len, parts)):
-                views = [memoryview(p).cast("B") for p in parts]
-                while views:
-                    while views and sent >= len(views[0]):
-                        sent -= len(views.pop(0))
-                    if views:
-                        views[0] = views[0][sent:]
-                        sent = self._sock.sendmsg(views)
+            while parts:
+                batch = parts[:_IOV_MAX]
+                sent = self._sock.sendmsg(batch)
+                if sent == sum(map(len, batch)):
+                    parts = parts[len(batch):]
+                    continue
+                i = 0
+                while sent >= len(parts[i]):
+                    sent -= len(parts[i])
+                    i += 1
+                parts = (memoryview(parts[i]).cast("B")[sent:], *parts[i + 1:])
         except OSError as exc:
             raise ProtocolError(f"send failed: {exc}") from None
 
@@ -161,6 +175,25 @@ class Transport:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class _Coalesced:
+    """The block of ``Transport.coalesced``."""
+
+    __slots__ = ("_transport",)
+
+    def __init__(self, transport: Transport):
+        self._transport = transport
+
+    def __enter__(self) -> None:
+        self._transport._queue = []
+
+    def __exit__(self, exc_type, *exc) -> None:
+        try:
+            if exc_type is None:
+                self._transport._flush()
+        finally:
+            self._transport._queue = None
 
 
 def inproc_pair(record_transcript: bool = False,

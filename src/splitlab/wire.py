@@ -13,7 +13,9 @@ Tensors are self-delimiting, so a payload may carry several back to back
 client-side parameter gradients); SMASHED, LABELS and LOSS carry exactly
 one and nothing after it. Decoding is exact: the f32 bits on the
 wire are the f32 bits in memory. A peer's NaN or infinity is rejected at
-decode, before it reaches any arithmetic.
+decode, before it reaches any arithmetic; the check takes a bounded block
+at a time, so it allocates little however large the tensor. A LOSS
+scalar is read straight from its bytes, with no array made.
 """
 
 from __future__ import annotations
@@ -48,22 +50,25 @@ def encode_frame(msg_type: MsgType, payload: bytes = b"") -> bytes:
     return HEADER.pack(MAGIC, int(msg_type), len(payload)) + payload
 
 
-def decode_header(buf: bytes) -> tuple[MsgType, int]:
-    """Check the header at the start of ``buf``; returns (type, payload length).
+_TYPES = {int(m): m for m in MsgType}  # type byte -> MsgType
+
+
+def decode_header(buf: bytes, offset: int = 0) -> tuple[MsgType, int]:
+    """Check the header at ``offset`` in ``buf``; returns (type, payload
+    length).
 
     Needs only the header's bytes, so a reader can reject a bad frame
     before it waits for, or allocates, the body.
     """
-    if len(buf) < HEADER.size:
-        raise ProtocolError(f"frame too short: {len(buf)} bytes")
-    magic, mtype, length = HEADER.unpack_from(buf)
+    if len(buf) - offset < HEADER.size:
+        raise ProtocolError(f"frame too short: {len(buf) - offset} bytes")
+    magic, mtype, length = HEADER.unpack_from(buf, offset)
     if magic != MAGIC:
         raise ProtocolError(f"bad frame magic {magic!r}")
-    try:
-        mtype = MsgType(mtype)
-    except ValueError:
-        raise ProtocolError(f"unknown message type {mtype}") from None
-    return mtype, length
+    msg_type = _TYPES.get(mtype)
+    if msg_type is None:
+        raise ProtocolError(f"unknown message type {mtype}")
+    return msg_type, length
 
 
 def decode_frame(buf: bytes) -> tuple[MsgType, bytes]:
@@ -80,6 +85,9 @@ def decode_frame(buf: bytes) -> tuple[MsgType, bytes]:
 # "<B{n}I": a tensor's rank and dims, for every rank the wire allows.
 _DIMS = tuple(struct.Struct(f"<B{n}I") for n in range(MAX_TENSOR_NDIM + 1))
 _F32 = np.dtype("<f4")
+_ONE_F32 = struct.Struct("<f")
+_SCALAR = struct.Struct("<Bf")  # a rank-0 tensor: its rank, then its value
+_FINITE_BLOCK = 1 << 16  # elements per finiteness check: a 64 KiB mask
 
 
 def encode_tensor(arr: np.ndarray) -> bytes:
@@ -96,24 +104,41 @@ def _tensor_parts(arr) -> tuple[bytes, memoryview]:
     return _DIMS[arr.ndim].pack(arr.ndim, *arr.shape), memoryview(arr)
 
 
-def _tensor_view(buf, offset: int) -> tuple[np.ndarray, int]:
-    """The tensor at ``offset`` as a view of ``buf``, and the offset after it."""
-    if offset + 1 > len(buf):
+def _tensor_head(buf, offset: int) -> tuple[tuple[int, ...], int, int]:
+    """The dims of the tensor at ``offset``, where its data starts and the
+    offset after it."""
+    size = len(buf)
+    if offset >= size:
         raise ProtocolError("tensor payload truncated before ndim")
     ndim = buf[offset]
     if ndim > MAX_TENSOR_NDIM:
         raise ProtocolError(f"tensor rank {ndim} exceeds wire limit")
-    dims = _DIMS[ndim]
-    if offset + dims.size > len(buf):
+    head = _DIMS[ndim]
+    if offset + head.size > size:
         raise ProtocolError("tensor payload truncated in dims")
-    dims = dims.unpack_from(buf, offset)[1:]
-    offset += 1 + 4 * ndim
-    count = math.prod(dims)
-    if offset + 4 * count > len(buf):
+    dims = head.unpack_from(buf, offset)[1:]
+    start = offset + head.size
+    end = start + 4 * math.prod(dims)
+    if end > size:
         raise ProtocolError(
-            f"tensor payload truncated: dims {dims} need {4 * count} data bytes"
+            f"tensor payload truncated: dims {dims} need {end - start} data bytes"
         )
-    return np.ndarray(dims, _F32, buf, offset), offset + 4 * count
+    return dims, start, end
+
+
+def _tensor_view(buf, offset: int) -> tuple[np.ndarray, int]:
+    """The tensor at ``offset`` as a view of ``buf``, and the offset after it."""
+    dims, start, end = _tensor_head(buf, offset)
+    return np.ndarray(dims, _F32, buf, start), end
+
+
+def _check_finite(arr: np.ndarray) -> None:
+    """Reject NaN and infinity, ``_FINITE_BLOCK`` elements at a time."""
+    flat = arr.ravel()
+    for start in range(0, flat.size, _FINITE_BLOCK):
+        block = flat[start:start + _FINITE_BLOCK]
+        if np.count_nonzero(np.isfinite(block)) != block.size:
+            raise ProtocolError("tensor payload holds NaN or infinite values")
 
 
 def decode_tensor(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
@@ -121,10 +146,9 @@ def decode_tensor(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     of ``buf`` when ``buf`` is writable (a received ``bytearray``) and the
     data is aligned, else a copy."""
     arr, offset = _tensor_view(buf, offset)
-    if not (arr.flags.writeable and arr.flags.aligned):
+    if not arr.flags.behaved:  # aligned and writeable
         arr = arr.copy()
-    if not np.isfinite(arr).all():
-        raise ProtocolError("tensor payload holds NaN or infinite values")
+    _check_finite(arr)
     return arr, offset
 
 
@@ -165,23 +189,31 @@ def decode_labels(buf: bytes) -> np.ndarray:
         raise ProtocolError("malformed labels payload")
     # The range check comes first and also rejects NaN and inf: a value
     # out of int64's range does not cast cleanly.
-    if not (arr.min(initial=0) >= 0 and arr.max(initial=0) < 2**24):
+    if not (np.minimum.reduce(arr, initial=0) >= 0
+            and np.maximum.reduce(arr, initial=0) < 2**24):
         raise ProtocolError("labels payload holds values that are not class indices")
     labels = arr.astype(np.int64)
-    if (labels != arr).any():
+    if np.count_nonzero(labels != arr):
         raise ProtocolError("labels payload holds values that are not class indices")
     return labels
 
 
 def encode_scalar(value: float) -> bytes:
-    return encode_tensor(np.float32(value))
+    """``encode_tensor(np.float32(value))``: a rank-0 tensor, packed at once."""
+    return _SCALAR.pack(0, np.float32(value))
 
 
 def decode_scalar(buf: bytes) -> float:
-    arr = decode_one_tensor(buf)
-    if arr.size != 1:
+    """The value of a payload holding one single-element tensor, of any
+    rank, read straight from its bytes."""
+    _, start, end = _tensor_head(buf, 0)
+    _check_consumed(buf, end)
+    if end - start != 4:
         raise ProtocolError("malformed scalar payload")
-    return float(arr.reshape(()))
+    (value,) = _ONE_F32.unpack_from(buf, start)
+    if not math.isfinite(value):
+        raise ProtocolError("tensor payload holds NaN or infinite values")
+    return value
 
 
 def encode_json(obj) -> bytes:

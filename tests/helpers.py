@@ -1,22 +1,27 @@
 """Shared test utilities: the oracles the library is checked against
 (central finite differences, an unsplit trainer, per-candidate label
 probing, einsum fc distances, uniform draws, argmax pooling, whole-batch
-convolution, plane-by-plane total variation, per-tensor Adam), a
-layer-construction counter, kink-aware input sampling,
-a session's traced memory peak, and tiny PGM/PPM parsing."""
+convolution, plane-by-plane total variation, per-tensor Adam, the wire
+decoders as first written), a layer-construction counter, a profiled
+call counter, kink-aware input sampling, a session's traced memory
+peak, and tiny PGM/PPM parsing."""
 
 from __future__ import annotations
 
+import math
 import os
+import struct
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 
 from splitlab import autograd as ag
-from splitlab import models, protocol, transport
+from splitlab import models, protocol, transport, wire
 from splitlab.attacks.labels import tail_param_gradients
 from splitlab.autograd import Tensor
+from splitlab.errors import ProtocolError
 from splitlab.models import build_net
 from splitlab.optim import fit_epoch, make_optimizer
 
@@ -148,6 +153,107 @@ def adam_oracle(params: list[np.ndarray], grads: list[list[np.ndarray]], lr: flo
             vi += (1 - b2) * g * g
             p -= lr32 * (mi / c1) / (np.sqrt(vi / c2) + eps32)
     return params
+
+
+# The wire decoders as first written, with a whole-tensor finiteness mask
+# and ``MsgType(int)``: what the codec accepts, rejects and returns is
+# checked against them.
+
+def decode_header_oracle(buf) -> tuple[wire.MsgType, int]:
+    if len(buf) < wire.HEADER.size:
+        raise ProtocolError(f"frame too short: {len(buf)} bytes")
+    magic, mtype, length = wire.HEADER.unpack_from(buf)
+    if magic != wire.MAGIC:
+        raise ProtocolError(f"bad frame magic {magic!r}")
+    try:
+        mtype = wire.MsgType(mtype)
+    except ValueError:
+        raise ProtocolError(f"unknown message type {mtype}") from None
+    return mtype, length
+
+
+def _tensor_view_oracle(buf, offset: int) -> tuple[np.ndarray, int]:
+    if offset + 1 > len(buf):
+        raise ProtocolError("tensor payload truncated before ndim")
+    ndim = buf[offset]
+    if ndim > wire.MAX_TENSOR_NDIM:
+        raise ProtocolError(f"tensor rank {ndim} exceeds wire limit")
+    if offset + 1 + 4 * ndim > len(buf):
+        raise ProtocolError("tensor payload truncated in dims")
+    dims = struct.unpack_from(f"<{ndim}I", buf, offset + 1)
+    offset += 1 + 4 * ndim
+    count = math.prod(dims)
+    if offset + 4 * count > len(buf):
+        raise ProtocolError("tensor payload truncated")
+    return np.ndarray(dims, "<f4", buf, offset), offset + 4 * count
+
+
+def decode_tensor_oracle(buf, offset: int = 0) -> tuple[np.ndarray, int]:
+    arr, offset = _tensor_view_oracle(buf, offset)
+    arr = arr.copy()
+    if not np.isfinite(arr).all():
+        raise ProtocolError("tensor payload holds NaN or infinite values")
+    return arr, offset
+
+
+def decode_one_tensor_oracle(buf) -> np.ndarray:
+    arr, offset = decode_tensor_oracle(buf)
+    if offset != len(buf):
+        raise ProtocolError("bytes after the payload's tensor")
+    return arr
+
+
+def decode_tensor_list_oracle(buf) -> list[np.ndarray]:
+    if not buf:
+        raise ProtocolError("empty tensor list payload")
+    out, offset = [], 0
+    while offset < len(buf):
+        arr, offset = decode_tensor_oracle(buf, offset)
+        out.append(arr)
+    return out
+
+
+def decode_labels_oracle(buf) -> np.ndarray:
+    arr, offset = _tensor_view_oracle(buf, 0)
+    if offset != len(buf) or arr.ndim != 1:
+        raise ProtocolError("malformed labels payload")
+    if not (arr.min(initial=0) >= 0 and arr.max(initial=0) < 2**24):
+        raise ProtocolError("labels payload holds values that are not class indices")
+    labels = arr.astype(np.int64)
+    if (labels != arr).any():
+        raise ProtocolError("labels payload holds values that are not class indices")
+    return labels
+
+
+def decode_scalar_oracle(buf) -> float:
+    arr = decode_one_tensor_oracle(buf)
+    if arr.size != 1:
+        raise ProtocolError("malformed scalar payload")
+    return float(arr.reshape(()))
+
+
+def count_calls(fn) -> int:
+    """The calls, Python and C, that code in ``splitlab`` makes while
+    ``fn()`` runs in this thread, counted with ``sys.setprofile``. Calls
+    made inside numpy's or the standard library's own Python code do not
+    count; ufuncs run through an operator make no call event."""
+    calls = 0
+
+    def profile(frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            frame = frame.f_back
+        elif event != "c_call":
+            return
+        if frame is not None and frame.f_globals.get("__name__", "").startswith("splitlab"):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def count_constructions(monkeypatch, arch: str) -> list[int]:

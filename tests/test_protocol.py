@@ -38,8 +38,8 @@ from splitlab.protocol import (
 from splitlab.transport import inproc_pair, tcp_connect, tcp_listen
 from splitlab.wire import MsgType
 
-from helpers import (finite_diff_grad, max_param_diff, mnist_dir, params_equal,
-                     session_peak_mib, train_monolithic)
+from helpers import (count_calls, finite_diff_grad, max_param_diff, mnist_dir,
+                     params_equal, session_peak_mib, train_monolithic)
 
 
 def small_cfg(**kw):
@@ -457,6 +457,40 @@ class TestCutLifetime:
         # their gradient; 28.5 MiB without.
         cfg, ds = _cifar_step()
         assert session_peak_mib(cfg, ds.images, ds.labels) <= 31.0
+
+
+class TestCallCounts:
+    """A small step's fixed cost, as the calls splitlab's code makes
+    (``helpers.count_calls``), which repeat exactly. Each bound is the
+    count when it was set; the code before it made 439 and 102."""
+
+    def test_tiny8_label_sharing_train_step(self, synth):
+        cfg = SessionConfig(arch="tiny8", batch_size=8).validate()
+        client, server = build_parts(cfg)
+        batch = (synth.images[:8], synth.labels[:8])
+        train_step("label_sharing", client, server, batch)  # not the first step
+
+        assert count_calls(lambda: train_step("label_sharing", client, server, batch)) <= 347
+
+    def test_four_frames_sent_received_and_decoded(self):
+        rng = np.random.default_rng(0)
+        cut = rng.normal(size=(8, 4, 8, 8)).astype(np.float32)
+        frames = [(mtype, protocol.CODECS[mtype][0](value)) for mtype, value in (
+            (MsgType.SMASHED, cut), (MsgType.LABELS, np.arange(8) % 10),
+            (MsgType.GRAD, [cut]), (MsgType.LOSS, 2.25))]
+        a, b = inproc_pair(timeout=5)
+
+        def step():
+            with a.coalesced():
+                for mtype, payload in frames:
+                    a.send(mtype, payload)
+            for _ in frames:
+                mtype, payload = b.recv()
+                protocol.CODECS[mtype][1](payload)
+
+        with a, b:
+            step()
+            assert count_calls(step) <= 86
 
 
 class TestWireSessions:

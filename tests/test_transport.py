@@ -201,6 +201,26 @@ class TestCoalescedWrites:
             assert [b.recv()[0], b.recv()[0]] == [MsgType.SMASHED, MsgType.LABELS]
             assert b._sock.reads == 1
 
+    def test_more_frames_than_one_sendmsg_takes(self):
+        # Two buffers a frame: 600 frames are more buffers than IOV_MAX
+        # (1024 on Linux), where one sendmsg of them all failed. At about
+        # 600 KB they also overfill the socket buffer, so writes stop part
+        # way through a frame and a batch, and resume there.
+        rng = np.random.default_rng(1)
+        payloads = [rng.bytes(int(n)) for n in rng.integers(0, 2000, 600)]
+        a, b = inproc_pair(timeout=5)
+        with a, b:
+            got = []
+            reader = threading.Thread(target=lambda: got.extend(b.recv() for _ in payloads))
+            reader.start()
+            with a.coalesced():
+                for payload in payloads:
+                    a.send(MsgType.CONFIG, payload)
+            reader.join(timeout=5)
+        assert not reader.is_alive()
+        assert all(mtype is MsgType.CONFIG for mtype, _ in got)
+        assert [bytes(payload) for _, payload in got] == payloads
+
     def test_error_in_block_drops_the_queue(self):
         a, b = inproc_pair(timeout=0.2)
         with a, b:
@@ -289,3 +309,46 @@ class TestReader:
                 tracemalloc.stop()
         np.testing.assert_array_equal(out, arr)
         assert (peak - start) / 2**20 <= 4.5
+
+    @staticmethod
+    def _receive_peak_mib(send) -> float:
+        """tracemalloc's peak, above its start, while one cifar cut activation
+        is sent by ``send(transport, array)`` on a thread, received and
+        decoded."""
+        arr = np.random.default_rng(3).normal(size=(8, 64, 32, 32)).astype(np.float32)
+        a, b = inproc_pair(timeout=5)
+        with a, b:
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                th = threading.Thread(target=send, args=(a, arr))
+                th.start()
+                out = wire.decode_one_tensor(b.recv()[1])
+                th.join(timeout=5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert not th.is_alive()
+        np.testing.assert_array_equal(out, arr)
+        return (peak - start) / 2**20
+
+    def test_decode_while_the_sender_holds_its_payload(self):
+        # The finiteness check's mask is bounded: a mask of the whole
+        # tensor read 4.63 MiB here.
+        def send(transport, arr):
+            payload = wire.encode_tensor(arr)
+            transport.send(MsgType.SMASHED, payload)
+            time.sleep(0.3)  # payload still held while the peer decodes
+
+        assert self._receive_peak_mib(send) <= 4.5
+
+    def test_body_after_its_header_grows_to_its_length_only(self):
+        # With no body bytes behind the header the body doubles from 1 MiB;
+        # a second doubling past its length read 4.50 MiB here.
+        def send(transport, arr):
+            payload = wire.encode_tensor(arr)
+            transport._send_bytes(wire.HEADER.pack(wire.MAGIC, MsgType.SMASHED, len(payload)))
+            time.sleep(0.05)
+            transport._send_bytes(payload)
+
+        assert self._receive_peak_mib(send) <= 4.5

@@ -1,5 +1,7 @@
 """Wire codec round trips and malformed-input behaviour."""
 
+import math
+import struct
 import tracemalloc
 import warnings
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from splitlab import wire
 from splitlab.errors import ProtocolError
 from splitlab.protocol import CODECS
@@ -220,3 +223,100 @@ class TestFuzz:
             wire.decode_json(blob)
         except ProtocolError:
             pass
+
+
+# Values a decoder treats differently: signed zeros, class indices and
+# values just off them, the float32 extremes, NaN and the infinities.
+_EDGE_VALUES = [0.0, -0.0, 1.0, 9.0, 2.5, -1.0, 2.0**24 - 1, 2.0**24, 1e-45,
+                3.4028235e38, 1e30, np.nan, np.inf, -np.inf]
+_VALUES = (st.integers(0, 12).map(float), st.sampled_from(_EDGE_VALUES),
+           st.floats(width=32))
+_SHAPES = [(), (1,), (1, 1), (0,), (5,), (2, 3), (2, 1, 3)]
+
+
+@st.composite
+def _payloads(draw, shapes):
+    """Raw bytes, or one or two tensors as encoded, each of one of
+    ``shapes``, perhaps cut short, extended, or with its rank byte
+    replaced."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=64))
+    tensors = []
+    for _ in range(draw(st.sampled_from([1, 1, 2]))):
+        shape = draw(st.sampled_from(shapes))
+        values = draw(st.sampled_from(_VALUES))
+        data = draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))
+        tensors.append(np.array(data, np.float32).reshape(shape))
+    buf = bytearray(wire.encode_tensor_list(tensors))
+    edit = draw(st.sampled_from(["none", "none", "cut", "extend", "rank"]))
+    if edit == "cut":
+        del buf[draw(st.integers(0, len(buf) - 1)):]
+    elif edit == "extend":
+        buf += draw(st.binary(min_size=1, max_size=8))
+    elif edit == "rank":
+        buf[0] = draw(st.integers(0, 255))
+    return bytes(buf)
+
+
+def _outcome(decode, buf):
+    """What ``decode(buf)`` gives: ("ok", value bits) or ("raise", class)."""
+    try:
+        value = decode(bytearray(buf))
+    except Exception as exc:  # the class is the outcome compared
+        return "raise", type(exc)
+    if isinstance(value, float):
+        return "ok", struct.pack("<d", value)
+    if isinstance(value, tuple):  # a header's (type, length)
+        return "ok", value
+    arrays = value if isinstance(value, list) else [value]
+    return "ok", [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestDecodersMatchOracles:
+    """Each decoder accepts and rejects what the decoders as first written
+    did, with the same value bits and the same exception class."""
+
+    @pytest.mark.parametrize("decode, oracle, shapes", [
+        (wire.decode_one_tensor, helpers.decode_one_tensor_oracle, _SHAPES),
+        (wire.decode_tensor_list, helpers.decode_tensor_list_oracle, _SHAPES),
+        (wire.decode_labels, helpers.decode_labels_oracle, [(0,), (1,), (5,), (2, 3)]),
+        (wire.decode_scalar, helpers.decode_scalar_oracle, [(), (1,), (1, 1), (5,)]),
+    ], ids=["one_tensor", "tensor_list", "labels", "scalar"])
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_payload_decoders(self, decode, oracle, shapes, data):
+        buf = data.draw(_payloads(shapes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(decode, buf) == _outcome(oracle, buf)
+
+    @pytest.mark.parametrize("decode, oracle", [
+        (wire.decode_one_tensor, helpers.decode_one_tensor_oracle),
+        (wire.decode_labels, helpers.decode_labels_oracle),
+        (wire.decode_scalar, helpers.decode_scalar_oracle),
+    ], ids=["one_tensor", "labels", "scalar"])
+    @pytest.mark.parametrize("value", _EDGE_VALUES)
+    def test_each_edge_value(self, decode, oracle, value):
+        buf = wire.encode_tensor(np.array([value], np.float32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(decode, buf) == _outcome(oracle, buf)
+
+    def test_every_type_byte(self):
+        for mtype in range(256):
+            for buf in (wire.HEADER.pack(wire.MAGIC, mtype, 7),
+                        b"SPLX" + wire.HEADER.pack(wire.MAGIC, mtype, 0)[4:]):
+                assert (_outcome(wire.decode_header, buf)
+                        == _outcome(helpers.decode_header_oracle, buf))
+
+    @given(buf=st.binary(max_size=12) | st.builds(
+        lambda mtype, length, tail: wire.HEADER.pack(wire.MAGIC, mtype, length) + tail,
+        st.integers(0, 255), st.integers(0, 2**32 - 1), st.binary(max_size=3)))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_header(self, buf):
+        assert _outcome(wire.decode_header, buf) == _outcome(helpers.decode_header_oracle, buf)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1), (1, 1, 1, 1, 1, 1, 1, 1)])
+    def test_scalar_of_any_rank(self, shape):
+        buf = wire.encode_tensor(np.full(shape, -2.75, np.float32))
+        assert wire.decode_scalar(buf) == helpers.decode_scalar_oracle(buf) == -2.75
