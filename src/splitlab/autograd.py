@@ -137,25 +137,20 @@ def assert_finite(t: Tensor | np.ndarray, what: str = "tensor") -> None:
 
 def relu(x: Tensor) -> Tensor:
     """``np.where(x > 0, x, 0)`` bit for bit, without a branch per element:
-    x's bits ANDed with all ones where ``x > 0``, so -0.0 and NaN give +0.0."""
+    x's bits times ``x > 0``, so -0.0 and NaN give +0.0."""
     mask = x.data > 0
-    ones = mask.astype(np.uint32)
-    np.negative(ones, out=ones)
 
     def vjp(g):
         return (g * mask,)
 
-    return _output(np.bitwise_and(x.data.view(np.uint32), ones).view(np.float32), (x,), vjp)
+    bits = np.multiply(x.data.view(np.uint32), mask, dtype=np.uint32)
+    return _output(bits.view(np.float32), (x,), vjp)
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # Stable piecewise form; avoids overflow in exp for large |x|.
-    out = np.empty_like(x.data)
-    pos = x.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    e = np.exp(x.data[~pos])
-    out[~pos] = e / (1.0 + e)
-    out = out.astype(np.float32, copy=False)
+    # Stable piecewise form: exp(-|x|) never overflows.
+    e = np.exp(-np.abs(x.data))
+    out = np.where(x.data >= 0, 1, e) / (1 + e)
 
     def vjp(g):
         return (g * out * (1.0 - out),)
@@ -253,25 +248,27 @@ def _col2im(wt: np.ndarray, gs: np.ndarray, dflat: np.ndarray, k: int, h: int,
             w: int) -> None:
     """Add the patch gradient ``wt @ gs`` into ``dflat``: the input gradient
     of the chunk's planes back to back, padded flat by m at both ends.
-    Regrouped by kernel tap, what each tap's shift carries across a row or
-    plane edge zeroed, it takes one contiguous add per tap, in (i, j) order.
+    A sample's rows of it are tap-major; what each tap's shift carries
+    across a row or plane edge zeroed in place, each tap is added as it
+    stands, in (i, j) order, one sample's run per row of a shifted view.
     Each element gets the 2-D lowering's terms in its order, plus +0.0
     terms, which cannot change a sum that starts from +0.0."""
     n = len(gs)
     dcols = np.matmul(wt, gs)
     if h * w == 1:  # wt is wm.T there: C-major rows
         dcols = dcols.reshape(n, -1, k * k).transpose(0, 2, 1)
-    taps = np.ascontiguousarray(dcols.reshape(n, k * k, -1).transpose(1, 0, 2))
-    _zero_wrapped(taps.reshape(k, k, n, -1, h, w).transpose(2, 3, 0, 1, 4, 5), rows=True)
-    size = taps[0].size
-    for i in range(k):
-        for j in range(k):
-            dflat[i * w + j : i * w + j + size] += taps[i * k + j].reshape(-1)
+    taps = dcols.reshape(n, k * k, -1)  # a view, also of the regrouped rows
+    _zero_wrapped(taps.reshape(n, k, k, -1, h, w).transpose(0, 3, 1, 2, 4, 5), rows=True)
+    size = n * taps.shape[2]
+    for t in range(k * k):
+        shift = t // k * w + t % k
+        run = dflat[shift : shift + size].reshape(n, -1)
+        run += taps[:, t]
 
 
-# conv2d never holds more patch matrix than this at once. A batch whose
-# patches fit keeps them for backward; a larger one is lowered a chunk of
-# samples at a time and keeps only its input, lowered again in backward.
+# conv2d never holds more patch matrix than this at once: it lowers a chunk
+# of samples at a time. A batch of one chunk keeps its patches for backward;
+# a larger one keeps only its input, lowered again in backward.
 _CHUNK_BYTES = 2 << 20
 
 
@@ -280,11 +277,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     w: (O,C,k,k) with k odd, b: (O,); the output is (N,O,H,W).
 
     The lowering keeps the plane's size: each kernel tap is a shift of the
-    whole flattened plane (``_patches``, ``_col2im``). Every product is one
-    GEMM per sample, and ``dw`` adds the samples' products up one at a time
-    in batch order, so the bits do not depend on the chunk size. The input
-    gradient's GEMM takes the weight with its columns in tap-major order,
-    so that each tap's add is one contiguous run over the chunk's planes.
+    whole flattened plane (``_patches``, ``_col2im``), a chunk of samples
+    at a time. Every product is one GEMM per sample, and ``dw`` adds the
+    samples' products up one at a time in batch order, so the bits do not
+    depend on the chunk size. The input gradient's GEMM takes the weight
+    with its columns in tap-major order, so that each tap's rows of a
+    sample's patch gradient are one contiguous run.
     Backward keeps the patches or the input only when the weight needs a
     gradient. Per chunk it computes ``dx`` and drops the patch gradient
     before it rebuilds the patches for ``dw``, and it takes as many
@@ -307,14 +305,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     step = max(1, _CHUNK_BYTES // max(1, 4 * c * k * k * hw))  # samples
     out = np.empty((n, o, hw), dtype=np.float32)
     dx_grad, dw_grad, db_grad = x.requires_grad, w.requires_grad, b.requires_grad
-    xd = None
-    if n <= step:
-        cols = _patches(x.data, k)  # (N, C*k*k, H*W)
-        np.matmul(wm, cols, out=out)
-    else:
-        cols, xd = None, x.data  # patches rebuilt chunk by chunk in backward
-        for s in range(0, n, step):
-            np.matmul(wm, _patches(xd[s : s + step], k), out=out[s : s + step])
+    cols, xd = None, x.data if n > step else None
+    for s in range(0, n, step):
+        cols = _patches(x.data[s : s + step], k)  # (chunk, C*k*k, H*W)
+        np.matmul(wm, cols, out=out[s : s + step])
+        if xd is not None:
+            cols = None  # before the next chunk's patches
     if not dw_grad:  # only dw reads the patches
         cols = xd = None
     out = out.reshape(n, o, hh, ww)
@@ -394,24 +390,22 @@ def maxpool2x2(x: Tensor) -> Tensor:
         for m in won[1:]:
             np.greater(m, taken, out=m)
             taken |= m
-    masks = won.astype(np.uint32)
-    np.negative(masks, out=masks)  # all ones where the slot wins
     bits = top.view(np.uint32)
     if not same:
         # Which signed zero np.maximum returns on a tie is not specified,
-        # so the output takes the winning slot's bits through the masks.
+        # so the output takes the winning slot's bits, times 1 or 0.
         bits = np.zeros(top.shape, dtype=np.uint32)
-        for v, mk in zip(slots, masks):
-            bits |= v.view(np.uint32) & mk
+        for v, m in zip(slots, won):
+            bits |= v.view(np.uint32) * m
 
     def vjp(g):
-        # ANDing g's bits keeps a routed -0.0 and writes +0.0 to every other
-        # slot; g * mask would write -0.0 wherever g < 0.
+        # g's bits times 1 or 0 keep a routed -0.0 and write +0.0 to every
+        # other slot; g * m in floats would write -0.0 wherever g < 0.
         gb = np.asarray(g, dtype=np.float32).view(np.uint32)
         dx = np.empty(shape, dtype=np.float32)
         dxb = dx.view(np.uint32)
-        for (r, s), mk in zip(_POOL_SLOTS, masks):
-            np.bitwise_and(gb, mk, out=dxb[:, :, r::2, s::2])
+        for (r, s), m in zip(_POOL_SLOTS, won):
+            np.multiply(gb, m, out=dxb[:, :, r::2, s::2])
         return (dx,)
 
     return _output(bits.view(np.float32), (x,), vjp)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -123,7 +123,7 @@ def sample_class_balanced(ds: Dataset, per_class: int, seed: int = 0) -> Dataset
     for cls in range(10):
         pool = np.flatnonzero(ds.labels == cls)
         if pool.size < per_class:
-            raise DataError(
+            raise ConfigError(
                 f"{ds.name}: class {cls} has {pool.size} examples, need {per_class}"
             )
         picks.append(rng.choice(pool, size=per_class, replace=False))

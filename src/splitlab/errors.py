@@ -26,7 +26,7 @@ class CheckpointError(SplitLabError):
 
 
 class DataError(SplitLabError):
-    """Malformed dataset file or invalid sampling request."""
+    """Malformed dataset file."""
 
 
 class ConfigError(SplitLabError):

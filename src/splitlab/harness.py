@@ -25,12 +25,12 @@ from .attacks.inversion import InversionConfig, InversionResult, unsplit_invert
 from .attacks.labels import (infer_label, make_tail_clone, tail_accuracy,
                              tail_param_gradients)
 from .autograd import Tensor
-from .data import Dataset, epoch_batches, sample_class_balanced, write_atomic
+from .data import Dataset, sample_class_balanced, write_atomic
 from .errors import ConfigError, ShapeError
 from .layers import LayerStack
 from .models import SplitModel, build_layers, split_at, tail_start_index
 from .optim import fit_epoch, make_optimizer
-from .protocol import SessionConfig, TapEntry, build_parts, cut, train_local, train_step
+from .protocol import SessionConfig, TapEntry, cut, train_local
 
 def mse_images(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
@@ -167,16 +167,14 @@ def epoch_attack_curve(
 ) -> list[float]:
     """Mean reconstruction MSE against a fixed sample set after each
     training epoch of the client."""
-    client, server = build_parts(cfg)
     curve = []
-    for epoch in range(cfg.epochs):
-        for idx in epoch_batches(len(train_ds), cfg.batch_size, cfg.seed, epoch):
-            train_step(cfg.topology, client, server,
-                       (train_ds.images[idx], train_ds.labels[idx]))
-        entries = snapshot_tap(client.head, sample_images)
-        res = unsplit_invert(entries, cfg.arch, cfg.split_depth, inv_cfg,
-                             ground_truth=sample_images)
+
+    def attack(client, _server):
+        res = unsplit_invert(snapshot_tap(client.head, sample_images), cfg.arch,
+                             cfg.split_depth, inv_cfg, ground_truth=sample_images)
         curve.append(mse_images(res.x_est, sample_images))
+
+    train_local(cfg, train_ds.images, train_ds.labels, on_epoch=attack)
     return curve
 
 
@@ -273,8 +271,8 @@ def run_depth_sweep(sweep: SweepConfig, train_ds: Dataset,
         raise ConfigError(f"empty training subset: train_subset={sweep.train_subset} "
                           f"of {len(train_ds)} examples")
     chash = sweep.config_hash()
-    writer = ReportWriter(os.path.join(sweep.out_dir, "report.csv"))
     sample = sample_class_balanced(test_ds, sweep.sample_per_class, session.seed)
+    writer = ReportWriter(os.path.join(sweep.out_dir, "report.csv"))
     subset = train_ds.subset(np.arange(n_train))
     nets: dict[int, tuple[SplitModel, dict]] = {}  # state -> net, its columns
     rows: list[SweepRow] = []

@@ -389,14 +389,19 @@ def train_step(topology: str, client: ClientState, server: ServerState,
 
 
 def train_local(cfg: SessionConfig, images: np.ndarray, labels: np.ndarray,
-                tap: ServerTap | None = None
+                tap: ServerTap | None = None, on_epoch=None
                 ) -> tuple[SplitModel, list[float], ClientState, ServerState]:
     """Run the whole training loop in-memory via ``train_step``; returns
     the whole net (both roles' layers, merged), the losses and the two
-    role states."""
+    role states. ``on_epoch(client, server)``, if given, runs after each
+    epoch's last step."""
     client, server = build_parts(cfg)
-    losses = [train_step(cfg.topology, client, server, (images[idx], labels[idx]), tap)
-              for idx in session_batches(cfg, len(labels))]
+    losses = []
+    for epoch in range(cfg.epochs):
+        losses += [train_step(cfg.topology, client, server, (images[idx], labels[idx]), tap)
+                   for idx in epoch_batches(len(labels), cfg.batch_size, cfg.seed, epoch)]
+        if on_epoch is not None:
+            on_epoch(client, server)
     model = merge(client.model, server.part)
     model.step_count = len(losses)
     return model, losses, client, server

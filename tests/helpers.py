@@ -1,10 +1,11 @@
 """Shared test utilities: the oracles the library is checked against
-(central finite differences, an unsplit trainer, per-candidate label
-probing, einsum fc distances, uniform draws, argmax pooling, whole-batch
-convolution, plane-by-plane total variation, per-tensor Adam, the wire
-decoders as first written), a layer-construction counter, a profiled
-call counter, kink-aware input sampling, a session's traced memory
-peak, and tiny PGM/PPM parsing."""
+(central finite differences, an unsplit trainer, a per-epoch attack loop
+of its own, per-candidate label probing, einsum fc distances, uniform
+draws, argmax pooling, whole-batch convolution, plane-by-plane total
+variation, per-tensor Adam, the wire decoders and the relu, sigmoid,
+max-pool and col2im kernels as first written), a layer-construction
+counter, a profiled call counter, kink-aware input sampling, a session's
+traced memory peak, and tiny PGM/PPM parsing."""
 
 from __future__ import annotations
 
@@ -19,9 +20,12 @@ import numpy as np
 
 from splitlab import autograd as ag
 from splitlab import models, protocol, transport, wire
+from splitlab.attacks.inversion import unsplit_invert
 from splitlab.attacks.labels import tail_param_gradients
 from splitlab.autograd import Tensor
+from splitlab.data import epoch_batches
 from splitlab.errors import ProtocolError
+from splitlab.harness import mse_images, snapshot_tap
 from splitlab.models import build_net
 from splitlab.optim import fit_epoch, make_optimizer
 
@@ -98,6 +102,23 @@ def train_monolithic(cfg, images: np.ndarray, labels: np.ndarray):
         losses += fit_epoch(model, opt, images, labels, cfg.batch_size, cfg.seed, epoch)
     model.step_count += len(losses)
     return model, losses
+
+
+def epoch_attack_curve_oracle(cfg, train_ds, sample_images: np.ndarray,
+                              inv_cfg) -> list[float]:
+    """``harness.epoch_attack_curve`` over a training loop of its own: the
+    session's batches through ``train_step``, and after each epoch the
+    mean reconstruction MSE of the client part's batch-1 cut activations."""
+    client, server = protocol.build_parts(cfg)
+    curve = []
+    for epoch in range(cfg.epochs):
+        for idx in epoch_batches(len(train_ds), cfg.batch_size, cfg.seed, epoch):
+            protocol.train_step(cfg.topology, client, server,
+                                (train_ds.images[idx], train_ds.labels[idx]))
+        res = unsplit_invert(snapshot_tap(client.head, sample_images), cfg.arch,
+                             cfg.split_depth, inv_cfg, ground_truth=sample_images)
+        curve.append(mse_images(res.x_est, sample_images))
+    return curve
 
 
 def probe_distances(grad_received, smashed: np.ndarray, clone,
@@ -337,6 +358,78 @@ def tv_oracle(x: np.ndarray, eps: float, g: np.float32) -> tuple[np.float32, np.
     dx[:, :, :, 1:] += gdh[:, :, :, :-1]
     dx[:, :, :, :-1] -= gdh[:, :, :, :-1]
     return np.float32(r.sum(dtype=np.float64)), dx
+
+
+def relu_mask_oracle(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """relu and its input gradient for the seed ``g`` through a uint32
+    mask: x's bits ANDed with all ones where ``x > 0``."""
+    mask = x > 0
+    ones = mask.astype(np.uint32)
+    np.negative(ones, out=ones)
+    return np.bitwise_and(x.view(np.uint32), ones).view(np.float32), g * mask
+
+
+def sigmoid_halves_oracle(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigmoid and its input gradient for the seed ``g``, each half of the
+    piecewise form over its own boolean-indexed elements."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out, g * out * (1.0 - out)
+
+
+def maxpool_mask_oracle(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """maxpool2x2 and its input gradient for the seed ``g`` through uint32
+    masks, all ones where a slot wins: the output's tie path ORs the
+    winning slot's bits ANDed with its mask, and backward ANDs g's bits
+    with each slot's mask."""
+    slots = [x[:, :, r::2, s::2].copy() for r, s in ag._POOL_SLOTS]
+    top = np.maximum(np.maximum(slots[0], slots[1]), np.maximum(slots[2], slots[3]))
+    lo = top.min(initial=np.inf)
+    same = (lo > 0 or lo < 0 and top.all()
+            or lo == 0 and x.view(np.int32).min(initial=0) >= 0)
+    won = np.empty((4, *top.shape), dtype=bool)
+    for v, m in zip(slots, won):
+        np.equal(v, top, out=m)
+        if not same:
+            m |= np.isnan(v)
+    if lo == 0 or np.count_nonzero(won) != top.size:
+        taken = won[0].copy()
+        for m in won[1:]:
+            np.greater(m, taken, out=m)
+            taken |= m
+    masks = won.astype(np.uint32)
+    np.negative(masks, out=masks)
+    bits = top.view(np.uint32)
+    if not same:
+        bits = np.zeros(top.shape, dtype=np.uint32)
+        for v, mk in zip(slots, masks):
+            bits |= v.view(np.uint32) & mk
+    gb = np.asarray(g, dtype=np.float32).view(np.uint32)
+    dx = np.empty(x.shape, dtype=np.float32)
+    dxb = dx.view(np.uint32)
+    for (r, s), mk in zip(ag._POOL_SLOTS, masks):
+        np.bitwise_and(gb, mk, out=dxb[:, :, r::2, s::2])
+    return bits.view(np.float32), dx
+
+
+def col2im_copy_oracle(wt: np.ndarray, gs: np.ndarray, dflat: np.ndarray, k: int,
+                       h: int, w: int) -> None:
+    """``autograd._col2im`` through a tap-major copy of the patch gradient:
+    one (chunk, C*H*W) block per tap, zeroed where its shift wraps, then
+    one contiguous add per tap."""
+    n = len(gs)
+    dcols = np.matmul(wt, gs)
+    if h * w == 1:
+        dcols = dcols.reshape(n, -1, k * k).transpose(0, 2, 1)
+    taps = np.ascontiguousarray(dcols.reshape(n, k * k, -1).transpose(1, 0, 2))
+    ag._zero_wrapped(taps.reshape(k, k, n, -1, h, w).transpose(2, 3, 0, 1, 4, 5), rows=True)
+    size = taps[0].size
+    for i in range(k):
+        for j in range(k):
+            dflat[i * w + j : i * w + j + size] += taps[i * k + j].reshape(-1)
 
 
 def conv2d_oracle(x: np.ndarray, w: np.ndarray, b: np.ndarray,

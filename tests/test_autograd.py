@@ -16,8 +16,10 @@ from splitlab.errors import GraphError, NumericError, ShapeError
 from splitlab.models import ARCHS, build_layers, layout
 from splitlab.optim import SGD, Adam
 
-from helpers import (adam_oracle, add, conv2d_oracle, fd_check, finite_diff_grad, maxpool_oracle,
-                     pool_safe, relu_oracle, relu_safe, tsum, tv_oracle)
+from helpers import (adam_oracle, add, col2im_copy_oracle, conv2d_oracle, fd_check,
+                     finite_diff_grad, maxpool_mask_oracle, maxpool_oracle, pool_safe,
+                     relu_mask_oracle, relu_oracle, relu_safe, sigmoid_halves_oracle, tsum,
+                     tv_oracle)
 
 
 class TestOps:
@@ -545,6 +547,89 @@ class TestConvBytes:
         assert dx.tobytes() == want_dx.tobytes()
         for got, want in ((dw, want_dw), (db, want_db)):
             assert got is None or got.tobytes() == want.tobytes()
+
+
+_KERNEL_SPECIALS = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0, 2.0],
+                            dtype=np.float32)
+
+
+def _with_specials(rng, shape, share):
+    """``_values`` with about ``share`` of them drawn from ``_KERNEL_SPECIALS``:
+    both signed zeros, NaN of either sign, both infinities, and small
+    integers that tie."""
+    v = _values(rng, shape)
+    pick = rng.random(shape) < share
+    v[pick] = rng.choice(_KERNEL_SPECIALS, size=shape)[pick]
+    return v
+
+
+@st.composite
+def _kernel_case(draw, pool=False):
+    """An input and a seed gradient over ``_with_specials`` at batch 1 or
+    more; for pooling, even planes and, half the time, a ReLU output as the
+    input. The larger shares of specials make ties and all-zero windows."""
+    n = draw(st.sampled_from([1, 2, 5]))
+    c = draw(st.integers(1, 3))
+    h, w = ((draw(st.sampled_from([2, 4, 6])), draw(st.sampled_from([2, 4, 6]))) if pool
+            else (draw(st.integers(1, 5)), draw(st.integers(1, 5))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    x = _with_specials(rng, (n, c, h, w), share)
+    if pool and draw(st.booleans()):
+        x = relu_oracle(x)
+    gshape = (n, c, h // 2, w // 2) if pool else x.shape
+    return x, _with_specials(rng, gshape, share)
+
+
+def _assert_kernel_matches(op, oracle, x, g):
+    """``op``'s output and input gradient for the seed ``g`` have the bytes
+    of ``oracle(x, g)``. Specials make NaN of inf * 0 and inf - inf, with
+    the same warning on both sides: it is silenced for both."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        t = Tensor(x, requires_grad=True)
+        out = op(t)
+        ag.backward(out, seed_grad=g)
+        want = oracle(x, g)
+    _assert_same_bytes((out.data, t.grad), want)
+
+
+class TestKernelsMatchTheMaskForms:
+    """relu, sigmoid, maxpool2x2 and conv2d's col2im against the forms that
+    built masks, halves or a tap-major copy, byte for byte, output and
+    gradient, over signed zeros, NaN, infinities, ties and ReLU outputs."""
+
+    @given(_kernel_case())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_relu(self, case):
+        _assert_kernel_matches(ag.relu, relu_mask_oracle, *case)
+
+    @given(_kernel_case())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_sigmoid(self, case):
+        _assert_kernel_matches(ag.sigmoid, sigmoid_halves_oracle, *case)
+
+    @given(_kernel_case(pool=True))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_maxpool2x2(self, case):
+        _assert_kernel_matches(ag.maxpool2x2, maxpool_mask_oracle, *case)
+
+    @given(st.sampled_from([1, 2, 3, 7]), st.integers(1, 3), st.integers(1, 3),
+           st.one_of(st.just((1, 1)), st.tuples(st.integers(1, 6), st.integers(1, 6))),
+           st.sampled_from([1, 3, 5]), st.sampled_from([1, 2, None]),
+           st.sampled_from([0.0, 0.1]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_col2im(self, n, c, o, hw, k, samples, share, seed):
+        rng = np.random.default_rng(seed)
+        x, g = (_with_specials(rng, s, share) for s in ((n, c, *hw), (n, o, *hw)))
+        w, b = _values(rng, (o, c, k, k)), _values(rng, (o,))
+        budget = 1 << 40 if samples is None else samples * 4 * c * k * k * hw[0] * hw[1]
+        got = []
+        with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore", over="ignore"):
+            mp.setattr(ag, "_CHUNK_BYTES", budget)
+            got.append(_conv_all_grads(x, w, b, g))
+            mp.setattr(ag, "_col2im", col2im_copy_oracle)
+            got.append(_conv_all_grads(x, w, b, g))
+        _assert_same_bytes(*got)
 
 
 class TestLinearBytes:

@@ -398,6 +398,16 @@ class TestAttackInvert:
                     "--out-dir", str(tmp_path)]) == 5
         assert "not ascending, distinct and below 8" in capsys.readouterr().err
 
+    def test_sample_larger_than_a_class_is_config_error(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert run(train_args(out)) == 0
+        capsys.readouterr()
+        assert run(["attack-invert", "--dataset", "synth",
+                    "--checkpoint", os.path.join(out, "model.ckpt"),
+                    "--sample-per-class", "100", "--out-dir", out]) == 2
+        assert "examples, need 100" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "inversion"))
+
 
 class TestReport:
     def test_quick_report_and_resume(self, tmp_path, capsys):
@@ -427,6 +437,13 @@ class TestReport:
         assert run(["report", "--dataset", "synth", "--train-subset", "0",
                     "--depths", "1", "--out-dir", str(out)]) == 2
         assert "empty training subset" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
+    def test_sample_larger_than_a_class_rejected_before_any_row(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["report", "--dataset", "synth", "--sample-per-class", "100",
+                    "--depths", "1", "--out-dir", str(out)]) == 2
+        assert "examples, need 100" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
 

@@ -18,7 +18,7 @@ from splitlab.data import (
     synth_dataset,
     write_atomic,
 )
-from splitlab.errors import DataError
+from splitlab.errors import ConfigError, DataError
 
 
 def write_idx_pair(tmp_path, images, labels, prefix=""):
@@ -154,7 +154,7 @@ class TestSampling:
 
     def test_insufficient_population(self):
         ds = synth_dataset(12, seed=0)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             sample_class_balanced(ds, 5)
 
 

@@ -31,7 +31,7 @@ from splitlab.harness import (
 from splitlab.models import build_net, split_at
 from splitlab.protocol import SessionConfig, train_local
 
-from helpers import parse_pnm
+from helpers import epoch_attack_curve_oracle, parse_pnm
 
 
 class TestMetrics:
@@ -155,6 +155,20 @@ class TestAttackPlumbing:
         curve = epoch_attack_curve(cfg, ds, ds.images[:2], inv)
         assert len(curve) == 2
         assert all(np.isfinite(v) and v >= 0 for v in curve)
+
+    @pytest.mark.parametrize("topology", ["label_sharing", "client_labels"])
+    def test_epoch_attack_curve_matches_a_loop_of_its_own(self, topology):
+        """The curve, taken through ``train_local``'s per-epoch callback,
+        has the bits of a plain epoch loop's, and moves as training does."""
+        ds = synth_dataset(20, (1, 8, 8), seed=6)
+        cfg = SessionConfig(arch="tiny8", split_depth=2, topology=topology,
+                            batch_size=8, epochs=3, seed=6).validate()
+        inv = InversionConfig(input_steps=3, model_steps=3, max_rounds=1,
+                              plateau_rounds=2)
+        curve = epoch_attack_curve(cfg, ds, ds.images[:2], inv)
+        want = epoch_attack_curve_oracle(cfg, ds, ds.images[:2], inv)
+        assert np.array(curve).tobytes() == np.array(want).tobytes()
+        assert len(set(curve)) == 3
 
 
 class TestReportWriter:
