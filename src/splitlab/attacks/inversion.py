@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..autograd import Tensor, assert_finite, backward, mse_loss, tv_penalty
+from ..autograd import Tensor, assert_finite, backward, tv_penalty
 from ..errors import ConfigError, NumericError
 from ..layers import LayerStack, _uniform_f32
 from ..models import ARCHS, build_layers
@@ -107,6 +107,14 @@ def invert(
     ``targets`` is (B, ...) of activations, ``clone`` a randomly
     initialized copy of the client part, ``input_shape`` the per-example
     (C, H, W).
+
+    Each step runs one clone forward and one backward walk: an input step
+    seeds it at the clone's output with the matching loss's gradient and,
+    when ``tv_lambda`` > 0, at the TV term with ``tv_lambda``. A round's
+    objective is read from the forward that opens the next round, so R
+    rounds of I input and M model steps make R*(I+M) + 1 clone forwards
+    and R*(I+M) walks. The clone is returned with its parameters needing
+    gradients, as its last model step left them.
     """
     lam = cfg.validate().tv_lambda
     if lam is None:
@@ -116,43 +124,59 @@ def invert(
     lo, hi = CLAMP
     x = Tensor(_uniform_f32(rng, lo, hi, (b, *input_shape)), requires_grad=True)
     target_t = Tensor(targets)
+    params = clone.params()
     opt_x = OPTIMIZER([x], INPUT_LR)
-    opt_m = OPTIMIZER(clone.params(), MODEL_LR)
+    opt_m = OPTIMIZER(params, MODEL_LR)
 
     history: list[RoundMetrics] = []
     best = np.inf
     stale = 0
     best_x = x.data.copy()
     diff = np.empty(targets.shape, np.float32)  # each step's output - target
-    for rnd in range(1, cfg.max_rounds + 1):
+
+    def set_phase(phase: str) -> None:
         # Input phase: clone parameters frozen, only x moves, under the TV
         # term too. Model phase: x frozen, only the clone parameters move.
-        # backward is seeded with the gradient mse_loss passes the clone's
-        # output, and the TV term, weighted by lam, adds its own into x.grad.
+        x.requires_grad = phase == "input"
+        _set_requires_grad(params, phase == "model")
+
+    def step_forward(tv_lam: float) -> tuple[Tensor, Tensor | None]:
+        out = clone.forward(x)
+        np.subtract(out.data, target_t.data, out=diff)
+        return out, tv_penalty(x, TV_EPS) if tv_lam > 0 else None
+
+    set_phase("input")
+    ahead = step_forward(lam)  # the next input step's forward, built ahead
+    for rnd in range(1, cfg.max_rounds + 1):
         for phase, steps, opt, tv_lam in (("input", cfg.input_steps, opt_x, lam),
                                           ("model", cfg.model_steps, opt_m, 0.0)):
-            x.requires_grad = phase == "input"
-            _set_requires_grad(clone.params(), phase == "model")
+            if phase == "model":
+                set_phase(phase)
             for _ in range(steps):
                 opt.zero_grad()
-                out = clone.forward(x)
-                np.subtract(out.data, target_t.data, out=diff)
-                tv = tv_penalty(x, TV_EPS) if tv_lam > 0 else None
+                out, tv = ahead or step_forward(tv_lam)
+                ahead = None
                 if not _finite_objective(diff, tv, tv_lam):
                     raise NumericError(
                         f"inversion round {rnd}: non-finite objective in {phase} phase"
                     )
+                # One walk, seeded with the gradient mse_loss passes the
+                # clone's output and, at the TV term, with its weight.
                 # 2*diff/n rounded once, as diff/(n/2): the doubling is exact
                 # below the bound _finite_objective proves.
-                backward(out, np.divide(diff, np.float32(diff.size / 2), out=diff))
-                if tv is not None:
-                    backward(tv, np.float32(tv_lam))
+                tv_root = () if tv is None else ((tv, np.float32(tv_lam)),)
+                backward(out, np.divide(diff, np.float32(diff.size / 2), out=diff), *tv_root)
                 opt.step()
                 if phase == "input":
                     np.clip(x.data, lo, hi, out=x.data)
 
-        tv_now = float(tv_penalty(Tensor(x.data), TV_EPS).data)
-        obj_now = float(mse_loss(clone.forward(Tensor(x.data)), target_t).data)
+        # The round's objective, read from the forward that opens the next
+        # round; mse_loss's bits, and the TV term's.
+        set_phase("input")
+        ahead = step_forward(lam)
+        tv = ahead[1] if lam > 0 else tv_penalty(Tensor(x.data), TV_EPS)
+        tv_now = float(tv.data)
+        obj_now = float(np.float32(np.mean(diff.astype(np.float64) ** 2)))
         obj_now += lam * tv_now
         assert_finite(np.float32(obj_now), "inversion objective")
         metrics = RoundMetrics(rnd, obj_now, tv_now)
@@ -170,6 +194,7 @@ def invert(
         if stale >= cfg.plateau_rounds:
             break
 
+    set_phase("model")  # the clone is returned as its last step left it
     return InversionResult(x_est=best_x, clone=clone, history=history)
 
 

@@ -15,10 +15,10 @@ a node on first use, holding only a weak link back to the tensor so that
 closure saves just the arrays its VJP reads (a ReLU mask, pooling masks,
 conv patches or input, a linear layer's input), so an activation that no
 VJP saves is freed as soon as the forward pass drops its tensor.
-``backward`` walks the op nodes once in reverse topological order,
-marking each consumed and dropping its closure and parents as soon as
-its gradient has passed through; the leaves' gradients, then complete,
-are stored after the walk.
+``backward`` walks the op nodes of one or more seeded roots once, in
+reverse topological order, marking each consumed and dropping its
+closure and parents as soon as its gradient has passed through; the
+leaves' gradients, then complete, are stored after each root's nodes.
 """
 
 from __future__ import annotations
@@ -280,7 +280,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     whole flattened plane (``_patches``, ``_col2im``), a chunk of samples
     at a time. Every product is one GEMM per sample, and ``dw`` adds the
     samples' products up one at a time in batch order, so the bits do not
-    depend on the chunk size. The input gradient's GEMM takes the weight
+    depend on the chunk size. The bias is repeated into one (O, H*W) plane
+    and added to each sample's output: the float32 adds of a broadcast of
+    ``b``, over contiguous rows. The input gradient's GEMM takes the weight
     with its columns in tap-major order, so that each tap's rows of a
     sample's patch gradient are one contiguous run.
     Backward keeps the patches or the input only when the weight needs a
@@ -313,8 +315,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             cols = None  # before the next chunk's patches
     if not dw_grad:  # only dw reads the patches
         cols = xd = None
+    out += b.data[:, None].repeat(hw, axis=1)  # one (O, H*W) bias plane
     out = out.reshape(n, o, hh, ww)
-    out += b.data.reshape(1, o, 1, 1)
 
     def vjp(g):
         gr = g.reshape(n, o, hw)
@@ -466,6 +468,11 @@ def tv_penalty(x: Tensor, eps: float = 1e-8) -> Tensor:
     neighbours at the bottom/right boundary contributing zero. Summed over
     batch and channels. ``eps`` smooths the kink at zero difference;
     pass 0 for the exact (non-differentiable) value.
+
+    Backward divides the seed by each pixel's r. Where an r can be zero
+    or not finite (eps = 0, or a total that is not finite) the divide is
+    masked to r > 0, and a zero r gives zero gradient; otherwise every r
+    is at least sqrt(eps), and a plain divide has the same bits.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"tv_penalty: expected NCHW input, got {x.data.shape}")
@@ -486,10 +493,14 @@ def tv_penalty(x: Tensor, eps: float = 1e-8) -> Tensor:
 
     cut(dv, dh)
     r = np.sqrt(dv * dv + dh * dh + eps)
+    total = r.sum(dtype=np.float64)
+    # With eps > 0 and a finite total, every r is finite and at least
+    # sqrt(eps): the plain divide then has the masked divide's bits.
+    masked = not (eps > 0 and math.isfinite(total))
 
     def vjp(g):
         # Zero-difference pixels get zero gradient when eps == 0.
-        inv = np.divide(g, r, out=np.zeros_like(r), where=r > 0)
+        inv = np.divide(g, r, out=np.zeros_like(r), where=r > 0) if masked else g / r
         gdv = inv * dv
         gdh = np.multiply(inv, dh, out=inv)
         cut(gdv, gdh)  # so that the adds across an edge below add +0.0
@@ -500,18 +511,21 @@ def tv_penalty(x: Tensor, eps: float = 1e-8) -> Tensor:
         dx[:-1] -= gdh[:-1]
         return (dx.reshape(shape),)
 
-    return _output(np.float32(r.sum(dtype=np.float64)), (x,), vjp)
+    return _output(np.float32(total), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
 # backward pass
 
-def _toposort(root: _Node) -> list[_Node]:
-    """The op nodes reachable from ``root``, each after every op node it
-    reads from (depth-first, last parent first); leaves are left out.
-    Raises on reaching a node an earlier backward consumed."""
+def _toposort(root: _Node, seen: set[_Node]) -> list[_Node]:
+    """The op nodes reachable from ``root`` and not yet in ``seen``, each
+    after every op node it reads from (depth-first, last parent first);
+    leaves are left out. Adds what it reaches to ``seen``. Raises on
+    reaching a node an earlier backward consumed."""
     order: list[_Node] = []
-    seen = {root}
+    if root in seen:
+        return order
+    seen.add(root)
     stack = [root] if root.vjp is not None else []
     while stack:
         node = stack[-1]
@@ -529,50 +543,68 @@ def _toposort(root: _Node) -> list[_Node]:
     return order
 
 
-def backward(loss: Tensor, seed_grad: np.ndarray | None = None) -> None:
-    """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
+def backward(loss: Tensor, seed_grad: np.ndarray | None = None,
+             *roots: tuple[Tensor, np.ndarray | None]) -> None:
+    """Populate ``grad`` on every requires_grad leaf reachable from ``loss``
+    and from the further ``(tensor, seed)`` ``roots``, in one walk.
 
-    ``seed_grad`` defaults to 1.0 and must be scalar-shaped like ``loss``;
-    a non-scalar loss requires an explicit seed of matching shape. The
-    graph is single-use: a second backward through any of its nodes raises.
+    A seed defaults to 1.0 and must be shaped like its root; a non-scalar
+    root requires an explicit seed of matching shape. Every root is checked
+    before any node is consumed. The walk takes the op nodes a root at a
+    time, in root order, and adds the leaves' gradients into ``grad`` after
+    each root's nodes, so that when the graphs share only leaves, each leaf
+    gets the bits of one ``backward`` call per root in that order. The graph
+    is single-use: a second backward through any of its nodes raises.
     """
-    if seed_grad is None:
-        if loss.data.size != 1:
-            raise GraphError(
-                f"backward: loss must be scalar, got shape {loss.data.shape}"
-            )
-        seed_grad = np.array(1, np.float32)
-    else:
-        seed_grad = np.asarray(seed_grad, dtype=np.float32)
-        if seed_grad.shape != loss.data.shape:
-            raise ShapeError(
-                f"backward: seed gradient {seed_grad.shape} does not match "
-                f"loss {loss.data.shape}"
-            )
-    root = _node_of(loss)
-    if root is None:
-        raise GraphError("backward: loss does not depend on any requires_grad tensor")
-    if root.consumed:
-        raise GraphError("backward: graph already consumed")
+    # Each root's share of the walk: the op nodes that no later root
+    # reaches, found last root first.
+    seen: set[_Node] = set()
+    shares: list[tuple[_Node, np.ndarray, list[_Node]]] = []
+    for t, seed in reversed(((loss, seed_grad), *roots)):
+        if seed is None:
+            if t.data.size != 1:
+                raise GraphError(f"backward: loss must be scalar, got shape {t.data.shape}")
+            seed = np.array(1, np.float32)
+        else:
+            seed = np.asarray(seed, dtype=np.float32)
+            if seed.shape != t.data.shape:
+                raise ShapeError(
+                    f"backward: seed gradient {seed.shape} does not match "
+                    f"loss {t.data.shape}"
+                )
+        node = _node_of(t)
+        if node is None:
+            raise GraphError("backward: loss does not depend on any requires_grad tensor")
+        if node.consumed:
+            raise GraphError("backward: graph already consumed")
+        shares += ((node, seed.reshape(t.data.shape), _toposort(node, seen)),)
 
-    grads: dict[_Node, np.ndarray] = {root: seed_grad.reshape(loss.data.shape)}
-    for node in reversed(_toposort(root)):
-        # Op nodes are single-use. Each is unlinked as the walk reaches it,
-        # so its saved arrays are freed once its VJP has run rather than
-        # when the walk ends.
-        vjp, parents = node.vjp, node.parents
-        node.consumed = True
-        node.vjp, node.parents = None, ()
-        g = grads.pop(node, None)
-        if g is None:
-            continue
-        for parent, pg in zip(parents, vjp(g)):
-            if parent is None:  # needs no gradient
+    grads: dict[_Node, np.ndarray] = {}
+    for root, seed, share in reversed(shares):
+        grads[root] = grads[root] + seed if root in grads else seed
+        for node in reversed(share):
+            # Op nodes are single-use. Each is unlinked as the walk reaches it,
+            # so its saved arrays are freed once its VJP has run rather than
+            # when the walk ends.
+            vjp, parents = node.vjp, node.parents
+            node.consumed = True
+            node.vjp, node.parents = None, ()
+            g = grads.pop(node, None)
+            if g is None:
                 continue
-            acc = grads.get(parent)
-            grads[parent] = pg if acc is None else acc + pg
-    # What is left is the leaves' gradients; leaves live across many graphs.
-    for node, g in grads.items():
-        leaf = node.leaf()
-        if leaf is not None:  # else nothing can read its gradient
-            leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
+            for parent, pg in zip(parents, vjp(g)):
+                if parent is None:  # needs no gradient
+                    continue
+                acc = grads.get(parent)
+                grads[parent] = pg if acc is None else acc + pg
+        # The leaves' gradients are complete for this root; leaves live
+        # across many graphs. An op node in a later root's share waits.
+        waiting: dict[_Node, np.ndarray] = {}
+        for node, g in grads.items():
+            if node.leaf is None:
+                waiting[node] = g
+                continue
+            leaf = node.leaf()
+            if leaf is not None:  # else nothing can read its gradient
+                leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
+        grads = waiting

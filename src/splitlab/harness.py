@@ -266,6 +266,8 @@ def run_depth_sweep(sweep: SweepConfig, train_ds: Dataset,
         cut(replace(session, split_depth=depth))
     if sweep.label_samples < 1:
         raise ConfigError(f"label_samples must be >= 1, got {sweep.label_samples}")
+    if sweep.sample_per_class < 1:
+        raise ConfigError(f"sample_per_class must be >= 1, got {sweep.sample_per_class}")
     n_train = min(sweep.train_subset, len(train_ds))
     if n_train < 1:
         raise ConfigError(f"empty training subset: train_subset={sweep.train_subset} "

@@ -156,7 +156,7 @@ class TestReluBytes:
                   elements=st.one_of(st.sampled_from(_RELU_SPECIALS),
                                      st.floats(width=32, allow_nan=True,
                                                allow_subnormal=True))))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     def test_matches_where_oracle(self, x):
         for view in (x, x.T):  # a strided input too
             out = ag.relu(Tensor(view)).data
@@ -173,7 +173,7 @@ class TestMaxPoolBytes:
         np.array([-0.0, 0.0, 0.0, -0.0], dtype=np.float32).reshape(1, 1, 2, 2),
         np.full((1, 1, 1, 1), -0.0, dtype=np.float32),
     ))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     def test_matches_argmax_oracle(self, case):
         x, g = case
         out, dx = _pool_grads(x, g)
@@ -266,6 +266,24 @@ class TestTV:
         assert (np.isnan(t.grad) == nan).all()
         assert t.grad[~nan].tobytes() == want_dx[~nan].tobytes()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_keeps_the_masked_divide(self, bad):
+        # A NaN r (from a NaN, or inf - inf) gets zero from the masked
+        # divide, NaN from a plain one: the total, not finite, keeps the mask.
+        rng = np.random.default_rng(32)
+        x = rng.choice(np.array([0.0, 0.25, 1.0, 3.0], dtype=np.float32), size=(2, 1, 5, 4))
+        x[0, 0, 2, 1] = bad
+        x[1, 0, 1, 1:3] = bad
+        t = Tensor(x, requires_grad=True)
+        with np.errstate(invalid="ignore"):
+            out = ag.tv_penalty(t, 1e-8)
+            ag.backward(out, seed_grad=np.float32(0.5))
+            want_out, want_dx = tv_oracle(x, 1e-8, np.float32(0.5))
+        assert np.isnan(out.data) == np.isnan(want_out)
+        nan = np.isnan(want_dx)
+        assert (np.isnan(t.grad) == nan).all() and not nan.all()
+        assert t.grad[~nan].tobytes() == want_dx[~nan].tobytes()
+
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(3)
         # Keep neighbouring differences away from zero so the sqrt stays
@@ -331,6 +349,104 @@ class TestBackward:
         first, second = run(), run()
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
+
+
+# Graphs of one leaf x (2, 1, 4, 4) for multi-root backward: each builds
+# from x and leaves of its own, drawn from its rng, and returns its root,
+# the root's seed (None for the default) and its own leaves.
+def _tv_graph(x, rng):
+    return ag.tv_penalty(x, 1e-8), np.float32(rng.normal()), []
+
+
+def _conv_graph(x, rng):
+    w = Tensor(rng.normal(size=(2, 1, 3, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(rng.normal(size=2).astype(np.float32), requires_grad=True)
+    out = ag.relu(ag.conv2d(x, w, b))
+    return out, rng.normal(size=out.shape).astype(np.float32), [w, b]
+
+
+def _pool_mse_graph(x, rng):
+    target = Tensor(rng.normal(size=(2, 1, 2, 2)).astype(np.float32))
+    return ag.mse_loss(ag.maxpool2x2(ag.sigmoid(x)), target), None, []
+
+
+def _twice_graph(x, rng):  # x twice in one graph: two adds into its gradient
+    return tsum(add(ag.relu(x), x)), np.float32(rng.normal()), []
+
+
+_GRAPHS = {"tv": _tv_graph, "conv": _conv_graph, "pool_mse": _pool_mse_graph,
+           "twice": _twice_graph}
+
+
+def _roots_run(xd, start, kinds, seed, together):
+    """x's gradient and every other leaf's after backward over one graph
+    per kind: in one call when ``together``, else one call per root."""
+    x = Tensor(xd, requires_grad=True)
+    x.grad = None if start is None else start.copy()
+    rng = np.random.default_rng(seed)
+    graphs = [_GRAPHS[kind](x, rng) for kind in kinds]
+    if together:
+        ag.backward(*graphs[0][:2], *(root[:2] for root in graphs[1:]))
+    else:
+        for root, root_seed, _ in graphs:
+            ag.backward(root, root_seed)
+    return [x.grad] + [leaf.grad for *_, leaves in graphs for leaf in leaves]
+
+
+class TestMultiRootBackward:
+    @given(arrays(np.float32, (2, 1, 4, 4), elements=st.floats(-2, 2, width=32)),
+           st.lists(st.sampled_from(sorted(_GRAPHS)), min_size=1, max_size=4),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_graphs_sharing_a_leaf_match_one_call_per_root(self, xd, kinds, has_start,
+                                                           seed):
+        start = np.random.default_rng(seed).normal(size=xd.shape).astype(np.float32)
+        start = start if has_start else None
+        together = _roots_run(xd, start, kinds, seed, together=True)
+        apart = _roots_run(xd, start, kinds, seed, together=False)
+        assert len(together) == len(apart)
+        for a, b in zip(together, apart):
+            assert a.dtype == b.dtype == np.float32
+            assert a.tobytes() == b.tobytes()
+
+    def test_a_root_inside_another_roots_graph(self):
+        # d(sum(y) + <y, g>)/dx: y's gradient is 1 + g, summed once.
+        rng = np.random.default_rng(5)
+        xd = rng.normal(size=(3, 4)).astype(np.float32)
+        g = rng.normal(size=(3, 4)).astype(np.float32)
+        for order in ("loss first", "y first"):
+            x = Tensor(xd, requires_grad=True)
+            y = ag.relu(x)
+            roots = [(tsum(y), None), (y, g)]
+            if order == "y first":
+                roots.reverse()
+            ag.backward(*roots[0], roots[1])
+            want = Tensor(xd, requires_grad=True)
+            ag.backward(ag.relu(want), np.float32(1) + g)
+            assert x.grad.tobytes() == want.grad.tobytes(), order
+
+    @pytest.mark.parametrize("bad", ["consumed", "seed_shape", "no_grad", "non_scalar"])
+    def test_a_bad_further_root_raises_before_any_walk(self, bad):
+        x = Tensor(np.array([1.0, -2.0], np.float32), requires_grad=True)
+        loss = ag.mse_loss(ag.relu(x), Tensor(np.zeros(2, np.float32)))
+        if bad == "consumed":
+            other = ag.sigmoid(x)
+            ag.backward(other, np.ones(2, np.float32))
+            root, error = (other, np.ones(2, np.float32)), GraphError
+        elif bad == "seed_shape":
+            root, error = (ag.sigmoid(x), np.ones(3, np.float32)), ShapeError
+        elif bad == "no_grad":
+            root, error = (ag.sigmoid(Tensor(np.ones(2, np.float32))), None), GraphError
+        else:
+            root, error = (ag.sigmoid(x), None), GraphError
+        before = None if x.grad is None else x.grad.copy()
+        with pytest.raises(error):
+            ag.backward(loss, None, root)
+        # Nothing walked: x's gradient is as it was, and loss's graph is whole.
+        assert (x.grad is None) == (before is None)
+        if before is not None:
+            assert x.grad.tobytes() == before.tobytes()
+        ag.backward(loss)
 
 
 def _conv_grads_reference(x, w, g, p):
@@ -456,7 +572,7 @@ class TestConvBytes:
     chunk size."""
 
     @given(_conv_case())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     def test_matches_oracle_at_every_chunk_size(self, case):
         x, w, b, g, samples, products = case
         # The oracle sums a one-element weight's products pairwise; the test

@@ -446,6 +446,13 @@ class TestReport:
         assert "examples, need 100" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
+    def test_no_sample_per_class_rejected_before_any_row(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["report", "--dataset", "synth", "--sample-per-class", "0",
+                    "--depths", "1", "--out-dir", str(out)]) == 2
+        assert "sample_per_class must be >= 1" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
 
 # Every subcommand's options, as the hand-written parser declared them:
 # (flag, dest, type, choices). A flag without a type parses as str.

@@ -135,6 +135,41 @@ def small_invert(lam, rounds=15, seed=0, steps=20, ground_truth=None,
     return invert(targets, clone, (1, 8, 8), cfg, ground_truth=ground_truth)
 
 
+class TestWorkPerCall:
+    """One call with R rounds of I input and M model steps makes R*(I+M)
+    backward walks and R*(I+M) + 1 clone forwards: each input step seeds
+    its TV term in the walk through the clone, and each round's objective
+    comes from the forward that opens the next round. The code before
+    made R*(2I+M) walks at lambda > 0 and R*(I+M+1) forwards: at 2 rounds
+    of 10 + 10 steps, as one bench inversion operation runs, 40 walks
+    instead of 60 and 41 forwards instead of 42."""
+
+    @pytest.mark.parametrize("lam", [0.1, 0.0])
+    @pytest.mark.parametrize("rounds, steps_in, steps_model", [(2, 3, 2), (2, 10, 10)],
+                             ids=["2x(3+2)", "bench-2x(10+10)"])
+    def test_walks_and_forwards(self, monkeypatch, lam, rounds, steps_in, steps_model):
+        x = synth_dataset(2, (1, 8, 8), seed=4).images
+        targets = true_client(seed=7).forward(Tensor(x)).data
+        clone = make_client_clone("tiny8", 1, seed=99)
+        forwards, walks = [], []
+        forward = clone.forward
+        monkeypatch.setattr(clone, "forward", lambda t: forwards.append(1) or forward(t))
+        backward = inversion.backward
+        monkeypatch.setattr(inversion, "backward",
+                            lambda *a: walks.append(len(a)) or backward(*a))
+        cfg = InversionConfig(tv_lambda=lam, input_steps=steps_in,
+                              model_steps=steps_model, max_rounds=rounds,
+                              plateau_rounds=rounds + 1)
+        res = invert(targets, clone, (1, 8, 8), cfg)
+        assert len(res.history) == rounds
+        assert len(forwards) == rounds * (steps_in + steps_model) + 1
+        assert len(walks) == rounds * (steps_in + steps_model)
+        # An input step at lambda > 0 seeds two roots: (out, seed), (tv, lam).
+        roots = [3 if lam > 0 else 2] * steps_in + [2] * steps_model
+        assert walks == roots * rounds
+        assert [p.requires_grad for p in res.clone.params()] == [True] * 2
+
+
 class TestDescent:
     def test_objective_decreases_over_rounds(self):
         res = small_invert(lam=0.0)
