@@ -1,11 +1,12 @@
 """Label inference from the gradients a loss-owning client sends back.
 
 For a single stochastic training step the server knows the activations it
-sent to the client tail and the gradients it got back. It compares them
-with the gradients a fresh random clone of the tail architecture would
-produce under every candidate label, and picks the candidate whose
-parameter gradients are closest (mean squared over all tail parameters)
-to the received ones. One clone is drawn per inference.
+sent to the client tail and the gradients the client's own loss step
+(``protocol.loss_forward_backward``) sent back. It compares them with the
+gradients a fresh random clone of the tail architecture would produce
+under every candidate label, and picks the candidate whose parameter
+gradients are closest (mean squared over all tail parameters) to the
+received ones. One clone is drawn per inference.
 
 All candidates share the clone's forward pass, so one backward pass of a
 matrix with a row per candidate gives each candidate's gradient at every
@@ -22,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..autograd import Tensor, backward, cross_entropy
+from ..autograd import Tensor
 from ..errors import ConfigError, TieError
 from ..layers import LayerStack
 from ..models import build_layers, tail_start_index
+from ..protocol import loss_forward_backward
 
 _EVAL_BATCH = 256  # rows per forward when tail_accuracy scores a set
 
@@ -46,13 +48,13 @@ def make_tail_clone(arch: str, tail_depth: int, seed: int | list[int]) -> LayerS
 
 def tail_param_gradients(tail: LayerStack, smashed: np.ndarray,
                          label: int) -> list[np.ndarray]:
-    """Parameter gradients of one stochastic cross-entropy step on a tail, as stored."""
-    probs = tail.forward(Tensor(smashed))
-    loss = cross_entropy(probs, np.array([label], dtype=np.int64))
+    """The GRAD a loss-owning client sends after its own batch-1 loss step
+    (``protocol.loss_forward_backward``) on ``tail`` from ``smashed``: the
+    cut gradient, then the tail's parameter gradients, as stored."""
     for p in tail.params():
         p.grad = None
-    backward(loss)
-    return [p.grad for p in tail.params()]
+    _, gcut = loss_forward_backward(tail, Tensor(smashed, requires_grad=True), [label])
+    return [gcut, *(p.grad for p in tail.params())]
 
 
 # How each kind of tail layer carries the candidate rows ``d`` (gradients

@@ -176,9 +176,11 @@ def _parse_tcp(spec: str) -> tuple[str, int]:
     if len(parts) != 3 or parts[0] != "tcp":
         raise ConfigError(f"transport must be 'inproc' or 'tcp:host:port', got {spec!r}")
     try:
-        return parts[1], int(parts[2])
+        if 1 <= int(parts[2]) <= 65535:
+            return parts[1], int(parts[2])
     except ValueError:
-        raise ConfigError(f"bad port in transport {spec!r}") from None
+        pass
+    raise ConfigError(f"port in transport {spec!r} must be an integer in 1-65535")
 
 
 def _write_csv(path: str, rows) -> None:
@@ -195,14 +197,16 @@ def _write_curve(path: str, losses: list[float]) -> None:
 
 def cmd_train(cfg: dict) -> int:
     scfg = session_config(cfg)
-    out = cfg["out_dir"]
-    os.makedirs(out, exist_ok=True)
+    inproc = cfg["transport"] == "inproc"
+    host, port = (None, 0) if inproc else _parse_tcp(cfg["transport"])
+    if inproc != (cfg["role"] == "both"):
+        raise ConfigError("inproc transport requires role=both, tcp role=client or server")
     train = load_dataset(cfg, "train")
     subset = train.subset(np.arange(min(cfg["train_subset"], len(train))))
+    out = cfg["out_dir"]
+    os.makedirs(out, exist_ok=True)
 
-    if cfg["transport"] == "inproc":
-        if cfg["role"] != "both":
-            raise ConfigError("inproc transport requires role=both")
+    if inproc:
         ct, st = inproc_pair()
         with ct, st:
             client_res, server_res = run_session(
@@ -217,16 +221,13 @@ def cmd_train(cfg: dict) -> int:
               else "trained 0 steps")
         return 0
 
-    host, port = _parse_tcp(cfg["transport"])
     client_images, server_images = held_examples(scfg.topology, subset.images)
     if cfg["role"] == "server":
         with tcp_listen(host, port) as transport:
             res = run_server(transport, scfg, images=server_images)
-    elif cfg["role"] == "client":
+    else:
         with tcp_connect(host, port) as transport:
             res = run_client(transport, scfg, client_images, subset.labels)
-    else:
-        raise ConfigError("tcp transport requires role=client or role=server")
     save_checkpoint(res.model, os.path.join(out, f"{cfg['role']}.ckpt"))
     _write_curve(os.path.join(out, "train_curve.csv"), res.losses)
     print(f"trained {res.model.step_count} steps over {cfg['transport']}")
@@ -279,7 +280,7 @@ def cmd_attack_labels(cfg: dict) -> int:
             "label information away"
         )
     if cfg["checkpoint"]:
-        # The attack simulates the client's tail, so it needs the whole net.
+        # The attack runs the client's own loss step on its tail: it needs the whole net.
         model = merge(_attack_checkpoint(cfg))
     else:
         model = build_net(cfg["arch"], seed=cfg["seed"])

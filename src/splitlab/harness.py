@@ -22,15 +22,15 @@ import numpy as np
 
 from .attacks import attacker_seed
 from .attacks.inversion import InversionConfig, InversionResult, unsplit_invert
-from .attacks.labels import (infer_label, make_tail_clone, tail_accuracy,
+from .attacks.labels import (infer_from_tap_entry, make_tail_clone, tail_accuracy,
                              tail_param_gradients)
 from .autograd import Tensor
-from .data import Dataset, sample_class_balanced, write_atomic
+from .data import Dataset, epoch_batches, sample_class_balanced, write_atomic
 from .errors import ConfigError, ShapeError
 from .layers import LayerStack
 from .models import SplitModel, build_layers, split_at, tail_start_index
-from .optim import fit_epoch, make_optimizer
-from .protocol import SessionConfig, TapEntry, cut, train_local
+from .optim import make_optimizer
+from .protocol import SessionConfig, TapEntry, cut, loss_forward_backward, train_local
 
 def mse_images(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
@@ -125,8 +125,11 @@ def stitch_and_train_head(clone_f1: LayerStack, cfg: SessionConfig, train_ds: Da
     opt = make_optimizer(cfg.optimizer, LayerStack(head_layers).params(), cfg.lr)
     try:
         for epoch in range(epochs):
-            fit_epoch(stitched, opt, train_ds.images, train_ds.labels,
-                      cfg.batch_size, cfg.seed, epoch)
+            for idx in epoch_batches(len(train_ds), cfg.batch_size, cfg.seed, epoch):
+                opt.zero_grad()
+                loss_forward_backward(stitched, Tensor(train_ds.images[idx]),
+                                      train_ds.labels[idx])
+                opt.step()
     finally:
         for p in clone_f1.params():
             p.requires_grad = True
@@ -139,25 +142,25 @@ def label_inference_accuracy(
 ) -> float:
     """Accuracy of the gradient-matching attack over stochastic steps.
 
-    The true tail produces the gradients the client would send; each
-    inference scores the candidates on its own freshly initialized
+    Each pick's tap entry holds the activations sent to the true tail and
+    the GRAD of the client's own loss step on it (``tail_param_gradients``);
+    ``infer_from_tap_entry`` scores it on its own freshly initialized
     clone, matching the attack's per-step random restart.
     """
     if n_samples < 1:
         raise ConfigError(f"label inference needs at least one sample, got {n_samples}")
     k = tail_start_index(model.arch, tail_depth)
-    prefix = LayerStack(model.layers[:k])
-    true_tail = LayerStack(model.layers[k:])
-    rng = np.random.default_rng(seed)
-    picks = rng.integers(0, len(ds), size=n_samples)
+    prefix, true_tail = LayerStack(model.layers[:k]), LayerStack(model.layers[k:])
+    picks = np.random.default_rng(seed).integers(0, len(ds), size=n_samples)
     hits = 0
     for step, i in enumerate(picks):
         clone = make_tail_clone(model.arch, tail_depth,
                                 attacker_seed(seed, "label-clone", step))
-        smashed = prefix.forward(Tensor(ds.images[int(i) : int(i) + 1])).data
-        sent = tail_param_gradients(true_tail, smashed, int(ds.labels[int(i)]))
-        result = infer_label(sent, smashed, clone)
-        hits += int(result.label == int(ds.labels[int(i)]))
+        smashed = prefix.forward(Tensor(ds.images[i : i + 1])).data
+        label = int(ds.labels[i])
+        entry = TapEntry(step + 1, smashed, np.array([label]),
+                         tail_param_gradients(true_tail, smashed, label), smashed)
+        hits += int(infer_from_tap_entry(entry, clone).label == label)
     return hits / n_samples
 
 
@@ -262,6 +265,8 @@ def run_depth_sweep(sweep: SweepConfig, train_ds: Dataset,
     if session.topology == "server_data":
         raise ConfigError("the depth sweep inverts the client's first layers; "
                           "in server_data the server holds them")
+    if not sweep.depths:
+        raise ConfigError("the depth sweep needs at least one depth")
     for depth in sweep.depths:
         cut(replace(session, split_depth=depth))
     if sweep.label_samples < 1:

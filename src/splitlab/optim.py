@@ -1,11 +1,11 @@
-"""SGD and Adam parameter updates, and the supervised epoch loop on them."""
+"""SGD and Adam parameter updates, over the gradients ``backward`` left on
+the parameters."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor, backward, cross_entropy
-from .data import epoch_batches
+from .autograd import Tensor
 from .errors import ConfigError, ShapeError
 
 
@@ -103,17 +103,3 @@ def make_optimizer(kind: str, params: list[Tensor], lr: float) -> Optimizer:
         raise ConfigError(f"unknown optimizer {kind!r}")
     return OPTIMIZERS[kind](params, lr)
 
-
-def fit_epoch(stack, opt: Optimizer, inputs: np.ndarray, labels: np.ndarray,
-              batch_size: int, seed: int, epoch: int) -> list[float]:
-    """One epoch of cross-entropy training of ``stack`` in ``epoch_order``;
-    returns the loss of every step."""
-    losses = []
-    for idx in epoch_batches(len(labels), batch_size, seed, epoch):
-        opt.zero_grad()
-        loss = cross_entropy(stack.forward(Tensor(inputs[idx])),
-                             labels[idx].astype(np.int64))
-        backward(loss)
-        opt.step()
-        losses.append(float(loss.data))
-    return losses

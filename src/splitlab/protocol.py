@@ -11,18 +11,21 @@ Three topologies are supported:
 
 Each topology's step is written once, in ``ROLES``, as a client and a
 server program: generators that own their part's arithmetic and do no
-I/O. A program yields ``(MsgType, value)`` to send and a bare
-``MsgType`` to receive, and gets back a one-item list holding the
-received value, which it takes out: no frame of ``_lockstep`` or
-``_play`` then holds the value while the program runs. A role holds no
-cut activation past its last reader: once sent, a part's output keeps
-only its shape and graph node for ``backprop_part``, and a received one
-lets go of its array once the part's forward has read it; a VJP that
-reads the array keeps it. ``train_step`` runs both programs in one
-thread and hands values across as they are; ``run_client`` and
-``run_server`` each run one program over a ``Transport``, through the
-``CODECS`` table. The codec is bit-exact, so both ways walk the same
-trajectory.
+I/O. The part that owns the loss runs ``loss_forward_backward``, the one
+cross-entropy step, which updates nothing: its role zeroes and steps the
+part's optimizer around it. A part before a cut backprops the gradient
+it receives and updates itself (``backprop_part``). A program yields
+``(MsgType, value)`` to send and a bare ``MsgType`` to receive, and gets
+back a one-item list holding the received value, which it takes out: no
+frame of ``_lockstep`` or ``_play`` then holds the value while the
+program runs. A role holds no cut activation past its last reader: once
+sent, a part's output keeps only its shape and graph node for
+``backprop_part``, and a received one lets go of its array once the
+part's forward has read it; a VJP that reads the array keeps it.
+``train_step`` runs both programs in one thread and hands values across
+as they are; ``run_client`` and ``run_server`` each run one program over
+a ``Transport``, through the ``CODECS`` table. The codec is bit-exact,
+so both ways walk the same trajectory.
 
 The server's honest-but-curious vantage point is a ``ServerTap``: an
 append-only record of the messages the server sends and receives.
@@ -131,14 +134,12 @@ def _release(t: Tensor) -> None:
     t.data = np.ndarray(shape, np.float32, _ZERO, strides=(0,) * len(shape))
 
 
-def loss_forward_backward(
-    part: LayerStack, sm: Tensor, labels: np.ndarray, opt: Optimizer,
-) -> tuple[float, np.ndarray, list[np.ndarray]]:
-    """Run the loss-owning part: forward from ``sm``, the leaf tensor of
-    the cut activations, cross-entropy, backward, update by ``opt`` (over
-    ``part.params()``). ``sm`` lets go of its array (``_release``) once the
-    forward has read it. Returns (loss, grad at cut, param grads), as the
-    arrays ``backward`` stored."""
+def loss_forward_backward(part: LayerStack, sm: Tensor,
+                          labels: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """The one cross-entropy step: forward ``part`` from the leaf ``sm``,
+    which lets go of its array (``_release``) once read, the loss against
+    ``labels``, and backward. Returns the loss and the gradient at ``sm``
+    as stored; the parameters keep theirs for the caller's optimizer."""
     labels = np.asarray(labels, dtype=np.int64)
     if sm.shape[:1] != labels.shape:
         raise ProtocolError(f"activations {sm.shape} for {labels.size} labels")
@@ -152,10 +153,8 @@ def loss_forward_backward(
         if not bad.size:
             raise
         raise ProtocolError(f"label {bad[0]} for {k} classes") from None
-    opt.zero_grad()
     backward(loss)
-    opt.step()
-    return float(loss.data), sm.grad, [p.grad for p in opt.params]
+    return float(loss.data), sm.grad
 
 
 def backprop_part(part: LayerStack, out: Tensor, grad_out: np.ndarray,
@@ -269,7 +268,9 @@ def _label_sharing_client(client: ClientState, x, y):
 def _label_sharing_server(server: ServerState, x):
     sm = _cut_input((yield MsgType.SMASHED).pop(), server.rows)
     y = (yield MsgType.LABELS).pop()
-    loss, gcut, _ = loss_forward_backward(server.part, sm, y, server.opt)
+    server.opt.zero_grad()
+    loss, gcut = loss_forward_backward(server.part, sm, y)
+    server.opt.step()
     yield MsgType.GRAD, [gcut]
     yield MsgType.LOSS, loss
     return loss
@@ -277,8 +278,10 @@ def _label_sharing_server(server: ServerState, x):
 
 def _server_data_client(client: ClientState, x, y):
     sm = _cut_input((yield MsgType.SMASHED).pop(), client.rows)
-    loss, gcut, pgrads = loss_forward_backward(client.tail, sm, y, client.tail_opt)
-    yield MsgType.GRAD, [gcut, *pgrads]
+    client.tail_opt.zero_grad()
+    loss, gcut = loss_forward_backward(client.tail, sm, y)
+    client.tail_opt.step()
+    yield MsgType.GRAD, [gcut, *[p.grad for p in client.tail_opt.params]]
     yield MsgType.LOSS, loss
     return loss
 
@@ -296,8 +299,10 @@ def _client_labels_client(client: ClientState, x, y):
     a1 = client.head.forward(Tensor(x))
     yield MsgType.SMASHED, _sent(a1)
     sm2 = _cut_input((yield MsgType.SMASHED).pop(), client.rows)
-    loss, g2, pgrads = loss_forward_backward(client.tail, sm2, y, client.tail_opt)
-    yield MsgType.GRAD, [g2, *pgrads]
+    client.tail_opt.zero_grad()
+    loss, g2 = loss_forward_backward(client.tail, sm2, y)
+    client.tail_opt.step()
+    yield MsgType.GRAD, [g2, *[p.grad for p in client.tail_opt.params]]
     yield MsgType.LOSS, loss
     g1 = _cut_grad((yield MsgType.GRAD).pop())
     backprop_part(client.head, a1, g1, client.head_opt)

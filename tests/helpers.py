@@ -1,11 +1,13 @@
 """Shared test utilities: the oracles the library is checked against
-(central finite differences, an unsplit trainer, a per-epoch attack loop
-of its own, per-candidate label probing, einsum fc distances, uniform
-draws, argmax pooling, whole-batch convolution, plane-by-plane total
-variation, per-tensor Adam, the wire decoders and the relu, sigmoid,
-max-pool and col2im kernels as first written), a layer-construction
-counter, a profiled call counter, kink-aware input sampling, a session's
-traced memory peak, and tiny PGM/PPM parsing."""
+(central finite differences, a tail's probe gradients and an epoch of
+cross-entropy training written apart from the library's one loss step,
+an unsplit trainer, a per-epoch attack loop of its own, per-candidate
+label probing, einsum fc distances, uniform draws, argmax pooling,
+whole-batch convolution, plane-by-plane total variation, per-tensor
+Adam, the wire decoders and the relu, sigmoid, max-pool and col2im
+kernels as first written), a layer-construction counter, a profiled call
+counter, kink-aware input sampling, a session's traced memory peak, and
+tiny PGM/PPM parsing."""
 
 from __future__ import annotations
 
@@ -21,13 +23,12 @@ import numpy as np
 from splitlab import autograd as ag
 from splitlab import models, protocol, transport, wire
 from splitlab.attacks.inversion import unsplit_invert
-from splitlab.attacks.labels import tail_param_gradients
 from splitlab.autograd import Tensor
 from splitlab.data import epoch_batches
 from splitlab.errors import ProtocolError
 from splitlab.harness import mse_images, snapshot_tap
 from splitlab.models import build_net
-from splitlab.optim import fit_epoch, make_optimizer
+from splitlab.optim import make_optimizer
 
 RTOL = 1e-3
 ATOL = 1e-4
@@ -89,6 +90,34 @@ def _eval_scalar(f, data: np.ndarray) -> float:
     if isinstance(val, Tensor):
         val = val.data
     return float(np.asarray(val).reshape(()))
+
+
+def tail_param_gradients(tail, smashed: np.ndarray, label: int) -> list[np.ndarray]:
+    """Parameter gradients of one stochastic cross-entropy step on a tail,
+    as stored, written out apart from ``protocol.loss_forward_backward``:
+    the label tests' reference gradients."""
+    probs = tail.forward(Tensor(smashed))
+    loss = ag.cross_entropy(probs, np.array([label], dtype=np.int64))
+    for p in tail.params():
+        p.grad = None
+    ag.backward(loss)
+    return [p.grad for p in tail.params()]
+
+
+def fit_epoch(stack, opt, inputs: np.ndarray, labels: np.ndarray,
+              batch_size: int, seed: int, epoch: int) -> list[float]:
+    """One epoch of cross-entropy training of ``stack`` in ``epoch_order``,
+    written out apart from ``protocol.loss_forward_backward``; returns the
+    loss of every step."""
+    losses = []
+    for idx in epoch_batches(len(labels), batch_size, seed, epoch):
+        opt.zero_grad()
+        loss = ag.cross_entropy(stack.forward(Tensor(inputs[idx])),
+                                labels[idx].astype(np.int64))
+        ag.backward(loss)
+        opt.step()
+        losses.append(float(loss.data))
+    return losses
 
 
 def train_monolithic(cfg, images: np.ndarray, labels: np.ndarray):

@@ -208,9 +208,16 @@ class TestConfigHandling:
         (["report", "--topology", "client_labels", "--depths", "1,7"], None),
         (["report", "--depths", "1,9"], None),
         (["report", "--samples", "0", "--depths", "1,2"], None),
+        (["report", "--depths", ","], None),
+        # A train run checks its transport, role and port before it writes
+        # or loads anything.
+        (["train", "--transport", "tcp:127.0.0.1:70000", "--role", "server"], None),
+        (["train", "--transport", "tcp:127.0.0.1:-5", "--role", "client"], None),
+        (["train", "--transport", "inproc", "--role", "server"], None),
     ], ids=["file-epochs-abc", "seed-neg", "sample-per-class-neg", "samples-neg",
             "depths-x", "labels-samples-0", "lr-nan", "report-depth-past-tail",
-            "report-depth-past-net", "report-samples-0"])
+            "report-depth-past-net", "report-samples-0", "report-no-depths",
+            "train-port-70000", "train-port-neg", "train-inproc-role-server"])
     def test_malformed_value_is_config_error(self, tmp_path, argv, config):
         extra = ["--out-dir", str(tmp_path / "out")]
         if config is not None:
@@ -258,12 +265,13 @@ class TestConfigHandling:
                     "--split-depth", depth, "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert "(1, 8, 8)" in err and "(1, 28, 28)" in err
-        assert not any(out.iterdir())  # no session ran, so nothing was written
+        assert not out.exists()  # no session ran, so nothing was written
 
     def test_missing_dataset_files_is_io_error(self, tmp_path):
         assert run(["train", "--dataset", "mnist",
                     "--data-dir", str(tmp_path / "empty"),
                     "--out-dir", str(tmp_path / "o")]) == 5
+        assert not (tmp_path / "o").exists()
 
 
 class TestAttackLabels:

@@ -31,7 +31,7 @@ from splitlab.harness import (
 from splitlab.models import build_net, split_at
 from splitlab.protocol import SessionConfig, train_local
 
-from helpers import epoch_attack_curve_oracle, parse_pnm
+from helpers import epoch_attack_curve_oracle, fit_epoch, parse_pnm
 
 
 class TestMetrics:
@@ -127,6 +127,37 @@ class TestAttackPlumbing:
             np.testing.assert_array_equal(p.data, b)
             assert p.requires_grad
 
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_stitched_head_matches_an_epoch_loop_of_its_own(self, monkeypatch, optimizer):
+        """Same accuracy, and the same head bytes, as the oracle's epochs
+        (``helpers.fit_epoch``) over a head of the same layers."""
+        from splitlab import harness
+        from splitlab.attacks import attacker_seed
+        from splitlab.layers import LayerStack
+        from splitlab.models import build_layers
+        from splitlab.optim import make_optimizer
+
+        train = synth_dataset(40, (1, 8, 8), seed=2)
+        test = synth_dataset(32, (1, 8, 8), seed=3)
+        cfg = SessionConfig(arch="tiny8", optimizer=optimizer, lr=0.01, batch_size=16,
+                            seed=6)
+        heads = []
+        monkeypatch.setattr(harness, "build_layers", lambda *args: (
+            heads.append(build_layers(*args)), heads[-1])[1])
+        clone_f1, _ = split_at(build_net("tiny8", seed=9), 2)
+        acc = stitch_and_train_head(clone_f1, cfg, train, test, epochs=2)
+
+        head = build_layers("tiny8", attacker_seed(6, "stitched-head"), 2)
+        stitched = LayerStack(list(clone_f1.layers) + head)
+        for p in clone_f1.params():
+            p.requires_grad = False
+        opt = make_optimizer(optimizer, LayerStack(head).params(), 0.01)
+        for epoch in range(2):
+            fit_epoch(stitched, opt, train.images, train.labels, 16, 6, epoch)
+        assert acc == tail_accuracy(stitched, test.images, test.labels)
+        assert [p.data.tobytes() for layer in heads[0] for p in layer.params()] == [
+            p.data.tobytes() for layer in head for p in layer.params()]
+
     @pytest.mark.parametrize("split_depth", [2, 1])
     def test_stitched_head_does_not_start_as_the_client(self, monkeypatch, split_depth):
         """The fresh head comes from the attacker's stream, not the session's,
@@ -134,9 +165,11 @@ class TestAttackPlumbing:
         from splitlab import harness
         from splitlab.models import build_layers
 
-        starts = []  # the head's parameters as its first epoch begins
-        monkeypatch.setattr(harness, "fit_epoch", lambda stack, *args: starts.append(
-            [p.data.copy() for layer in stack.layers[2:] for p in layer.params()]))
+        starts = []  # the head's parameters as each step begins
+        step = harness.loss_forward_backward
+        monkeypatch.setattr(harness, "loss_forward_backward", lambda stack, *args: (
+            starts.append([p.data.copy() for layer in stack.layers[2:]
+                           for p in layer.params()]), step(stack, *args))[1])
         clone_f1, _ = split_at(build_net("tiny8", seed=4), 2)
         ds = synth_dataset(16, (1, 8, 8), seed=4)
         stitch_and_train_head(clone_f1, SessionConfig(arch="tiny8", split_depth=split_depth,

@@ -11,7 +11,6 @@ from splitlab.attacks.labels import (
     infer_label,
     make_tail_clone,
     tail_accuracy,
-    tail_param_gradients,
 )
 from splitlab.autograd import Tensor
 from splitlab.data import synth_dataset
@@ -19,11 +18,11 @@ from splitlab.errors import ConfigError, TieError
 from splitlab.harness import label_inference_accuracy
 from splitlab.layers import Flatten, LayerStack
 from splitlab.models import build_net, tail_start_index
-from splitlab.optim import Adam, fit_epoch
+from splitlab.optim import Adam
 from splitlab.protocol import ServerTap, SessionConfig, epoch_order, run_session, train_local
 from splitlab.transport import inproc_pair
 
-from helpers import fc_distances_oracle, probe_distances
+from helpers import fc_distances_oracle, fit_epoch, probe_distances, tail_param_gradients
 
 
 def smashed_for(arch, tail_depth, images):
@@ -242,6 +241,35 @@ class TestAccuracySweep:
         b = label_inference_accuracy(model, ds, 2, 20, seed=3)
         assert a == b
 
+    @pytest.mark.parametrize("arch,tail_depth", [(a, t) for a in ("tiny8", "mnist")
+                                                 for t in (1, 2)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_a_probe_loop_of_its_own(self, monkeypatch, arch, tail_depth, seed):
+        """Bit for bit, every inference and the accuracy equal a loop over
+        the oracle's gradients (``helpers.tail_param_gradients``) and
+        ``infer_label`` on the same picks and clones."""
+        from splitlab import harness
+        from splitlab.attacks import attacker_seed
+
+        ds = synth_dataset(16, ARCH_SHAPES[arch], seed=seed)
+        model = build_net(arch, seed=seed)
+        got = []
+        monkeypatch.setattr(harness, "infer_from_tap_entry", lambda entry, clone: (
+            got.append(infer_from_tap_entry(entry, clone)), got[-1])[1])
+        acc = label_inference_accuracy(model, ds, tail_depth, 6, seed=seed)
+
+        k = tail_start_index(arch, tail_depth)
+        prefix, tail = LayerStack(model.layers[:k]), LayerStack(model.layers[k:])
+        want, hits = [], 0
+        for step, i in enumerate(np.random.default_rng(seed).integers(0, len(ds), size=6)):
+            clone = make_tail_clone(arch, tail_depth, attacker_seed(seed, "label-clone", step))
+            sm = prefix.forward(Tensor(ds.images[i : i + 1])).data
+            y = int(ds.labels[i])
+            want.append(infer_label(tail_param_gradients(tail, sm, y), sm, clone))
+            hits += want[-1].label == y
+        assert [r.distances.tobytes() for r in got] == [r.distances.tobytes() for r in want]
+        assert acc == hits / 6
+
 
 def tail_curve(tail, smashed, labels, epochs, lr, seed, eval_labels=None):
     """Adam training of ``tail`` on (smashed, labels) at batch 32; returns
@@ -303,15 +331,26 @@ class TestCloneTraining:
 
 class TestProbeGradients:
     def test_gradients_keep_their_bytes_across_calls(self):
-        """tail_param_gradients hands out the arrays backward stored; the
+        """The stand-in client's GRAD holds the arrays backward stored; the
         next call on the same tail stores new ones."""
         tail = make_tail_clone("tiny8", 2, seed=0)
         sm = np.random.default_rng(1).uniform(0, 1, (1, 64)).astype(np.float32)
-        first = tail_param_gradients(tail, sm, 3)
+        first = label_attack.tail_param_gradients(tail, sm, 3)
         kept = [g.tobytes() for g in first]
-        second = tail_param_gradients(tail, sm, 7)
+        second = label_attack.tail_param_gradients(tail, sm, 7)
         assert [g.tobytes() for g in first] == kept
         assert [g.tobytes() for g in second] != kept
+
+    @pytest.mark.parametrize("tail_depth", [1, 2])
+    def test_stand_in_client_sends_the_oracle_gradients(self, tail_depth):
+        """The stand-in client's GRAD is the cut gradient, then the tail's
+        parameter gradients, bit for bit those of the oracle's step."""
+        tail = make_tail_clone("tiny8", tail_depth, seed=0)
+        sm = smashed_for("tiny8", tail_depth, synth_dataset(1, (1, 8, 8), seed=1).images)
+        sent = label_attack.tail_param_gradients(tail, sm, 4)
+        assert sent[0].shape == sm.shape
+        assert [g.tobytes() for g in sent[1:]] == [
+            g.tobytes() for g in tail_param_gradients(tail, sm, 4)]
 
 
 class TestClientLabelsTap:

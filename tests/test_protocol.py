@@ -91,8 +91,7 @@ class TestStepArithmetic:
             pre = f2.layers[0].forward(Tensor(smashed)).data
             if np.min(np.abs(pre)) > 0.03:
                 break
-        _, gcut, _ = loss_forward_backward(f2, Tensor(smashed, requires_grad=True), y,
-                                           SGD(f2.params(), lr=0.0))
+        _, gcut = loss_forward_backward(f2, Tensor(smashed, requires_grad=True), y)
 
         def f(t):
             return ag.cross_entropy(f2.forward(t), y)
@@ -102,18 +101,23 @@ class TestStepArithmetic:
 
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
     def test_returned_gradients_keep_their_bytes(self, synth, optimizer):
-        """The arrays loss_forward_backward returns are the ones backward
-        stored: neither its own update nor the part's next step writes into
-        them."""
+        """The cut gradient loss_forward_backward returns and the parameter
+        gradients it leaves are the arrays backward stored: neither the
+        update after it nor the part's next step writes into them."""
         _, f2 = split_at(build_net("tiny8", seed=2), 4)
         opt = make_optimizer(optimizer, f2.params(), 0.01)
         smashed = np.random.default_rng(0).uniform(0, 1, (8, 64)).astype(np.float32)
-        _, gcut, pgrads = loss_forward_backward(f2, Tensor(smashed, requires_grad=True),
-                                                synth.labels[:8], opt)
-        kept = [g.tobytes() for g in (gcut, *pgrads)]
-        loss_forward_backward(f2, Tensor(smashed[::-1].copy(), requires_grad=True),
-                              synth.labels[8:16], opt)
-        assert [g.tobytes() for g in (gcut, *pgrads)] == kept
+
+        def step(sm, y):
+            opt.zero_grad()
+            _, gcut = loss_forward_backward(f2, Tensor(sm, requires_grad=True), y)
+            opt.step()
+            return [gcut, *(p.grad for p in opt.params)]
+
+        grads = step(smashed, synth.labels[:8])
+        kept = [g.tobytes() for g in grads]
+        step(smashed[::-1].copy(), synth.labels[8:16])
+        assert [g.tobytes() for g in grads] == kept
 
     def test_zero_cut_grad_sgd_no_client_update(self, synth):
         model = build_net("tiny8", seed=1)
