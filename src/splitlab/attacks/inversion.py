@@ -72,11 +72,6 @@ class InversionResult:
     history: list[RoundMetrics] = field(default_factory=list)
 
 
-def _set_requires_grad(params, flag: bool) -> None:
-    for p in params:
-        p.requires_grad = flag
-
-
 def _finite_objective(diff: np.ndarray, tv: Tensor | None, lam: float) -> bool:
     """Whether ``mean(diff**2) + lam * tv`` is finite as ``mse_loss`` and a
     float32 add compute it. A float32 sum of n squares is at least the exact
@@ -138,7 +133,8 @@ def invert(
         # Input phase: clone parameters frozen, only x moves, under the TV
         # term too. Model phase: x frozen, only the clone parameters move.
         x.requires_grad = phase == "input"
-        _set_requires_grad(params, phase == "model")
+        for p in params:
+            p.requires_grad = phase == "model"
 
     def step_forward(tv_lam: float) -> tuple[Tensor, Tensor | None]:
         out = clone.forward(x)

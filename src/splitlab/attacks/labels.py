@@ -6,7 +6,8 @@ sent to the client tail and the gradients the client's own loss step
 gradients a fresh random clone of the tail architecture would produce
 under every candidate label, and picks the candidate whose parameter
 gradients are closest (mean squared over all tail parameters) to the
-received ones. One clone is drawn per inference.
+received ones. One clone is drawn per inference. Each entry, the
+harness's too, is one that ``ServerTap.record`` wrote from a real step.
 
 All candidates share the clone's forward pass, so one backward pass of a
 matrix with a row per candidate gives each candidate's gradient at every
@@ -50,7 +51,8 @@ def tail_param_gradients(tail: LayerStack, smashed: np.ndarray,
                          label: int) -> list[np.ndarray]:
     """The GRAD a loss-owning client sends after its own batch-1 loss step
     (``protocol.loss_forward_backward``) on ``tail`` from ``smashed``: the
-    cut gradient, then the tail's parameter gradients, as stored."""
+    cut gradient, then the tail's parameter gradients, as stored. No caller
+    in splitlab: kept only for ``bench/tracing.py``'s ``attacks.labels.probe`` span."""
     for p in tail.params():
         p.grad = None
     _, gcut = loss_forward_backward(tail, Tensor(smashed, requires_grad=True), [label])

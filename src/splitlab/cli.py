@@ -83,13 +83,13 @@ CHOICES = {
 
 def _typed(key: str, value):
     """``value`` as the type of ``key``'s default, checked for range and choice.
-    Every int knob is a count, depth or seed, so none is negative."""
+    Every int knob is a count, depth or seed, from 0 to a checkpoint's u64."""
     kind = type(DEFAULTS[key])
     try:
         typed = kind(value)
     except ValueError:
         raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from None
-    if (kind is int and typed < 0) or (kind is float and not math.isfinite(typed)):
+    if (kind is int and not 0 <= typed < 2**64) or (kind is float and not math.isfinite(typed)):
         raise ConfigError(f"{key} out of range: {value!r}")
     if key in CHOICES and typed not in CHOICES[key]:
         raise ConfigError(f"{key} must be one of {CHOICES[key]}, got {value!r}")
@@ -279,11 +279,8 @@ def cmd_attack_labels(cfg: dict) -> int:
             "gradients of a single stochastic step, batch gradients average "
             "label information away"
         )
-    if cfg["checkpoint"]:
-        # The attack runs the client's own loss step on its tail: it needs the whole net.
-        model = merge(_attack_checkpoint(cfg))
-    else:
-        model = build_net(cfg["arch"], seed=cfg["seed"])
+    model = (_attack_checkpoint(cfg) if cfg["checkpoint"]
+             else build_net(cfg["arch"], seed=cfg["seed"]))
     ds = load_dataset(cfg, "train")
     acc = label_inference_accuracy(model, ds, cfg["tail_depth"], cfg["samples"],
                                    cfg["seed"])

@@ -22,15 +22,15 @@ import numpy as np
 
 from .attacks import attacker_seed
 from .attacks.inversion import InversionConfig, InversionResult, unsplit_invert
-from .attacks.labels import (infer_from_tap_entry, make_tail_clone, tail_accuracy,
-                             tail_param_gradients)
+from .attacks.labels import infer_from_tap_entry, make_tail_clone, tail_accuracy
 from .autograd import Tensor
 from .data import Dataset, epoch_batches, sample_class_balanced, write_atomic
 from .errors import ConfigError, ShapeError
 from .layers import LayerStack
-from .models import SplitModel, build_layers, split_at, tail_start_index
+from .models import SplitModel, build_layers, merge, split_at
 from .optim import make_optimizer
-from .protocol import SessionConfig, TapEntry, cut, loss_forward_backward, train_local
+from .protocol import (ServerTap, SessionConfig, TapEntry, build_parts, cut,
+                       loss_forward_backward, train_local, train_step)
 
 def mse_images(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
@@ -41,10 +41,6 @@ def mse_images(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # image artifacts (binary PGM/PPM)
 
-def _to_bytes(x: np.ndarray) -> np.ndarray:
-    return np.clip(np.floor(x * 255.0 + 0.5), 0, 255).astype(np.uint8)
-
-
 def dump_image(x: np.ndarray, path: str) -> None:
     """Write one [0,1] image as binary PGM (1 channel) or PPM (3 channels)."""
     if x.ndim == 2:
@@ -52,7 +48,7 @@ def dump_image(x: np.ndarray, path: str) -> None:
     if x.ndim != 3 or x.shape[0] not in (1, 3):
         raise ShapeError(f"dump_image: expected (H,W), (1,H,W) or (3,H,W), got {x.shape}")
     c, h, w = x.shape
-    pixels = _to_bytes(x)
+    pixels = np.clip(np.floor(x * 255.0 + 0.5), 0, 255).astype(np.uint8)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     kind, raster = ("P5", pixels[0]) if c == 1 else ("P6", pixels.transpose(1, 2, 0))
     write_atomic(path, f"{kind}\n{w} {h}\n255\n".encode("ascii") + raster.tobytes())
@@ -142,25 +138,25 @@ def label_inference_accuracy(
 ) -> float:
     """Accuracy of the gradient-matching attack over stochastic steps.
 
-    Each pick's tap entry holds the activations sent to the true tail and
-    the GRAD of the client's own loss step on it (``tail_param_gradients``);
-    ``infer_from_tap_entry`` scores it on its own freshly initialized
-    clone, matching the attack's per-step random restart.
+    Each pick is one batch-1 ``server_data`` step (``train_step``) from a
+    copy of ``model``'s weights, which must cover its net; its server tap
+    entry is scored on a fresh clone, the attack's per-step random restart.
     """
     if n_samples < 1:
         raise ConfigError(f"label inference needs at least one sample, got {n_samples}")
-    k = tail_start_index(model.arch, tail_depth)
-    prefix, true_tail = LayerStack(model.layers[:k]), LayerStack(model.layers[k:])
+    # Each step's update is overwritten before the next: SGD is the cheapest.
+    client, server = build_parts(SessionConfig(model.arch, topology="server_data", optimizer="sgd",
+                                               batch_size=1, tail_depth=tail_depth))
+    pairs = list(zip(merge(client.model, server.part).params(), merge(model).params()))
+    tap = ServerTap()
     picks = np.random.default_rng(seed).integers(0, len(ds), size=n_samples)
     hits = 0
     for step, i in enumerate(picks):
-        clone = make_tail_clone(model.arch, tail_depth,
-                                attacker_seed(seed, "label-clone", step))
-        smashed = prefix.forward(Tensor(ds.images[i : i + 1])).data
-        label = int(ds.labels[i])
-        entry = TapEntry(step + 1, smashed, np.array([label]),
-                         tail_param_gradients(true_tail, smashed, label), smashed)
-        hits += int(infer_from_tap_entry(entry, clone).label == label)
+        for p, q in pairs:
+            np.copyto(p.data, q.data)
+        train_step("server_data", client, server, (ds.images[[i]], ds.labels[[i]]), tap)
+        clone = make_tail_clone(model.arch, tail_depth, attacker_seed(seed, "label-clone", step))
+        hits += int(infer_from_tap_entry(tap.entries.pop(), clone).label == ds.labels[i])
     return hits / n_samples
 
 
@@ -225,7 +221,8 @@ CSV_FIELDS = [f.name for f in fields(SweepRow)]
 
 class ReportWriter:
     """Append-only CSV writer with config-hash based resume. Opening drops a
-    killed run's partial last line; only rows with every column are done."""
+    killed run's partial last line; only rows with every column are done.
+    A file with other columns is refused before anything is written."""
 
     def __init__(self, path: str):
         self.path = path
@@ -235,11 +232,15 @@ class ReportWriter:
             fh.seek(0)
             text = fh.read()
             text = text[: text.rfind(b"\n") + 1]
+            rows = csv.DictReader(io.StringIO(text.decode(errors="replace")))
+            if text and rows.fieldnames != CSV_FIELDS:
+                raise ConfigError(f"{path} has the columns {rows.fieldnames}, not "
+                                  f"{CSV_FIELDS}; move it aside or use another out dir")
             fh.truncate(len(text))
         if not text:
             with open(path, "w", newline="") as fh:
                 csv.writer(fh).writerow(CSV_FIELDS)
-        for row in csv.DictReader(io.StringIO(text.decode())):
+        for row in rows:
             if None not in row and None not in row.values():
                 self.done.add((row["dataset"], int(row["depth"]),
                                int(row["trained"]), row["config_hash"]))

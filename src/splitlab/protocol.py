@@ -25,7 +25,8 @@ part's forward has read it; a VJP that reads the array keeps it.
 ``train_step`` runs both programs in one thread and hands values across
 as they are; ``run_client`` and ``run_server`` each run one program over
 a ``Transport``, through the ``CODECS`` table. The codec is bit-exact,
-so both ways walk the same trajectory.
+so both ways walk the same trajectory. A loss-owning client tail's turn
+is written once too, as ``_tail_turn``, for server_data and client_labels.
 
 The server's honest-but-curious vantage point is a ``ServerTap``: an
 append-only record of the messages the server sends and receives.
@@ -276,7 +277,9 @@ def _label_sharing_server(server: ServerState, x):
     return loss
 
 
-def _server_data_client(client: ClientState, x, y):
+def _tail_turn(client: ClientState, y):
+    """A loss-owning client tail's turn: its loss step on the SMASHED it
+    receives, then GRAD (cut gradient, then parameter gradients) and LOSS."""
     sm = _cut_input((yield MsgType.SMASHED).pop(), client.rows)
     client.tail_opt.zero_grad()
     loss, gcut = loss_forward_backward(client.tail, sm, y)
@@ -284,6 +287,10 @@ def _server_data_client(client: ClientState, x, y):
     yield MsgType.GRAD, [gcut, *[p.grad for p in client.tail_opt.params]]
     yield MsgType.LOSS, loss
     return loss
+
+
+def _server_data_client(client: ClientState, x, y):
+    return (yield from _tail_turn(client, y))
 
 
 def _server_data_server(server: ServerState, x):
@@ -298,12 +305,7 @@ def _server_data_server(server: ServerState, x):
 def _client_labels_client(client: ClientState, x, y):
     a1 = client.head.forward(Tensor(x))
     yield MsgType.SMASHED, _sent(a1)
-    sm2 = _cut_input((yield MsgType.SMASHED).pop(), client.rows)
-    client.tail_opt.zero_grad()
-    loss, g2 = loss_forward_backward(client.tail, sm2, y)
-    client.tail_opt.step()
-    yield MsgType.GRAD, [g2, *[p.grad for p in client.tail_opt.params]]
-    yield MsgType.LOSS, loss
+    loss = yield from _tail_turn(client, y)
     g1 = _cut_grad((yield MsgType.GRAD).pop())
     backprop_part(client.head, a1, g1, client.head_opt)
     return loss

@@ -214,17 +214,28 @@ class TestConfigHandling:
         (["train", "--transport", "tcp:127.0.0.1:70000", "--role", "server"], None),
         (["train", "--transport", "tcp:127.0.0.1:-5", "--role", "client"], None),
         (["train", "--transport", "inproc", "--role", "server"], None),
+        # A checkpoint stores the seed as a u64: a larger one fails before
+        # any training or inversion, not at the save.
+        (["train", "--seed", str(2**64)], None),
+        (["attack-invert", "--seed", str(2**64)], "checkpoint = {model}\n"),
     ], ids=["file-epochs-abc", "seed-neg", "sample-per-class-neg", "samples-neg",
             "depths-x", "labels-samples-0", "lr-nan", "report-depth-past-tail",
             "report-depth-past-net", "report-samples-0", "report-no-depths",
-            "train-port-70000", "train-port-neg", "train-inproc-role-server"])
-    def test_malformed_value_is_config_error(self, tmp_path, argv, config):
+            "train-port-70000", "train-port-neg", "train-inproc-role-server",
+            "train-seed-2**64", "invert-seed-2**64"])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, argv, config):
+        from splitlab.models import build_net, save_checkpoint
+
         extra = ["--out-dir", str(tmp_path / "out")]
         if config is not None:
-            (tmp_path / "run.cfg").write_text(config)
+            model = tmp_path / "model.ckpt"
+            save_checkpoint(build_net("tiny8"), str(model))
+            (tmp_path / "run.cfg").write_text(config.format(model=model))
             extra += ["--config", str(tmp_path / "run.cfg")]
         assert run([*argv, "--dataset", "synth", *extra]) == 2
         assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_config_file_of_defaults_changes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SPLITLAB_DATA_DIR", raising=False)
@@ -433,6 +444,23 @@ class TestReport:
         assert "wrote 0 new rows" in capsys.readouterr().out
         with open(os.path.join(out, "report.csv"), newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 2
+
+    def test_report_csv_of_other_columns_is_left_as_it_was(self, tmp_path, capsys):
+        """A report.csv whose header is not this version's columns (here the
+        first eight) is refused before it is truncated or appended to."""
+        from splitlab.harness import CSV_FIELDS
+
+        out = tmp_path / "out"
+        out.mkdir()
+        old = (",".join(CSV_FIELDS[:8]) + "\r\nsynth,1,0,0.1,,,,\r\nsynth,1,1")
+        (out / "report.csv").write_bytes(old.encode())
+        assert run(["report", "--dataset", "synth", "--depths", "1",
+                    "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(out / "report.csv") in err
+        assert (out / "report.csv").read_bytes() == old.encode()
+        assert os.listdir(out) == ["report.csv"]
 
     def test_server_data_report_rejected_before_any_row(self, tmp_path):
         out = tmp_path / "out"

@@ -13,7 +13,7 @@ from splitlab.attacks.inversion import InversionConfig, unsplit_invert
 from splitlab.attacks.labels import tail_accuracy
 from splitlab.autograd import Tensor
 from splitlab.data import sample_class_balanced, synth_dataset
-from splitlab.errors import ShapeError
+from splitlab.errors import ConfigError, ShapeError
 from splitlab.harness import (
     CSV_FIELDS,
     ReportWriter,
@@ -251,6 +251,16 @@ class TestReportWriter:
         w = ReportWriter(str(path))
         assert w.has("synth", 1, 1, "abc")
         assert not w.has("synth", 1, 0, "abc")
+
+    @pytest.mark.parametrize("header", [CSV_FIELDS[:8], CSV_FIELDS[::-1], []],
+                             ids=["first-eight", "reversed", "blank"])
+    def test_other_columns_are_refused_unchanged(self, tmp_path, header):
+        path = tmp_path / "r.csv"
+        old = (",".join(header) + "\r\nsynth,1,0,0.1\r\nsynth,1").encode()
+        path.write_bytes(old)
+        with pytest.raises(ConfigError, match="r.csv has the columns"):
+            ReportWriter(str(path))
+        assert path.read_bytes() == old
 
 
 class TestSweep:

@@ -17,7 +17,7 @@ from splitlab.data import synth_dataset
 from splitlab.errors import ConfigError, TieError
 from splitlab.harness import label_inference_accuracy
 from splitlab.layers import Flatten, LayerStack
-from splitlab.models import build_net, tail_start_index
+from splitlab.models import build_net, build_part, tail_start_index
 from splitlab.optim import Adam
 from splitlab.protocol import ServerTap, SessionConfig, epoch_order, run_session, train_local
 from splitlab.transport import inproc_pair
@@ -269,6 +269,36 @@ class TestAccuracySweep:
             hits += want[-1].label == y
         assert [r.distances.tobytes() for r in got] == [r.distances.tobytes() for r in want]
         assert acc == hits / 6
+
+    def test_each_pick_is_one_server_data_step(self, monkeypatch):
+        """Each pick runs the roles' own batch-1 server_data step, with a
+        tap, once."""
+        from splitlab import harness
+
+        calls, train_step = [], harness.train_step
+
+        def counted(topology, client, server, batch, tap=None):
+            calls.append((topology, batch[0].shape[0], batch[1].shape, tap is not None))
+            return train_step(topology, client, server, batch, tap)
+
+        monkeypatch.setattr(harness, "train_step", counted)
+        label_inference_accuracy(build_net("tiny8", seed=1),
+                                 synth_dataset(16, (1, 8, 8), seed=1), 2, 7, seed=4)
+        assert calls == [("server_data", 1, (1,), True)] * 7
+
+    @pytest.mark.parametrize("arch,tail_depth", [("tiny8", 2), ("mnist", 3)])
+    def test_model_is_never_written(self, arch, tail_depth):
+        model = build_net(arch, seed=6)
+        before = [p.data.tobytes() for p in model.params()]
+        label_inference_accuracy(model, synth_dataset(8, ARCH_SHAPES[arch], seed=6),
+                                 tail_depth, 4, seed=6)
+        assert [p.data.tobytes() for p in model.params()] == before
+
+    @pytest.mark.parametrize("ranges", [[(0, 1), (4, 8)], [(0, 4)], [(4, 8)]])
+    def test_model_of_part_of_the_net_is_config_error(self, ranges):
+        model = build_part("tiny8", 0, ranges)
+        with pytest.raises(ConfigError, match="not each of the 8 layers"):
+            label_inference_accuracy(model, synth_dataset(4, (1, 8, 8), seed=0), 1, 2)
 
 
 def tail_curve(tail, smashed, labels, epochs, lr, seed, eval_labels=None):
