@@ -6,7 +6,9 @@ suite and CI runs need no dataset downloads. A network is split by an
 integer depth: every primitive layer is one depth unit, the client runs
 layers [0, depth) and the server the rest. A model may hold only some of
 a net's layers (one role's part, say); each layer keeps its index in the
-whole net, and ``merge`` puts parts back together.
+whole net, and ``merge`` puts parts back together. A checkpoint is a
+fixed header, the held layers' net indices, and their parameters as one
+wire tensor list (layout below).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .autograd import Tensor
 from .data import write_atomic
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, ProtocolError
 from .layers import (
     Conv2d,
     Flatten,
@@ -31,9 +33,10 @@ from .layers import (
     Sigmoid,
     Softmax,
 )
+from .wire import decode_tensor_list, encode_tensor_list
 
 CHECKPOINT_MAGIC = b"USPL"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class SplitModel(LayerStack):
@@ -49,11 +52,6 @@ class SplitModel(LayerStack):
         self.split_depth = split_depth
         self.index = list(range(len(self.layers)) if index is None else index)
         self.step_count = 0
-
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        """Parameters named ``<net index>.weight`` / ``<net index>.bias``."""
-        return [(f"{i}.{name}", p) for i, layer in zip(self.index, self.layers)
-                for name, p in zip(("weight", "bias"), layer.params())]
 
 
 _MNIST = (
@@ -245,104 +243,65 @@ def tail_start_index(arch: str, tail_depth: int) -> int:
 #   "USPL" | u32 version | u8 arch-id length | arch-id bytes
 #   | u32 split depth | u64 seed | u64 step count
 #   | u32 layer count | u32 net index of each held layer, ascending
-#   | u32 tensor count
-#   | per tensor: u16 name length | name bytes | u8 ndim | u32 dims... | f32 data
+#   | the held layers' parameters in net order, as one wire tensor list
+#     (per tensor: u8 ndim | u32 dims... | f32 data; none if no layer has any)
 #
-# A tensor is named by its layer's net index, so a part checkpoint (one
-# role's layers) names the same tensor as a whole-net one.
+# The index list and each layer's params() order say which tensor is
+# which, so a part checkpoint (one role's layers) needs no tensor names.
+# The body is read by the wire's codec, so its bounds, truncation and
+# finiteness rules hold for a checkpoint too.
 
 def save_checkpoint(model: SplitModel, path: str) -> None:
-    parts = [
+    write_atomic(path, b"".join([
         CHECKPOINT_MAGIC,
-        struct.pack("<I", CHECKPOINT_VERSION),
-        struct.pack("<B", len(model.arch)),
+        struct.pack("<IB", CHECKPOINT_VERSION, len(model.arch)),
         model.arch.encode("ascii"),
-        struct.pack("<IQQ", model.split_depth, model.seed, model.step_count),
-        struct.pack(f"<I{len(model.index)}I", len(model.index), *model.index),
-    ]
-    named = model.named_params()
-    parts.append(struct.pack("<I", len(named)))
-    for name, p in named:
-        nb = name.encode("ascii")
-        parts.append(struct.pack("<H", len(nb)))
-        parts.append(nb)
-        parts.append(struct.pack("<B", p.data.ndim))
-        parts.append(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
-        parts.append(p.data.astype("<f4", copy=False).tobytes())
-    write_atomic(path, b"".join(parts))
-
-
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise CheckpointError(
-                f"truncated checkpoint: wanted {n} bytes at offset {self.pos}, "
-                f"file has {len(self.buf)}"
-            )
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+        struct.pack(f"<IQQI{len(model.index)}I", model.split_depth, model.seed,
+                    model.step_count, len(model.index), *model.index),
+        encode_tensor_list([p.data for p in model.params()]),
+    ]))
 
 
 def load_checkpoint(path: str) -> SplitModel:
     """The model a checkpoint holds: only its listed layers, every
     parameter read from the file."""
     with open(path, "rb") as fh:
-        r = _Reader(fh.read())
-    if r.take(4) != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    (version,) = r.unpack("<I")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    (arch_len,) = r.unpack("<B")
-    arch = r.take(arch_len).decode("ascii")
-    if arch not in ARCHS:
-        raise CheckpointError(f"{path}: unknown architecture id {arch!r}")
-    split_depth, seed, step_count = r.unpack("<IQQ")
-    n = len(layout(arch))
-    (held,) = r.unpack("<I")
-    if not 1 <= held <= n:
-        raise CheckpointError(f"{path}: {held} layers listed, {arch!r} has {n}")
-    index = list(r.unpack(f"<{held}I"))
-    if any(i >= j for i, j in zip(index, index[1:])) or index[-1] >= n:
-        raise CheckpointError(
-            f"{path}: layer indices {index} are not ascending, distinct and "
-            f"below {n}"
-        )
-    (count,) = r.unpack("<I")
-
-    model = SplitModel([ARCHS[arch].layers[i]() for i in index], arch, int(seed),
-                       int(split_depth), index)
-    model.step_count = int(step_count)
-    expected = dict(model.named_params())
-    if count != len(expected):
-        raise CheckpointError(
-            f"{path}: {count} tensors, but layers {index} of {arch!r} have "
-            f"{len(expected)}"
-        )
-    for _ in range(count):
-        (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("ascii")
-        (ndim,) = r.unpack("<B")
-        dims = r.unpack(f"<{ndim}I")
-        p = expected.pop(name, None)
-        if p is None:
+        buf = fh.read()
+    try:
+        magic, version, arch_len = struct.unpack_from("<4sIB", buf)
+        if magic != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: unsupported version {version}")
+        at = 9 + arch_len  # the end of the arch id
+        arch = buf[9:at].decode("ascii")
+        if arch not in ARCHS:
+            raise CheckpointError(f"{path}: unknown architecture id {arch!r}")
+        split_depth, seed, step_count, held = struct.unpack_from("<IQQI", buf, at)
+        n = len(layout(arch))
+        if not 1 <= held <= n:
+            raise CheckpointError(f"{path}: {held} layers listed, {arch!r} has {n}")
+        index = list(struct.unpack_from(f"<{held}I", buf, at + 24))  # 24: "<IQQI"
+        if any(i >= j for i, j in zip(index, index[1:])) or index[-1] >= n:
             raise CheckpointError(
-                f"{path}: unexpected or repeated tensor {name!r} for layers {index}")
-        if tuple(dims) != p.data.shape:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} shape {dims} != expected {p.data.shape}"
+                f"{path}: layer indices {index} are not ascending, distinct and "
+                f"below {n}"
             )
-        n_bytes = 4 * int(np.prod(dims, dtype=np.int64)) if dims else 4
-        data = np.frombuffer(r.take(n_bytes), dtype="<f4").reshape(dims)
-        p.data = data.astype(np.float32).copy()
-    if r.pos != len(r.buf):
-        raise CheckpointError(f"{path}: {len(r.buf) - r.pos} trailing bytes")
+        body = memoryview(buf)[at + 24 + 4 * held:]
+        tensors = decode_tensor_list(body) if body else []
+    except (struct.error, UnicodeDecodeError, ProtocolError) as exc:
+        raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from None
+
+    model = SplitModel([ARCHS[arch].layers[i]() for i in index], arch, seed, split_depth,
+                       index)
+    model.step_count = step_count
+    params = model.params()
+    shapes, expected = [t.shape for t in tensors], [p.data.shape for p in params]
+    if shapes != expected:
+        raise CheckpointError(
+            f"{path}: tensors of shapes {shapes}, but layers {index} of {arch!r} "
+            f"take {expected}"
+        )
+    for p, t in zip(params, tensors):
+        p.data = t
     return model

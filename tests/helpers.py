@@ -5,9 +5,9 @@ an unsplit trainer, a per-epoch attack loop of its own, per-candidate
 label probing, einsum fc distances, uniform draws, argmax pooling,
 whole-batch convolution, plane-by-plane total variation, per-tensor
 Adam, the wire decoders and the relu, sigmoid, max-pool and col2im
-kernels as first written), a layer-construction counter, a profiled call
-counter, kink-aware input sampling, a session's traced memory peak, and
-tiny PGM/PPM parsing."""
+kernels as first written), a model's parameters keyed by net index, a
+layer-construction counter, a profiled call counter, kink-aware input
+sampling, a session's traced memory peak, and tiny PGM/PPM parsing."""
 
 from __future__ import annotations
 
@@ -575,6 +575,13 @@ def params_equal(a, b) -> bool:
     return all(
         np.array_equal(pa.data, pb.data) for pa, pb in zip(a.params(), b.params())
     )
+
+
+def params_by_index(model) -> dict[int, list[tuple[tuple[int, ...], bytes]]]:
+    """Each held layer's parameters (weight, then bias) as shape and bytes,
+    keyed by the layer's index in the whole net."""
+    return {i: [(p.data.shape, p.data.tobytes()) for p in layer.params()]
+            for i, layer in zip(model.index, model.layers)}
 
 
 def max_param_diff(a, b) -> float:

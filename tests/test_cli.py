@@ -13,7 +13,7 @@ import pytest
 
 from splitlab.cli import DEFAULTS, build_parser, effective_config, main
 
-from helpers import parse_pnm
+from helpers import params_by_index, parse_pnm
 
 
 def run(argv):
@@ -50,10 +50,7 @@ class TestTrain:
                                      for name in ("client", "server", "model"))
             assert not set(client.index) & set(server.index)
             assert model.index == sorted(client.index + server.index) == list(range(8))
-            held = dict(client.named_params()) | dict(server.named_params())
-            assert sorted(name for name, _ in model.named_params()) == sorted(held)
-            for name, p in model.named_params():
-                assert p.data.tobytes() == held[name].data.tobytes()
+            assert params_by_index(model) == params_by_index(client) | params_by_index(server)
             assert client.step_count == server.step_count == model.step_count == 4
 
     def test_inproc_needs_role_both(self, tmp_path):
@@ -218,11 +215,13 @@ class TestConfigHandling:
         # any training or inversion, not at the save.
         (["train", "--seed", str(2**64)], None),
         (["attack-invert", "--seed", str(2**64)], "checkpoint = {model}\n"),
+        # A config file that is not UTF-8.
+        (["train"], "seed = 1\nepochs = \xff\n"),
     ], ids=["file-epochs-abc", "seed-neg", "sample-per-class-neg", "samples-neg",
             "depths-x", "labels-samples-0", "lr-nan", "report-depth-past-tail",
             "report-depth-past-net", "report-samples-0", "report-no-depths",
             "train-port-70000", "train-port-neg", "train-inproc-role-server",
-            "train-seed-2**64", "invert-seed-2**64"])
+            "train-seed-2**64", "invert-seed-2**64", "file-not-utf8"])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, argv, config):
         from splitlab.models import build_net, save_checkpoint
 
@@ -230,7 +229,8 @@ class TestConfigHandling:
         if config is not None:
             model = tmp_path / "model.ckpt"
             save_checkpoint(build_net("tiny8"), str(model))
-            (tmp_path / "run.cfg").write_text(config.format(model=model))
+            # latin-1, so that "\xff" is the one byte 0xff: not UTF-8.
+            (tmp_path / "run.cfg").write_bytes(config.format(model=model).encode("latin-1"))
             extra += ["--config", str(tmp_path / "run.cfg")]
         assert run([*argv, "--dataset", "synth", *extra]) == 2
         assert not (tmp_path / "out").exists()
@@ -322,6 +322,22 @@ class TestAttackLabels:
                     "--out-dir", str(tmp_path)]) == 2
         assert "holds a 'mnist' net, but dataset 'synth' needs 'tiny8'" in \
             capsys.readouterr().err
+
+    def test_unreadable_arch_id_is_io_error(self, tmp_path, capsys):
+        from splitlab.models import build_net, save_checkpoint
+
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_net("tiny8"), str(path))
+        raw = bytearray(path.read_bytes())
+        assert raw[9:14] == b"tiny8"
+        raw[10] = 0xFF
+        path.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert run(["attack-labels", "--dataset", "synth", "--topology", "server_data",
+                    "--batch-size", "1", "--samples", "2", "--checkpoint", str(path),
+                    "--out-dir", str(tmp_path)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
 
     def test_refuses_label_sharing_topology(self, tmp_path):
         rc = run(["attack-labels", "--dataset", "synth",
